@@ -444,15 +444,10 @@ def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
     """The Riemann-Roch Euler characteristic: integral of Td(T) * ch."""
     if ch_sheaf.model is not model:
         raise ModelError("ch class does not live on this model")
-    rank = integrate_degree_zero(ch_sheaf)
+    rank = ch_sheaf.terms.get((0,) * len(model.generators), Fraction(0))
     if rank.denominator != 1:
         raise ModelError(f"ch has non-integral rank {rank}")
     return integrate(todd_class(model) * ch_sheaf)
-
-
-def integrate_degree_zero(cls: CohClass) -> Fraction:
-    zero_mono = (0,) * len(cls.model.generators)
-    return cls.terms.get(zero_mono, Fraction(0))
 
 
 def ch_line(model: RingModel, divisor: CohClass) -> CohClass:

@@ -7,25 +7,21 @@ document (rationals rendered as strings, checks sorted by name) and
 `--out` redirects the report to a file.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check
-fails, 2 for invalid input of any kind.  The environment variable
-CYPAIR_JOBS caps how many identity verifications run concurrently.
+fails, 2 for invalid input of any kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow, hodge, sncpair, symcalc
 
 DEFAULT_SEED = 7
-JOBS_ENV_VAR = "CYPAIR_JOBS"
 
 
 class CliInputError(ValueError):
@@ -51,19 +47,13 @@ class Report:
         return "pass" if all(c.status == "pass" for c in self.checks) else "fail"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
-
-
 def _check(name: str, actual, expected=None) -> Check:
     """A named check; without an expectation it is informational and passes."""
     if expected is None:
-        rendered = _fmt(actual)
+        rendered = str(actual)
         return Check(name, "pass", rendered, rendered)
     ok = actual == expected
-    return Check(name, "pass" if ok else "fail", _fmt(expected), _fmt(actual))
+    return Check(name, "pass" if ok else "fail", str(expected), str(actual))
 
 
 def _emit(report: Report, args) -> int:
@@ -93,16 +83,6 @@ def _emit(report: Report, args) -> int:
     else:
         sys.stdout.write(text)
     return 0 if report.overall == "pass" else 1
-
-
-def _jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliInputError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _read_text(path: str) -> str:
@@ -149,22 +129,12 @@ def cmd_identities(args) -> Report:
         raise CliInputError(
             f"--max-m must lie in 1..{symcalc.MAX_VERIFY_ROOTS}, got {args.max_m}")
 
-    def run(m: int) -> list[Check]:
-        checks = []
+    checks = []
+    for m in range(1, args.max_m + 1):
         for i, residual in enumerate(symcalc.verify_total_class_identities(m), 1):
             checks.append(_check(f"m{m}-todd-identity-{i}", repr(residual), "0"))
         for i, residual in enumerate(symcalc.verify_shifted_class_identities(m), 1):
             checks.append(_check(f"m{m}-todd-prime-identity-{i}", repr(residual), "0"))
-        return checks
-
-    values = range(1, args.max_m + 1)
-    jobs = _jobs()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run, values))
-    else:
-        batches = [run(m) for m in values]
-    checks = [c for batch in batches for c in batch]
     return Report("identities", checks, [])
 
 
@@ -326,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cypair",
         description="Exact checks for simple normal crossing pair combinatorics.",
-        epilog=f"Set {JOBS_ENV_VAR} to cap concurrent checks (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

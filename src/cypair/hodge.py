@@ -120,10 +120,6 @@ class HodgeDiamond:
         return "\n".join(lines)
 
 
-def betti(diamond: HodgeDiamond, k: int) -> int:
-    return diamond.betti(k)
-
-
 # ---------------------------------------------------------------------------
 # geometric constructions
 # ---------------------------------------------------------------------------

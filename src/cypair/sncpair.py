@@ -20,6 +20,11 @@ explicit entry with chi = 0.  The empty mask (the ambient space) is
 mandatory, singleton masks are mandatory (components are nonempty), and
 presence is downward closed: a superset of an empty stratum must be empty.
 
+A pair is validated once, when it is constructed: `SncPair` runs
+`validate` on itself, so an inconsistent table never becomes a pair.
+Functions that take a pair assume it is valid; pairs they derive are
+validated by their own construction.
+
 Blow-up centers
 ---------------
 A pair may carry center metadata: the codimension r of a connected
@@ -96,12 +101,20 @@ StratumTable = dict[int, Stratum]
 
 @dataclass(frozen=True)
 class SncPair:
-    """The combinatorial skeleton of a pair (X, sum m_j D_j) of degree d."""
+    """The combinatorial skeleton of a pair (X, sum m_j D_j) of degree d.
+
+    Construction validates the pair once (see `validate`) and raises
+    PairValidationError if it is inconsistent; every function taking a
+    pair assumes it is valid.
+    """
 
     d: int
     components: tuple[Component, ...]
     strata: StratumTable
     center: Center | None = None
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def mults(self) -> tuple[int, ...]:
@@ -262,7 +275,6 @@ def weight(d: int, mults: Iterable[int], subset) -> Fraction:
 
 def chi_d(pair: SncPair) -> Fraction:
     """The weighted Euler characteristic sum_J w_d^J chi(D_J), exactly."""
-    validate(pair)
     mults = pair.mults
     total = Fraction(0)
     for mask, stratum in pair.strata.items():
@@ -287,6 +299,27 @@ def scale_check(pair: SncPair, k: int) -> bool:
     return chi_d(scaled) == chi_d(pair)
 
 
+def _restrict(pair: SncPair, kept: list[int], entries: StratumTable,
+              extra: Component | None = None) -> SncPair:
+    """The induced pair on components `kept` (old indices, in order).
+
+    `entries` is its stratum table written in the old bits; bit
+    len(pair.components) stands for `extra`, appended as the last
+    component.  The result carries no center metadata.
+    """
+    new_bit = {j: 1 << i for i, j in enumerate(kept)}
+    components = [
+        Component(pair.components[j].id, pair.components[j].mult) for j in kept]
+    if extra is not None:
+        new_bit[len(pair.components)] = 1 << len(kept)
+        components.append(extra)
+    strata: StratumTable = {
+        sum(new_bit[j] for j in _bits(mask)): stratum
+        for mask, stratum in entries.items()
+    }
+    return SncPair(d=pair.d, components=tuple(components), strata=strata)
+
+
 def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
     """The induced pair on the stratum D_J.
 
@@ -294,7 +327,6 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
     sum_{j not in J} m_j D_(J union {j}); its stratum table is the
     restriction of the original one.
     """
-    validate(pair)
     if subset not in pair.strata:
         raise PairValidationError(
             f"stratum {pair.subset_label(subset)} is empty; no induced pair")
@@ -302,19 +334,12 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
         j for j in range(len(pair.components))
         if not (subset >> j) & 1 and (subset | (1 << j)) in pair.strata
     ]
-    new_bit = {j: i for i, j in enumerate(kept)}
-    components = tuple(
-        Component(pair.components[j].id, pair.components[j].mult) for j in kept)
-    strata: StratumTable = {}
-    for mask, stratum in pair.strata.items():
-        if mask & subset != subset:
-            continue
-        rest = mask & ~subset
-        remapped = 0
-        for j in _bits(rest):
-            remapped |= 1 << new_bit[j]
-        strata[remapped] = Stratum(stratum.chi)
-    return SncPair(d=pair.d, components=components, strata=strata)
+    entries = {
+        mask & ~subset: Stratum(stratum.chi)
+        for mask, stratum in pair.strata.items()
+        if mask & subset == subset
+    }
+    return _restrict(pair, kept, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,6 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
             mask = sum(1 << j for j in chosen)
             strata[mask] = Stratum(r + 1 - size)
     pair = SncPair(d=d, components=components, strata=strata)
-    validate(pair)
 
     poly = [Fraction(0)] * (r - s) + [Fraction(1)]
     for m in all_mults:
@@ -404,7 +428,6 @@ def chi_d_via_fprime(model: CpPairModel) -> Fraction:
 
 
 def _require_center(pair: SncPair) -> Center:
-    validate(pair)
     if pair.center is None:
         raise PairValidationError("this operation requires blow-up center metadata")
     if pair.d <= 0:
@@ -471,49 +494,33 @@ def blowup_transform(pair: SncPair) -> SncPair:
 
     kept = [j for j in range(l) if (1 << j) in entries]
     kept_mask = sum(1 << j for j in kept)
-    new_bit = {j: i for i, j in enumerate(kept)}
-    new_bit[l] = len(kept)
-    components = tuple(
-        [Component(pair.components[j].id, pair.components[j].mult) for j in kept]
-        + [Component(_unique_id((c.id for c in pair.components), "E"), m0)]
-    )
-    strata: StratumTable = {}
-    for mask, stratum in entries.items():
-        if mask & ~(kept_mask | e_bit):
-            orphan = next(j for j in _bits(mask) if j < l and j not in new_bit)
+    for mask in entries:
+        orphans = mask & ~(kept_mask | e_bit)
+        if orphans:
+            orphan = next(_bits(orphans))
             raise PairValidationError(
                 f"ambiguous center containment: stratum "
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                 f"although component {pair.components[orphan].id!r} does not")
-        remapped = sum(1 << new_bit[j] for j in _bits(mask))
-        strata[remapped] = stratum
-    result = SncPair(d=pair.d, components=components, strata=strata)
-    validate(result)
-    return result
+    exceptional = Component(_unique_id((c.id for c in pair.components), "E"), m0)
+    return _restrict(pair, kept, entries, exceptional)
 
 
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
     contains = pair.contains_mask
-    l = len(pair.components)
     kept = [
-        j for j in range(l)
+        j for j in range(len(pair.components))
         if not (contains >> j) & 1
         and pair.strata[1 << j].chi_meet_center is not None
     ]
-    new_bit = {j: i for i, j in enumerate(kept)}
-    components = tuple(
-        Component(pair.components[j].id, pair.components[j].mult) for j in kept)
-    strata: StratumTable = {}
-    for mask, stratum in pair.strata.items():
-        if mask & contains or stratum.chi_meet_center is None:
-            continue
-        remapped = sum(1 << new_bit[j] for j in _bits(mask))
-        strata[remapped] = Stratum(stratum.chi_meet_center)
-    result = SncPair(d=pair.d, components=components, strata=strata)
-    validate(result)
-    return result
+    entries = {
+        mask: Stratum(stratum.chi_meet_center)
+        for mask, stratum in pair.strata.items()
+        if not mask & contains and stratum.chi_meet_center is not None
+    }
+    return _restrict(pair, kept, entries)
 
 
 def exceptional_pair(pair: SncPair) -> SncPair:
@@ -527,30 +534,22 @@ def exceptional_pair(pair: SncPair) -> SncPair:
     center = _require_center(pair)
     r = center.codim
     contains = pair.contains_mask
-    l = len(pair.components)
     kept = []
-    for j in range(l):
+    for j in range(len(pair.components)):
         if (contains >> j) & 1:
             if r >= 2:
                 kept.append(j)
         elif pair.strata[1 << j].chi_meet_center is not None:
             kept.append(j)
-    new_bit = {j: i for i, j in enumerate(kept)}
-    components = tuple(
-        Component(pair.components[j].id, pair.components[j].mult) for j in kept)
-    strata: StratumTable = {}
+    entries: StratumTable = {}
     for mask, stratum in pair.strata.items():
         meets = stratum.chi_meet_center
         if meets is None:
             continue
         fiber = r - bin(mask & contains).count("1")
-        if fiber < 1:
-            continue
-        remapped = sum(1 << new_bit[j] for j in _bits(mask))
-        strata[remapped] = Stratum(meets * fiber)
-    result = SncPair(d=pair.d, components=components, strata=strata)
-    validate(result)
-    return result
+        if fiber >= 1:
+            entries[mask] = Stratum(meets * fiber)
+    return _restrict(pair, kept, entries)
 
 
 def induced_center_pairs(pair: SncPair) -> tuple[Fraction, Fraction]:
@@ -666,9 +665,7 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
         Component(f"D{j + 1}", mults[j], bool((contains >> j) & 1))
         for j in range(l)
     )
-    pair = SncPair(d=d, components=components, strata=strata, center=Center(codim=r))
-    validate(pair)
-    return pair
+    return SncPair(d=d, components=components, strata=strata, center=Center(codim=r))
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +763,7 @@ def pair_from_obj(obj) -> SncPair:
             continue
         strata[mask] = Stratum(chi_value, meet)
 
-    pair = SncPair(d=d, components=tuple(components), strata=strata, center=center)
-    validate(pair)
-    return pair
+    return SncPair(d=d, components=tuple(components), strata=strata, center=center)
 
 
 def pair_from_json(text: str) -> SncPair:

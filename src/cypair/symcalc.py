@@ -612,11 +612,6 @@ def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
     return symmetrize_to_chern(ch_exterior_roots(num_roots, r, order))
 
 
-def degree_part(series, p):
-    """Extract the degree-p component {.}^[p], or a range of degrees."""
-    return series.degree_part(p)
-
-
 def embed_roots(series: RootSeries, num_roots: int, offset: int = 0) -> RootSeries:
     """View a series in m roots inside a larger root set, shifted by offset."""
     if offset < 0 or offset + series.num_roots > num_roots:

@@ -36,16 +36,6 @@ def test_identities_invalid_bound(capsys):
     assert "error" in err
 
 
-def test_identities_parallel_env(capsys, monkeypatch):
-    monkeypatch.setenv("CYPAIR_JOBS", "4")
-    code, out, _ = run_cli(["identities", "--max-m", "2", "--json"], capsys)
-    assert code == 0
-    monkeypatch.setenv("CYPAIR_JOBS", "1")
-    code2, out2, _ = run_cli(["identities", "--max-m", "2", "--json"], capsys)
-    assert code2 == 0
-    assert out == out2  # parallelism must not affect the report
-
-
 # ---------------------------------------------------------------------------
 # chi-d
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cypair import sncpair
 from cypair.sncpair import (
     BlowupCheck,
     Center,
@@ -139,13 +140,12 @@ def test_chi_d_rejects_inconsistent_table():
         strata={0: Stratum(4), 0b01: Stratum(2), 0b10: Stratum(2), 0b11: Stratum(1)},
     )
     chi_d(pair)  # consistent as given
-    broken = SncPair(
-        d=1,
-        components=pair.components,
-        strata={0: Stratum(4), 0b01: Stratum(2), 0b11: Stratum(1)},
-    )
     with pytest.raises(PairValidationError):
-        chi_d(broken)
+        SncPair(
+            d=1,
+            components=pair.components,
+            strata={0: Stratum(4), 0b01: Stratum(2), 0b11: Stratum(1)},
+        )
 
 
 def test_scale_check():
@@ -372,6 +372,23 @@ def test_blowup_codimension_one_relabels_component():
     assert chi_d(blown) == chi_d(pair)
 
 
+def test_blowup_rejects_ambiguous_center_containment():
+    # The stratum A disappears (chi equals the center's Euler number) but
+    # {A,B} does not, which would break downward closure.
+    pair = SncPair(
+        d=1,
+        components=(Component("A", 2, True), Component("B", 1)),
+        strata={0: Stratum(4, 2), 0b01: Stratum(2, 2), 0b10: Stratum(2, 1),
+                0b11: Stratum(2, 1)},
+        center=Center(codim=1),
+    )
+    with pytest.raises(PairValidationError) as err:
+        blowup_transform(pair)
+    message = str(err.value)
+    assert "ambiguous center containment" in message
+    assert "{A,B}" in message and "'A'" in message
+
+
 def test_blowup_invariance_random_tables():
     rng = random.Random(97)
     for _ in range(150):
@@ -386,6 +403,23 @@ def test_random_instances_validate():
         validate(random_blowup_instance(rng))
 
 
+def test_blowup_check_validates_each_pair_once(monkeypatch):
+    validated = []
+    original = sncpair.validate
+
+    def counting(pair):
+        validated.append(pair)
+        original(pair)
+
+    monkeypatch.setattr(sncpair, "validate", counting)
+    pair = triangle_pair(with_center=True)
+    assert validated == [pair]
+    check_blowup_invariance(pair)
+    derived = validated[1:]
+    assert derived == [blowup_transform(pair), center_pair(pair),
+                       exceptional_pair(pair)]
+
+
 # ---------------------------------------------------------------------------
 # validation errors
 # ---------------------------------------------------------------------------
@@ -398,56 +432,51 @@ def test_validate_superset_of_empty_stratum():
         strata={0: Stratum(3), 0b01: Stratum(2), 0b10: Stratum(2)},
     )
     validate(pair)
-    broken = SncPair(
-        d=1,
-        components=pair.components,
-        strata={0: Stratum(3), 0b01: Stratum(2), 0b11: Stratum(1)},
-    )
     with pytest.raises(PairValidationError) as err:
-        validate(broken)
+        SncPair(
+            d=1,
+            components=pair.components,
+            strata={0: Stratum(3), 0b01: Stratum(2), 0b11: Stratum(1)},
+        )
     assert "empty" in str(err.value)
 
 
 def test_validate_forbidden_multiplicity():
-    pair = SncPair(
-        d=2,
-        components=(Component("A", -2),),
-        strata={0: Stratum(3), 0b1: Stratum(2)},
-    )
     with pytest.raises(ForbiddenMultiplicityError):
-        validate(pair)
+        SncPair(
+            d=2,
+            components=(Component("A", -2),),
+            strata={0: Stratum(3), 0b1: Stratum(2)},
+        )
 
 
 def test_validate_missing_ambient_stratum():
-    pair = SncPair(d=1, components=(), strata={})
     with pytest.raises(PairValidationError):
-        validate(pair)
+        SncPair(d=1, components=(), strata={})
 
 
 def test_validate_center_consistency():
     base = triangle_pair(with_center=True)
     # chi_meet_center must agree across containing components
-    broken = SncPair(
-        d=base.d,
-        components=base.components,
-        strata={**base.strata, 0b011: Stratum(1, 2)},
-        center=base.center,
-    )
     with pytest.raises(PairValidationError):
-        validate(broken)
+        SncPair(
+            d=base.d,
+            components=base.components,
+            strata={**base.strata, 0b011: Stratum(1, 2)},
+            center=base.center,
+        )
     # a center of codimension 2 cannot lie in three components
-    overfull = SncPair(
-        d=1,
-        components=tuple(Component(f"C{j}", 1, True) for j in range(3)),
-        strata={
-            sum(1 << j for j in chosen): Stratum(1, 1)
-            for size in range(4)
-            for chosen in itertools.combinations(range(3), size)
-        },
-        center=Center(codim=2),
-    )
     with pytest.raises(PairValidationError):
-        validate(overfull)
+        SncPair(
+            d=1,
+            components=tuple(Component(f"C{j}", 1, True) for j in range(3)),
+            strata={
+                sum(1 << j for j in chosen): Stratum(1, 1)
+                for size in range(4)
+                for chosen in itertools.combinations(range(3), size)
+            },
+            center=Center(codim=2),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from cypair.symcalc import (
     SymmetryError,
     ch_exterior,
     ch_exterior_roots,
-    degree_part,
     elementary_symmetric,
     embed_roots,
     expand_to_roots,
@@ -114,10 +113,10 @@ def test_todd_low_degrees_stable_in_m():
 
 def test_degree_part():
     t = todd(2, 2)
-    assert degree_part(t, 0) == cs(2, 2, {(0, 0): 1})
-    assert degree_part(t, 1) == cs(2, 2, {(1, 0): Fraction(1, 2)})
+    assert t.degree_part(0) == cs(2, 2, {(0, 0): 1})
+    assert t.degree_part(1) == cs(2, 2, {(1, 0): Fraction(1, 2)})
     one_plus_c1 = cs(2, 2, {(0, 0): 1, (1, 0): 1})
-    assert degree_part(one_plus_c1, 2).is_zero()
+    assert one_plus_c1.degree_part(2).is_zero()
 
 
 # ---------------------------------------------------------------------------
