@@ -23,6 +23,15 @@ from . import chow, hodge, sncpair, symcalc
 
 DEFAULT_SEED = 7
 
+#: Largest accepted `hrr cp --n`.  The universal Todd and ch series in n
+#: roots grow with the partitions of n: `hrr cp --n 19 --p 9 --twist 1`
+#: takes 6.7-7.4 s and n = 20 takes 11.9-12.7 s on a 2-CPU Xeon VM.
+MAX_HRR_N = 19
+
+#: Largest accepted `--random COUNT`.  Check names carry the index in four
+#: digits, so up to 10,000 of them still sort in numeric order in `--json`.
+MAX_RANDOM = 10_000
+
 
 class CliInputError(ValueError):
     pass
@@ -138,6 +147,11 @@ def cmd_identities(args) -> Report:
     return Report("identities", checks, [])
 
 
+def _check_random_count(count: int) -> None:
+    if not 1 <= count <= MAX_RANDOM:
+        raise CliInputError(f"--random must lie in 1..{MAX_RANDOM}, got {count}")
+
+
 def _parse_mults(raw: str | None) -> tuple[int, ...]:
     if not raw:
         return ()
@@ -188,8 +202,7 @@ def cmd_blowup_check(args) -> Report:
         ]
         return Report("blowup-check", checks, [])
 
-    if args.random < 1:
-        raise CliInputError("--random wants a positive count")
+    _check_random_count(args.random)
     import random as random_module
 
     rng = random_module.Random(args.seed)
@@ -204,8 +217,8 @@ def cmd_blowup_check(args) -> Report:
 
 
 def cmd_hrr_cp(args) -> Report:
-    if args.n < 0:
-        raise CliInputError("--n must be non-negative")
+    if not 0 <= args.n <= MAX_HRR_N:
+        raise CliInputError(f"--n must lie in 0..{MAX_HRR_N}, got {args.n}")
     if not 0 <= args.p <= args.n:
         raise CliInputError(f"--p must lie in 0..{args.n}")
     value = chow.chi_twisted_hodge(args.n, args.p, args.twist)
@@ -268,8 +281,7 @@ def cmd_hodge_ledger(args) -> Report:
         checks.append(
             _check("ledger-identities", hodge.lambda_exponent_check(diamond), True))
     else:
-        if args.random < 1:
-            raise CliInputError("--random wants a positive count")
+        _check_random_count(args.random)
         import random as random_module
 
         rng = random_module.Random(args.seed)
@@ -302,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities",
                        help="verify the Todd / exterior-character identities")
     p.add_argument("--max-m", type=int, default=6,
-                   help="verify for every root count up to this bound")
+                   help="verify for every root count up to this bound "
+                        f"(at most {symcalc.MAX_VERIFY_ROOTS})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_identities)
 
@@ -326,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check blow-up invariance of chi_d")
     p.add_argument("--file", help="stratum table with center metadata")
     p.add_argument("--random", type=int, metavar="COUNT",
-                   help="run COUNT random synthetic tables instead")
+                   help="run COUNT random synthetic tables instead "
+                        f"(at most {MAX_RANDOM})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"seed for --random (default {DEFAULT_SEED})")
     _add_output_flags(p)
@@ -335,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hrr", help="Riemann-Roch Euler characteristics")
     hrr_sub = p.add_subparsers(dest="mode", required=True)
     ph = hrr_sub.add_parser("cp", help="twisted Hodge sheaves on projective space")
-    ph.add_argument("--n", type=int, required=True, help="ambient dimension")
+    ph.add_argument("--n", type=int, required=True,
+                    help=f"ambient dimension (at most {MAX_HRR_N})")
     ph.add_argument("--p", type=int, required=True, help="form degree")
     ph.add_argument("--twist", type=int, default=0, help="line-bundle twist")
     _add_output_flags(ph)
@@ -362,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
     ple.add_argument("--diamond", help="diamond (name or file)")
     ple.add_argument("--random", type=int, metavar="COUNT",
-                     help="check COUNT random symmetric diamonds instead")
+                     help="check COUNT random symmetric diamonds instead "
+                          f"(at most {MAX_RANDOM})")
     ple.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(ple)
     ple.set_defaults(func=cmd_hodge_ledger)

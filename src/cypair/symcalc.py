@@ -16,15 +16,30 @@ series is an empty map.
 Generators implemented here:
 
 * the Todd series prod_j x_j / (1 - exp(-x_j));
-* its derivative under a uniform shift of all roots x_j -> x_j + t,
-  evaluated with a nilpotent shift variable (t^2 = 0);
+* its derivative under a uniform shift of all roots x_j -> x_j + t;
 * the Chern characters of exterior powers of the dual bundle, packaged by
   the generating function prod_j (1 - t * exp(-x_j)).
 
+`todd`, `todd_prime` and `ch_exterior` build them in the Chern basis,
+where a series of order n has as many terms as there are partitions of
+the degrees up to n.  Newton's identities give the power sums p_k of the
+roots in the c-basis (p_0 = m); Td = exp(sum_k a_k p_k), with a_k the
+coefficients of log(x / (1 - exp(-x))), is a graded exponential.  The
+uniform shift acts on power sums as the derivation p_k -> k p_{k-1}, so
+Td' = Td * sum_k k a_k p_{k-1}.  ch Lambda^r E* = e_r(exp(-x)) comes from
+Newton's identities for z_j = exp(-x_j) - 1 and
+e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+
+`todd_roots`, `todd_prime_roots` (with a nilpotent shift variable,
+t^2 = 0) and `ch_exterior_roots` build the same series in root
+coordinates, with C(m + n, m) monomials; `symmetrize_to_chern` folds them
+back by leading-term reduction.  No production path uses them: they are
+the independent reference the tests compare the Chern-basis series with.
+
 `verify_total_class_identities` and `verify_shifted_class_identities`
-multiply these generators out and return the residuals of the five
-closed-form identities they satisfy; a residual is an ordinary result, so
-a nonzero residual is reported, not raised.
+multiply the Chern-basis generators out and return the residuals of the
+five closed-form identities they satisfy; a residual is an ordinary
+result, so a nonzero residual is reported, not raised.
 """
 
 from __future__ import annotations
@@ -32,15 +47,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 Coeffs = Mapping[Exponents, Fraction]
 
 #: Largest number of roots the identity-verification entry points accept by
-#: default.  Cost grows with the number of partitions of the truncation
-#: order, so the bound is a guard rail, not a hard limit.
-MAX_VERIFY_ROOTS = 8
+#: default.  The series live in the Chern basis, so cost grows with the
+#: number of partitions of the truncation order m + 2:
+#: `cypair identities --max-m 14` takes 6.1-7.7 s and 15 takes 10.5-12.9 s
+#: on a 2-CPU Xeon VM.  `max_roots` lifts the bound for library callers.
+MAX_VERIFY_ROOTS = 14
 
 
 class SymmetryError(ValueError):
@@ -234,6 +253,7 @@ class RootSeries:
         return " + ".join(bits)
 
 
+@lru_cache(maxsize=None)
 def _weighted_degree(expo: Exponents) -> int:
     return sum((k + 1) * e for k, e in enumerate(expo))
 
@@ -259,8 +279,9 @@ class ChernSeries:
                 raise ValueError(f"exponent vector {expo} has wrong length")
             if _weighted_degree(expo) > order:
                 continue
-            q = Fraction(q)
-            if q != 0:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            if q:
                 clean[expo] = q
         self.terms = clean
 
@@ -292,8 +313,9 @@ class ChernSeries:
             order = self._compatible(other)
             terms = dict(self.terms)
             for e, q in other.terms.items():
-                terms[e] = terms.get(e, Fraction(0)) + q
-            return ChernSeries(self.num_roots, order, _clean(terms))
+                prev = terms.get(e)
+                terms[e] = q if prev is None else prev + q
+            return ChernSeries(self.num_roots, order, terms)
         return self + ChernSeries.constant(self.num_roots, self.order, other)
 
     __radd__ = __add__
@@ -314,15 +336,30 @@ class ChernSeries:
     def __mul__(self, other):
         if isinstance(other, ChernSeries):
             order = self._compatible(other)
-            out: dict[Exponents, Fraction] = {}
-            for ea, qa in self.terms.items():
-                da = _weighted_degree(ea)
-                for eb, qb in other.terms.items():
-                    if da + _weighted_degree(eb) > order:
-                        continue
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    out[e] = out.get(e, Fraction(0)) + qa * qb
-            return ChernSeries(self.num_roots, order, _clean(out))
+            a, b = self.terms, other.terms
+            if len(b) < len(a):
+                a, b = b, a
+            # Accumulate integer numerators over the common denominators
+            # and reduce each output coefficient once.
+            den_a = lcm(*(q.denominator for q in a.values()))
+            den_b = lcm(*(q.denominator for q in b.values()))
+            graded_b = sorted(
+                (_weighted_degree(eb), eb, qb.numerator * (den_b // qb.denominator))
+                for eb, qb in b.items()
+            )
+            out: dict[Exponents, int] = {}
+            for ea, qa in a.items():
+                na = qa.numerator * (den_a // qa.denominator)
+                room = order - _weighted_degree(ea)
+                for db, eb, nb in graded_b:
+                    if db > room:
+                        break
+                    e = tuple(map(add, ea, eb))
+                    out[e] = out.get(e, 0) + na * nb
+            den = den_a * den_b
+            return ChernSeries(
+                self.num_roots, order, {e: Fraction(n, den) for e, n in out.items()}
+            )
         q = Fraction(other)
         return ChernSeries(
             self.num_roots, self.order, {e: c * q for e, c in self.terms.items()}
@@ -513,7 +550,7 @@ def _derivative_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# genus generators
+# genus generators in root coordinates: the reference oracle
 # ---------------------------------------------------------------------------
 
 
@@ -526,12 +563,6 @@ def todd_roots(num_roots: int, order: int) -> RootSeries:
     for j in range(num_roots):
         acc = acc * RootSeries.from_univariate(num_roots, order, j, factor)
     return acc
-
-
-@lru_cache(maxsize=None)
-def todd(num_roots: int, order: int) -> ChernSeries:
-    """The Todd series in the Chern-class basis."""
-    return symmetrize_to_chern(todd_roots(num_roots, order))
 
 
 def todd_prime_roots(num_roots: int, order: int) -> RootSeries:
@@ -552,12 +583,6 @@ def todd_prime_roots(num_roots: int, order: int) -> RootSeries:
         bj = RootSeries.from_univariate(num_roots, order, j, deriv)
         value, slope = value * aj, value * bj + slope * aj
     return slope
-
-
-@lru_cache(maxsize=None)
-def todd_prime(num_roots: int, order: int) -> ChernSeries:
-    """The shifted-Todd derivative in the Chern-class basis."""
-    return symmetrize_to_chern(todd_prime_roots(num_roots, order))
 
 
 def shift_derivative(series: RootSeries) -> RootSeries:
@@ -606,12 +631,6 @@ def ch_exterior_roots(num_roots: int, r: int, order: int) -> RootSeries:
     return _exterior_levels(num_roots, order)[r]
 
 
-@lru_cache(maxsize=None)
-def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
-    """ch of the r-th exterior power of the dual bundle, in the c-basis."""
-    return symmetrize_to_chern(ch_exterior_roots(num_roots, r, order))
-
-
 def embed_roots(series: RootSeries, num_roots: int, offset: int = 0) -> RootSeries:
     """View a series in m roots inside a larger root set, shifted by offset."""
     if offset < 0 or offset + series.num_roots > num_roots:
@@ -620,6 +639,133 @@ def embed_roots(series: RootSeries, num_roots: int, offset: int = 0) -> RootSeri
     pad_right = (0,) * (num_roots - offset - series.num_roots)
     terms = {pad_left + e + pad_right: q for e, q in series.terms.items()}
     return RootSeries(num_roots, series.order, terms)
+
+
+# ---------------------------------------------------------------------------
+# genus generators in the Chern basis
+# ---------------------------------------------------------------------------
+
+
+def _log_todd_factor_coeffs(order: int) -> list[Fraction]:
+    """Taylor coefficients a_0..a_order of log(x / (1 - exp(-x))).
+
+    With h = exp(L) and h' = L' h, the coefficients satisfy
+    n h_n = sum_{k=1}^{n} k a_k h_{n-k}.
+    """
+    h = _todd_factor_coeffs(order)
+    a = [Fraction(0)]
+    for n in range(1, order + 1):
+        a.append((n * h[n] - sum(k * a[k] * h[n - k] for k in range(1, n))) / n)
+    return a
+
+
+def _power_sums(num_roots: int, order: int) -> list[ChernSeries]:
+    """The power sums p_0 = m, p_1, ..., p_order of the roots in the c-basis.
+
+    Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
+    + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
+    """
+    m = num_roots
+    chern = [ChernSeries.chern_class(m, order, i) for i in range(min(m, order) + 1)]
+    sums = [ChernSeries.constant(m, order, m)]
+    for k in range(1, order + 1):
+        acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else ChernSeries.zero(m, order)
+        for i in range(1, min(k - 1, m) + 1):
+            acc = acc + chern[i] * sums[k - i] * (-1) ** (i - 1)
+        sums.append(acc)
+    return sums
+
+
+def _graded_exp(parts: list[ChernSeries], num_roots: int, order: int) -> list[ChernSeries]:
+    """The graded pieces E_0, ..., E_n of exp(X_1 t + ... + X_n t^n).
+
+    `parts` holds X_1..X_n.  E_0 = 1 and d E_d = sum_{k=1}^{d} k X_k E_{d-k},
+    the recurrence that d/dt exp(X) = X' exp(X) gives degree by degree.
+    """
+    scaled = [x * k for k, x in enumerate(parts, 1)]
+    pieces = [ChernSeries.constant(num_roots, order, 1)]
+    for d in range(1, len(parts) + 1):
+        acc = ChernSeries.zero(num_roots, order)
+        for k in range(1, d + 1):
+            acc = acc + scaled[k - 1] * pieces[d - k]
+        pieces.append(acc * Fraction(1, d))
+    return pieces
+
+
+@lru_cache(maxsize=None)
+def todd(num_roots: int, order: int) -> ChernSeries:
+    """The Todd series prod_j x_j / (1 - exp(-x_j)) in the Chern-class basis.
+
+    Td = exp(sum_k a_k p_k) with a_k the coefficients of
+    log(x / (1 - exp(-x))); the weighted degree of a_k p_k is k, so the
+    graded exponential yields Td one weighted degree at a time.
+    """
+    if num_roots < 1:
+        raise ValueError("Todd series needs at least one root")
+    a = _log_todd_factor_coeffs(order)
+    sums = _power_sums(num_roots, order)
+    parts = [sums[k] * a[k] for k in range(1, order + 1)]
+    return sum(_graded_exp(parts, num_roots, order), ChernSeries.zero(num_roots, order))
+
+
+@lru_cache(maxsize=None)
+def todd_prime(num_roots: int, order: int) -> ChernSeries:
+    """Derivative of Todd under the uniform root shift x_j -> x_j + t.
+
+    The shift is the derivation p_k -> k p_{k-1} of the power sums, so
+    Td' = Td * d/dt (sum_k a_k p_k) = Td * sum_k k a_k p_{k-1}.
+    """
+    if num_roots < 1:
+        raise ValueError("Todd series needs at least one root")
+    a = _log_todd_factor_coeffs(order + 1)
+    sums = _power_sums(num_roots, order)
+    slope = sum(
+        (sums[k - 1] * (k * a[k]) for k in range(1, order + 2)),
+        ChernSeries.zero(num_roots, order),
+    )
+    return todd(num_roots, order) * slope
+
+
+@lru_cache(maxsize=None)
+def _exterior_chern(num_roots: int, order: int) -> tuple[ChernSeries, ...]:
+    """ch of every exterior power of the dual bundle, r = 0..m, at once.
+
+    ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
+    sums of z are sum_i [x^i](exp(-x) - 1)^n p_i; Newton's identities,
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
+    exponential of X_i = (-1)^{i-1} P_i / i, and e_k(z) starts in degree k.
+    Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+    """
+    m = num_roots
+    zero = ChernSeries.zero(m, order)
+    sums = _power_sums(m, order)
+    z = _exp_neg_coeffs(order)
+    z[0] = Fraction(0)
+    top = min(m, order)
+    power = [Fraction(1)] + [Fraction(0)] * order  # (exp(-x) - 1)^n
+    parts = []
+    for n in range(1, top + 1):
+        power = [
+            sum(power[j] * z[i - j] for j in range(i + 1)) for i in range(order + 1)
+        ]
+        z_sum = sum((sums[i] * power[i] for i in range(n, order + 1)), zero)
+        parts.append(z_sum * Fraction((-1) ** (n - 1), n))
+    elementary = _graded_exp(parts, m, order)
+    return tuple(
+        sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
+        for r in range(m + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
+    """ch of the r-th exterior power of the dual bundle, in the c-basis.
+
+    Equals e_r(exp(-x_1), ..., exp(-x_m)); r = 0 gives the constant 1.
+    """
+    if not 0 <= r <= num_roots:
+        raise ValueError(f"exterior power {r} out of range 0..{num_roots}")
+    return _exterior_chern(num_roots, order)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +779,13 @@ def _guard_verify_roots(m: int, max_roots: int | None) -> None:
         raise ValueError(f"number of roots must lie in 1..{limit}, got {m}")
 
 
-def _alternating_sum(num_roots: int, order: int, weight) -> RootSeries:
-    total = RootSeries.zero(num_roots, order)
+def _alternating_sum(num_roots: int, order: int, weight) -> ChernSeries:
+    total = ChernSeries.zero(num_roots, order)
     for r in range(num_roots + 1):
         w = weight(r)
         if w == 0:
             continue
-        total = total + ch_exterior_roots(num_roots, r, order) * w
+        total = total + ch_exterior(num_roots, r, order) * w
     return total
 
 
@@ -662,26 +808,25 @@ def verify_total_class_identities(
     """
     _guard_verify_roots(m, max_roots)
     wide = m + 2 if order is None else max(order, m)
-    td_wide = todd_roots(m, wide)
+    td_wide = todd(m, wide)
     td = td_wide.truncate(m)
 
-    s0 = _alternating_sum(m, wide, lambda r: Fraction((-1) ** r))
-    lhs1 = td_wide * s0
-    rhs1 = elementary_symmetric(m, m, wide)
-    res1 = symmetrize_to_chern(lhs1 - rhs1)
+    def c(k: int, truncation: int) -> ChernSeries:
+        return ChernSeries.chern_class(m, truncation, k)
 
-    s1 = _alternating_sum(m, m, lambda r: Fraction((-1) ** r * r))
-    lhs2 = (td * s1).degree_part(range(0, m + 1))
-    rhs2 = -elementary_symmetric(m, m - 1, m) + elementary_symmetric(m, m, m) * Fraction(m, 2)
-    res2 = symmetrize_to_chern(lhs2 - rhs2)
+    s0 = _alternating_sum(m, wide, lambda r: (-1) ** r)
+    res1 = td_wide * s0 - c(m, wide)
 
-    s2 = _alternating_sum(m, m, lambda r: Fraction((-1) ** r * r * (r - 1)))
+    # Truncated at order m, the product is its own [<= m] window.
+    s1 = _alternating_sum(m, m, lambda r: (-1) ** r * r)
+    res2 = td * s1 - (-c(m - 1, m) + c(m, m) * Fraction(m, 2))
+
+    s2 = _alternating_sum(m, m, lambda r: (-1) ** r * r * (r - 1))
     lhs3 = (td * s2).degree_part(m)
-    rhs3 = (
-        elementary_symmetric(m, 1, m) * elementary_symmetric(m, m - 1, m) * Fraction(1, 6)
-        + elementary_symmetric(m, m, m) * Fraction(m * (3 * m - 5), 12)
-    ).degree_part(m)
-    res3 = symmetrize_to_chern(lhs3 - rhs3)
+    rhs3 = c(1, m) * c(m - 1, m) * Fraction(1, 6) + c(m, m) * Fraction(
+        m * (3 * m - 5), 12
+    )
+    res3 = lhs3 - rhs3.degree_part(m)
 
     return res1, res2, res3
 
@@ -697,19 +842,17 @@ def verify_shifted_class_identities(
     Returns LHS - RHS in the stated top-degree window for each.
     """
     _guard_verify_roots(m, max_roots)
-    tdp = todd_prime_roots(m, m)
+    tdp = todd_prime(m, m)
 
-    s0 = _alternating_sum(m, m, lambda r: Fraction((-1) ** r))
-    lhs1 = (tdp * s0).degree_part(m)
-    rhs1 = (elementary_symmetric(m, m, m) * Fraction(m, 2)).degree_part(m)
-    res1 = symmetrize_to_chern(lhs1 - rhs1)
+    def c(k: int) -> ChernSeries:
+        return ChernSeries.chern_class(m, m, k)
 
-    s1 = _alternating_sum(m, m, lambda r: Fraction((-1) ** r * r))
+    s0 = _alternating_sum(m, m, lambda r: (-1) ** r)
+    res1 = (tdp * s0).degree_part(m) - c(m) * Fraction(m, 2)
+
+    s1 = _alternating_sum(m, m, lambda r: (-1) ** r * r)
     lhs2 = (tdp * s1).degree_part(m)
-    rhs2 = (
-        elementary_symmetric(m, 1, m) * elementary_symmetric(m, m - 1, m) * Fraction(1, 12)
-        + elementary_symmetric(m, m, m) * Fraction(m * m, 4)
-    ).degree_part(m)
-    res2 = symmetrize_to_chern(lhs2 - rhs2)
+    rhs2 = c(1) * c(m - 1) * Fraction(1, 12) + c(m) * Fraction(m * m, 4)
+    res2 = lhs2 - rhs2.degree_part(m)
 
     return res1, res2

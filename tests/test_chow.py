@@ -276,6 +276,8 @@ def test_chi_twisted_vanishing_window():
         for p in range(1, n + 1):
             for s in range(1, p + 1):
                 assert chi_twisted_hodge(n, p, s) == 0
+    # Bott vanishing with universal series in 9 roots.
+    assert chi_twisted_hodge(9, 4, 1) == 0
 
 
 def test_chi_specific_values():

@@ -4,7 +4,8 @@ import string
 
 import pytest
 
-from cypair.cli import main
+from cypair import symcalc
+from cypair.cli import MAX_HRR_N, MAX_RANDOM, main
 
 from conftest import TRIANGLE_TABLE
 
@@ -34,6 +35,13 @@ def test_identities_invalid_bound(capsys):
     code, _, err = run_cli(["identities", "--max-m", "0"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_identities_rejects_oversize_bound(capsys):
+    limit = symcalc.MAX_VERIFY_ROOTS
+    code, _, err = run_cli(["identities", "--max-m", str(limit + 1)], capsys)
+    assert code == 2
+    assert f"--max-m must lie in 1..{limit}, got {limit + 1}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,22 @@ def test_hrr_cp_untwisted(capsys):
 def test_hrr_cp_bad_flags(capsys):
     code, _, _ = run_cli(["hrr", "cp", "--n", "2", "--p", "5"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [-1, MAX_HRR_N + 1])
+def test_hrr_cp_rejects_dimension_out_of_range(capsys, n):
+    code, _, err = run_cli(["hrr", "cp", "--n", str(n), "--p", "0"], capsys)
+    assert code == 2
+    assert f"--n must lie in 0..{MAX_HRR_N}, got {n}" in err
+
+
+@pytest.mark.parametrize("command", [["blowup-check"], ["hodge", "ledger"]])
+@pytest.mark.parametrize("count", [0, MAX_RANDOM + 1])
+def test_random_count_out_of_range(capsys, command, count):
+    code, out, err = run_cli(command + ["--random", str(count)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--random must lie in 1..{MAX_RANDOM}, got {count}" in err
 
 
 def test_hodge_bundle(capsys):

@@ -235,6 +235,50 @@ def test_todd_multiplicative_under_root_partition():
 
 
 # ---------------------------------------------------------------------------
+# Chern-basis genera against the root-coordinate oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_todd_matches_root_oracle(m):
+    for order in (m, m + 2):
+        assert todd(m, order) == symmetrize_to_chern(todd_roots(m, order))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_todd_prime_matches_root_oracle(m):
+    for order in (m, m + 2):
+        assert todd_prime(m, order) == symmetrize_to_chern(todd_prime_roots(m, order))
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_ch_exterior_matches_root_oracle(m):
+    for order in (m, m + 2):
+        for r in range(m + 1):
+            assert ch_exterior(m, r, order) == symmetrize_to_chern(
+                ch_exterior_roots(m, r, order))
+
+
+def test_chern_product_matches_root_product():
+    # The graded product stops at the smaller truncation order; multiplying
+    # the root expansions and symmetrizing must give the same series.
+    rng = random.Random(314)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        left, right = (
+            ChernSeries(m, rng.randint(0, 6), {
+                tuple(rng.randint(0, 2) for _ in range(m)):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(rng.randint(0, 6))})
+            for _ in range(2))
+        product = left * right
+        assert product.order == min(left.order, right.order)
+        roots = expand_to_roots(left, product.order) * expand_to_roots(
+            right, product.order)
+        assert product == symmetrize_to_chern(roots)
+
+
+# ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
 
@@ -265,7 +309,7 @@ def test_verify_guards():
     with pytest.raises(ValueError):
         verify_total_class_identities(0)
     with pytest.raises(ValueError):
-        verify_total_class_identities(9)
+        verify_total_class_identities(symcalc.MAX_VERIFY_ROOTS + 1)
     with pytest.raises(ValueError):
         verify_shifted_class_identities(0)
 
