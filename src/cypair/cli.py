@@ -28,6 +28,19 @@ DEFAULT_SEED = 7
 #: takes 6.7-7.4 s and n = 20 takes 11.9-12.7 s on a 2-CPU Xeon VM.
 MAX_HRR_N = 19
 
+#: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
+#: with s = r hyperplanes has 2^(r+1) - 1 strata: `chi-d cp --r 16 --s 16`
+#: takes 6.3 s and r = 17 takes 10.8 s on a 2-CPU Xeon VM, both with
+#: multiplicity 1.  Larger multiplicities cost more, and their size is not
+#: bounded.
+MAX_CP_R = 16
+
+#: Largest accepted Hodge diamond dimension, for a loaded diamond (builtin
+#: name or file) and for the result of `hodge bundle`.  `hodge ledger
+#: --diamond cp300` takes 4.8-7.5 s and cp400 takes 10.9 s on a 2-CPU Xeon
+#: VM; `hodge bundle --base point --fiber-dim 300` takes 3.3 s.
+MAX_DIAMOND_DIM = 300
+
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
 MAX_RANDOM = 10_000
@@ -112,20 +125,30 @@ def _load_pair(path: str) -> sncpair.SncPair:
         raise CliInputError(f"{path}: {exc}")
 
 
-def _load_diamond(source: str) -> hodge.HodgeDiamond:
+def _check_diamond_dim(n: int, flag: str) -> None:
+    if n > MAX_DIAMOND_DIM:
+        raise CliInputError(
+            f"{flag}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
+
+
+def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
     """A builtin diamond name (point, cpN) or a JSON file path."""
     if source == "point":
         return hodge.HodgeDiamond.point()
     match = re.fullmatch(r"cp(\d+)", source)
     if match:
-        return hodge.HodgeDiamond.projective_space(int(match.group(1)))
+        n = int(match.group(1))
+        _check_diamond_dim(n, flag)
+        return hodge.HodgeDiamond.projective_space(n)
     text = _read_text(source)
     try:
-        return hodge.diamond_from_json(text)
+        diamond = hodge.diamond_from_json(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except ValueError as exc:
         raise CliInputError(f"{source}: {exc}")
+    _check_diamond_dim(diamond.n, flag)
+    return diamond
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +185,8 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
 
 
 def cmd_chi_d_cp(args) -> Report:
+    if args.r > MAX_CP_R:
+        raise CliInputError(f"--r must be at most {MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
     try:
         model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
@@ -235,9 +260,10 @@ def cmd_hrr_cp(args) -> Report:
 
 
 def cmd_hodge_bundle(args) -> Report:
-    base = _load_diamond(args.base)
+    base = _load_diamond(args.base, "--base")
     if args.fiber_dim < 0:
         raise CliInputError("--fiber-dim must be non-negative")
+    _check_diamond_dim(base.n + args.fiber_dim, "--fiber-dim")
     total = hodge.projective_bundle_diamond(base, args.fiber_dim)
     checks = [
         _check("betti-vector", ",".join(map(str, total.betti_vector()))),
@@ -247,8 +273,8 @@ def cmd_hodge_bundle(args) -> Report:
 
 
 def cmd_hodge_blowup(args) -> Report:
-    ambient = _load_diamond(args.x)
-    center = _load_diamond(args.y)
+    ambient = _load_diamond(args.x, "--x")
+    center = _load_diamond(args.y, "--y")
     try:
         blown = hodge.blowup_diamond(ambient, center, args.codim)
     except hodge.DiamondError as exc:
@@ -262,7 +288,7 @@ def cmd_hodge_blowup(args) -> Report:
 
 
 def cmd_hodge_correction(args) -> Report:
-    diamond = _load_diamond(args.diamond)
+    diamond = _load_diamond(args.diamond, "--diamond")
     coefficient = hodge.correction_term(diamond)
     checks = [
         _check("correction-coefficient", coefficient),
@@ -277,7 +303,7 @@ def cmd_hodge_ledger(args) -> Report:
         raise CliInputError("exactly one of --diamond or --random is required")
     checks = []
     if args.diamond is not None:
-        diamond = _load_diamond(args.diamond)
+        diamond = _load_diamond(args.diamond, "--diamond")
         checks.append(
             _check("ledger-identities", hodge.lambda_exponent_check(diamond), True))
     else:
@@ -322,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi-d", help="weighted Euler characteristics")
     chi_sub = p.add_subparsers(dest="mode", required=True)
     pc = chi_sub.add_parser("cp", help="model pair on projective r-space")
-    pc.add_argument("--r", type=int, required=True, help="ambient dimension")
+    pc.add_argument("--r", type=int, required=True,
+                    help=f"ambient dimension (at most {MAX_CP_R})")
     pc.add_argument("--s", type=int, required=True,
                     help="number of coordinate hyperplanes")
     pc.add_argument("--d", type=int, required=True, help="pluricanonical degree")
@@ -361,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb = hodge_sub.add_parser("bundle", help="projective bundle diamond")
     pb.add_argument("--base", required=True,
                     help="builtin name (point, cpN) or diamond JSON file")
-    pb.add_argument("--fiber-dim", type=int, required=True)
+    pb.add_argument("--fiber-dim", type=int, required=True,
+                    help="fiber dimension (base plus fiber at most "
+                         f"{MAX_DIAMOND_DIM})")
     _add_output_flags(pb)
     pb.set_defaults(func=cmd_hodge_bundle)
     pl = hodge_sub.add_parser("blowup", help="blow-up diamond")

@@ -51,6 +51,15 @@ the convention that the stratum disappears exactly when
 chi(D_J) = chi(Y intersect D_J); tables whose surviving strata then
 violate downward closure are rejected as ambiguous rather than guessed
 at.
+
+Induced pairs
+-------------
+The pairs induced on a stratum, on the center and on the blown-up space
+are all built by `_restrict` from their stratum table alone: it keeps the
+components whose singleton stratum survives in that table, which downward
+closure makes the right set.  The pair induced on the exceptional divisor
+is the blown-up pair restricted to E, so the projective-bundle rule above
+is written once, in `blowup_transform`.
 """
 
 from __future__ import annotations
@@ -126,13 +135,6 @@ class SncPair:
         for j, c in enumerate(self.components):
             if c.contains_center:
                 mask |= 1 << j
-        return mask
-
-    def subset_mask(self, ids: Iterable[str]) -> int:
-        index = {c.id: j for j, c in enumerate(self.components)}
-        mask = 0
-        for name in ids:
-            mask |= 1 << index[name]
         return mask
 
     def subset_label(self, mask: int) -> str:
@@ -299,19 +301,22 @@ def scale_check(pair: SncPair, k: int) -> bool:
     return chi_d(scaled) == chi_d(pair)
 
 
-def _restrict(pair: SncPair, kept: list[int], entries: StratumTable,
+def _restrict(pair: SncPair, entries: StratumTable,
               extra: Component | None = None) -> SncPair:
-    """The induced pair on components `kept` (old indices, in order).
+    """The induced pair whose stratum table is `entries`, in the old bits.
 
-    `entries` is its stratum table written in the old bits; bit
-    len(pair.components) stands for `extra`, appended as the last
-    component.  The result carries no center metadata.
+    The components kept, in order, are those whose singleton stratum is
+    in `entries`; bit len(pair.components) stands for `extra`, appended
+    as the last component.  The result carries no center metadata.
     """
-    new_bit = {j: 1 << i for i, j in enumerate(kept)}
-    components = [
-        Component(pair.components[j].id, pair.components[j].mult) for j in kept]
+    new_bit: dict[int, int] = {}
+    components = []
+    for j, comp in enumerate(pair.components):
+        if (1 << j) in entries:
+            new_bit[j] = 1 << len(components)
+            components.append(Component(comp.id, comp.mult))
     if extra is not None:
-        new_bit[len(pair.components)] = 1 << len(kept)
+        new_bit[len(pair.components)] = 1 << len(components)
         components.append(extra)
     strata: StratumTable = {
         sum(new_bit[j] for j in _bits(mask)): stratum
@@ -330,16 +335,12 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
     if subset not in pair.strata:
         raise PairValidationError(
             f"stratum {pair.subset_label(subset)} is empty; no induced pair")
-    kept = [
-        j for j in range(len(pair.components))
-        if not (subset >> j) & 1 and (subset | (1 << j)) in pair.strata
-    ]
     entries = {
         mask & ~subset: Stratum(stratum.chi)
         for mask, stratum in pair.strata.items()
         if mask & subset == subset
     }
-    return _restrict(pair, kept, entries)
+    return _restrict(pair, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +466,17 @@ def _unique_id(taken: Iterable[str], base: str) -> str:
 def blowup_transform(pair: SncPair) -> SncPair:
     """The pair of the blow-up of the ambient space along the center.
 
-    The exceptional component E receives multiplicity m_0; strict
-    transforms keep theirs.  The new stratum table follows the two rules
-    in the module docstring.  The result carries no center metadata.
+    The exceptional component E receives multiplicity m_0 and comes last;
+    strict transforms keep theirs.  The new stratum table follows the two
+    rules in the module docstring.  The result carries no center metadata.
     """
-    center = _require_center(pair)
-    r = center.codim
-    contains = pair.contains_mask
     m0 = exceptional_multiplicity(pair)
     if m0 == 0:
         raise PairValidationError(
             "exceptional multiplicity would be 0 (codimension-1 center "
             "contained in no component); the result is not a valid pair")
+    r = pair.center.codim
+    contains = pair.contains_mask
 
     l = len(pair.components)
     e_bit = 1 << l
@@ -492,10 +492,9 @@ def blowup_transform(pair: SncPair) -> SncPair:
         if fiber >= 1:
             entries[mask | e_bit] = Stratum(meets * fiber)
 
-    kept = [j for j in range(l) if (1 << j) in entries]
-    kept_mask = sum(1 << j for j in kept)
+    dropped = sum(1 << j for j in range(l) if (1 << j) not in entries)
     for mask in entries:
-        orphans = mask & ~(kept_mask | e_bit)
+        orphans = mask & dropped
         if orphans:
             orphan = next(_bits(orphans))
             raise PairValidationError(
@@ -503,53 +502,35 @@ def blowup_transform(pair: SncPair) -> SncPair:
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                 f"although component {pair.components[orphan].id!r} does not")
     exceptional = Component(_unique_id((c.id for c in pair.components), "E"), m0)
-    return _restrict(pair, kept, entries, exceptional)
+    return _restrict(pair, entries, exceptional)
 
 
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
     contains = pair.contains_mask
-    kept = [
-        j for j in range(len(pair.components))
-        if not (contains >> j) & 1
-        and pair.strata[1 << j].chi_meet_center is not None
-    ]
     entries = {
         mask: Stratum(stratum.chi_meet_center)
         for mask, stratum in pair.strata.items()
         if not mask & contains and stratum.chi_meet_center is not None
     }
-    return _restrict(pair, kept, entries)
+    return _restrict(pair, entries)
+
+
+def _on_exceptional(blown: SncPair) -> SncPair:
+    """A blown-up pair restricted to its exceptional component, the last one."""
+    return divisor_on_stratum(blown, 1 << (len(blown.components) - 1))
 
 
 def exceptional_pair(pair: SncPair) -> SncPair:
-    """The induced pair on the exceptional divisor of the blow-up.
+    """The induced pair on the exceptional divisor E of the blow-up.
 
-    E is a projective bundle with fiber dimension r - 1 over the center;
-    the divisor on it collects every old component, with strict
-    transforms of containing components cutting the fibers down and the
-    others restricting the base.
+    It is the blown-up pair restricted to E, so the projective-bundle rule
+    of the module docstring is written once, in `blowup_transform`.  It
+    raises PairValidationError wherever `blowup_transform` does: when the
+    exceptional multiplicity is 0 and when center containment is ambiguous.
     """
-    center = _require_center(pair)
-    r = center.codim
-    contains = pair.contains_mask
-    kept = []
-    for j in range(len(pair.components)):
-        if (contains >> j) & 1:
-            if r >= 2:
-                kept.append(j)
-        elif pair.strata[1 << j].chi_meet_center is not None:
-            kept.append(j)
-    entries: StratumTable = {}
-    for mask, stratum in pair.strata.items():
-        meets = stratum.chi_meet_center
-        if meets is None:
-            continue
-        fiber = r - bin(mask & contains).count("1")
-        if fiber >= 1:
-            entries[mask] = Stratum(meets * fiber)
-    return _restrict(pair, kept, entries)
+    return _on_exceptional(blowup_transform(pair))
 
 
 def induced_center_pairs(pair: SncPair) -> tuple[Fraction, Fraction]:
@@ -568,17 +549,22 @@ class BlowupCheck:
 
 
 def check_blowup_invariance(pair: SncPair) -> BlowupCheck:
-    """Compare chi_d before and after the blow-up; they must agree exactly."""
+    """Compare chi_d before and after the blow-up; they must agree exactly.
+
+    The blow-up is built once: the exceptional multiplicity and the
+    induced pair on E are read off its last component.
+    """
+    blown = blowup_transform(pair)
     before = chi_d(pair)
-    after = chi_d(blowup_transform(pair))
-    center_value, exceptional_value = induced_center_pairs(pair)
+    after = chi_d(blown)
+    center_value = chi_d(center_pair(pair))
     return BlowupCheck(
-        exceptional_multiplicity=exceptional_multiplicity(pair),
+        exceptional_multiplicity=blown.components[-1].mult,
         before=before,
         after=after,
         equal=before == after,
         center_chi_d=center_value,
-        exceptional_chi_d=exceptional_value,
+        exceptional_chi_d=chi_d(_on_exceptional(blown)),
     )
 
 

@@ -54,11 +54,10 @@ from typing import Iterable, Mapping
 Exponents = tuple[int, ...]
 Coeffs = Mapping[Exponents, Fraction]
 
-#: Largest number of roots the identity-verification entry points accept by
-#: default.  The series live in the Chern basis, so cost grows with the
-#: number of partitions of the truncation order m + 2:
-#: `cypair identities --max-m 14` takes 6.1-7.7 s and 15 takes 10.5-12.9 s
-#: on a 2-CPU Xeon VM.  `max_roots` lifts the bound for library callers.
+#: Largest number of roots the identity-verification entry points accept.
+#: The series live in the Chern basis, so cost grows with the number of
+#: partitions of the truncation order m + 2: `cypair identities --max-m 14`
+#: takes 6.1-7.7 s and 15 takes 10.5-12.9 s on a 2-CPU Xeon VM.
 MAX_VERIFY_ROOTS = 14
 
 
@@ -773,10 +772,10 @@ def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
 # ---------------------------------------------------------------------------
 
 
-def _guard_verify_roots(m: int, max_roots: int | None) -> None:
-    limit = MAX_VERIFY_ROOTS if max_roots is None else max_roots
-    if not 1 <= m <= limit:
-        raise ValueError(f"number of roots must lie in 1..{limit}, got {m}")
+def _guard_verify_roots(m: int) -> None:
+    if not 1 <= m <= MAX_VERIFY_ROOTS:
+        raise ValueError(
+            f"number of roots must lie in 1..{MAX_VERIFY_ROOTS}, got {m}")
 
 
 def _alternating_sum(num_roots: int, order: int, weight) -> ChernSeries:
@@ -790,7 +789,7 @@ def _alternating_sum(num_roots: int, order: int, weight) -> ChernSeries:
 
 
 def verify_total_class_identities(
-    m: int, *, order: int | None = None, max_roots: int | None = None
+    m: int, *, order: int | None = None
 ) -> tuple[ChernSeries, ChernSeries, ChernSeries]:
     """Residuals of the three Todd / exterior-character identities.
 
@@ -806,7 +805,7 @@ def verify_total_class_identities(
     restricted to their stated degree windows.  Returns LHS - RHS for
     each; all-zero results mean the identities hold.
     """
-    _guard_verify_roots(m, max_roots)
+    _guard_verify_roots(m)
     wide = m + 2 if order is None else max(order, m)
     td_wide = todd(m, wide)
     td = td_wide.truncate(m)
@@ -831,9 +830,7 @@ def verify_total_class_identities(
     return res1, res2, res3
 
 
-def verify_shifted_class_identities(
-    m: int, *, max_roots: int | None = None
-) -> tuple[ChernSeries, ChernSeries]:
+def verify_shifted_class_identities(m: int) -> tuple[ChernSeries, ChernSeries]:
     """Residuals of the two shifted-Todd identities.
 
       (i)  {Td' * S_1}^[m] = (m/2) c_m;
@@ -841,7 +838,7 @@ def verify_shifted_class_identities(
 
     Returns LHS - RHS in the stated top-degree window for each.
     """
-    _guard_verify_roots(m, max_roots)
+    _guard_verify_roots(m)
     tdp = todd_prime(m, m)
 
     def c(k: int) -> ChernSeries:

@@ -1,11 +1,13 @@
 import json
 import random
+import re
 import string
+from pathlib import Path
 
 import pytest
 
-from cypair import symcalc
-from cypair.cli import MAX_HRR_N, MAX_RANDOM, main
+from cypair import cli, hodge, sncpair, symcalc
+from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
 from conftest import TRIANGLE_TABLE
 
@@ -190,6 +192,82 @@ def test_random_count_out_of_range(capsys, command, count):
     assert code == 2
     assert out == ""
     assert f"--random must lie in 1..{MAX_RANDOM}, got {count}" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an oversize input reached the computation")
+
+
+def test_chi_d_cp_rejects_oversize_r(capsys, monkeypatch):
+    monkeypatch.setattr(sncpair, "cp_pair", _refuse)
+    r = str(MAX_CP_R + 1)
+    code, out, err = run_cli(["chi-d", "cp", "--r", r, "--s", r, "--d", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--r must be at most {MAX_CP_R}, got {MAX_CP_R + 1}" in err
+
+
+def test_chi_d_cp_accepts_largest_r(capsys):
+    # s = 0 keeps the table small; the bound is on r alone.
+    code, _, _ = run_cli(
+        ["chi-d", "cp", "--r", str(MAX_CP_R), "--s", "0", "--d", "1"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["hodge", "ledger", "--diamond", "{}"], "--diamond"),
+    (["hodge", "correction", "--diamond", "{}"], "--diamond"),
+    (["hodge", "bundle", "--base", "{}", "--fiber-dim", "0"], "--base"),
+    (["hodge", "blowup", "--x", "{}", "--y", "point", "--codim", "2"], "--x"),
+    (["hodge", "blowup", "--x", "point", "--y", "{}", "--codim", "2"], "--y"),
+])
+def test_hodge_rejects_oversize_builtin_diamond(capsys, monkeypatch, command, flag):
+    monkeypatch.setattr(hodge.HodgeDiamond, "projective_space", _refuse)
+    name = f"cp{MAX_DIAMOND_DIM + 1}"
+    code, out, err = run_cli([a.format(name) for a in command], capsys)
+    assert code == 2
+    assert out == ""
+    assert (f"{flag}: diamond dimension {MAX_DIAMOND_DIM + 1} exceeds the "
+            f"limit of {MAX_DIAMOND_DIM}") in err
+
+
+def test_hodge_rejects_oversize_diamond_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(hodge, "lambda_exponent_check", _refuse)
+    n = MAX_DIAMOND_DIM + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"n": n, "h": [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]}))
+    code, _, err = run_cli(["hodge", "ledger", "--diamond", str(path)], capsys)
+    assert code == 2
+    assert f"--diamond: diamond dimension {n} exceeds" in err
+
+
+def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
+    monkeypatch.setattr(hodge, "projective_bundle_diamond", _refuse)
+    code, _, err = run_cli(
+        ["hodge", "bundle", "--base", "cp1", "--fiber-dim", str(MAX_DIAMOND_DIM)],
+        capsys)
+    assert code == 2
+    assert f"--fiber-dim: diamond dimension {MAX_DIAMOND_DIM + 1} exceeds" in err
+
+
+def test_diamond_limit_is_inclusive():
+    cli._check_diamond_dim(MAX_DIAMOND_DIM, "--diamond")
+    with pytest.raises(cli.CliInputError):
+        cli._check_diamond_dim(MAX_DIAMOND_DIM + 1, "--diamond")
+
+
+def test_readme_limits_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| (`[^|]+) \| (\d+) \|", readme, re.MULTILINE))
+    assert {flags: int(limit) for flags, limit in rows.items()} == {
+        "`identities --max-m`": symcalc.MAX_VERIFY_ROOTS,
+        "`hrr cp --n`": MAX_HRR_N,
+        "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
+        "`chi-d cp --r`": MAX_CP_R,
+        "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
+        "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
+    }
 
 
 def test_hodge_bundle(capsys):

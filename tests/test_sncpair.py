@@ -343,13 +343,30 @@ def test_blowup_rejects_negative_containing_multiplicity():
     assert "negative" in str(err.value)
 
 
-def test_blowup_rejects_zero_exceptional_multiplicity():
-    pair = SncPair(
+def zero_exceptional_pair() -> SncPair:
+    """A codimension-1 center in no component: exceptional multiplicity 0."""
+    return SncPair(
         d=2,
         components=(),
         strata={0: Stratum(5, 1)},
         center=Center(codim=1),
     )
+
+
+def ambiguous_containment_pair() -> SncPair:
+    """The stratum A disappears (chi equals the center's Euler number) but
+    {A,B} does not, which would break downward closure."""
+    return SncPair(
+        d=1,
+        components=(Component("A", 2, True), Component("B", 1)),
+        strata={0: Stratum(4, 2), 0b01: Stratum(2, 2), 0b10: Stratum(2, 1),
+                0b11: Stratum(2, 1)},
+        center=Center(codim=1),
+    )
+
+
+def test_blowup_rejects_zero_exceptional_multiplicity():
+    pair = zero_exceptional_pair()
     with pytest.raises(PairValidationError) as err:
         blowup_transform(pair)
     assert "zero" in str(err.value).lower() or "0" in str(err.value)
@@ -373,20 +390,20 @@ def test_blowup_codimension_one_relabels_component():
 
 
 def test_blowup_rejects_ambiguous_center_containment():
-    # The stratum A disappears (chi equals the center's Euler number) but
-    # {A,B} does not, which would break downward closure.
-    pair = SncPair(
-        d=1,
-        components=(Component("A", 2, True), Component("B", 1)),
-        strata={0: Stratum(4, 2), 0b01: Stratum(2, 2), 0b10: Stratum(2, 1),
-                0b11: Stratum(2, 1)},
-        center=Center(codim=1),
-    )
+    pair = ambiguous_containment_pair()
     with pytest.raises(PairValidationError) as err:
         blowup_transform(pair)
     message = str(err.value)
     assert "ambiguous center containment" in message
     assert "{A,B}" in message and "'A'" in message
+
+
+@pytest.mark.parametrize("build", [zero_exceptional_pair, ambiguous_containment_pair])
+def test_exceptional_pair_raises_where_blowup_does(build):
+    # The pair on E is the blown-up pair restricted to E, so it does not
+    # exist where the blow-up does not.
+    with pytest.raises(PairValidationError):
+        exceptional_pair(build())
 
 
 def test_blowup_invariance_random_tables():
@@ -401,6 +418,74 @@ def test_random_instances_validate():
     rng = random.Random(31337)
     for _ in range(200):
         validate(random_blowup_instance(rng))
+
+
+# Restatements of the module-docstring rules, written over sets of component
+# ids so that they share no code with the bitmask implementation.
+
+
+def _ids(pair: SncPair, mask: int) -> frozenset:
+    return frozenset(c.id for j, c in enumerate(pair.components) if (mask >> j) & 1)
+
+
+def _shape(pair: SncPair):
+    """A pair as its (id, multiplicity) list and {id set: chi} table."""
+    components = [(c.id, c.mult) for c in pair.components]
+    return components, {_ids(pair, mask): s.chi for mask, s in pair.strata.items()}
+
+
+def _expected(pair: SncPair, strata: dict):
+    """Components of `pair`, in order, that `strata` has as a singleton."""
+    kept = [(c.id, c.mult) for c in pair.components if frozenset([c.id]) in strata]
+    return kept, strata
+
+
+def expected_on_stratum(pair: SncPair, subset: int):
+    # D_J carries D_(J u K) for every K outside J with D_(J u K) nonempty.
+    inside = _ids(pair, subset)
+    _, table = _shape(pair)
+    return _expected(pair, {
+        ids - inside: chi for ids, chi in table.items() if inside <= ids})
+
+
+def expected_on_center(pair: SncPair):
+    # Y carries Y n D_J for J among the components not containing Y.
+    contains = {c.id for c in pair.components if c.contains_center}
+    return _expected(pair, {
+        _ids(pair, mask): s.chi_meet_center
+        for mask, s in pair.strata.items()
+        if s.chi_meet_center is not None and not _ids(pair, mask) & contains})
+
+
+def expected_on_exceptional(pair: SncPair):
+    # {E} u K is a bundle of P^(r - 1 - |K n contains|) over
+    # Y n D_(K minus contains); empty if the fiber or the base is.
+    contains = {c.id for c in pair.components if c.contains_center}
+    meets = {_ids(pair, mask): s.chi_meet_center for mask, s in pair.strata.items()
+             if s.chi_meet_center is not None}
+    ids = [c.id for c in pair.components]
+    strata = {}
+    for size in range(len(ids) + 1):
+        for chosen in itertools.combinations(ids, size):
+            k = frozenset(chosen)
+            fiber_dim = pair.center.codim - 1 - len(k & contains)
+            base = k - contains
+            if fiber_dim >= 0 and base in meets:
+                strata[k] = (fiber_dim + 1) * meets[base]
+    return _expected(pair, strata)
+
+
+def test_induced_pairs_match_docstring_rules():
+    rng = random.Random(2024)
+    for _ in range(500):
+        pair = random_blowup_instance(rng)
+        assert _shape(exceptional_pair(pair)) == expected_on_exceptional(pair)
+        assert _shape(center_pair(pair)) == expected_on_center(pair)
+        for mask in pair.strata:
+            assert (_shape(divisor_on_stratum(pair, mask))
+                    == expected_on_stratum(pair, mask))
+        assert (check_blowup_invariance(pair).exceptional_multiplicity
+                == exceptional_multiplicity(pair))
 
 
 def test_blowup_check_validates_each_pair_once(monkeypatch):
