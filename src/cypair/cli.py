@@ -29,11 +29,10 @@ DEFAULT_SEED = 7
 MAX_HRR_N = 19
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
-#: with s = r hyperplanes has 2^(r+1) - 1 strata: `chi-d cp --r 16 --s 16`
-#: takes 6.3 s and r = 17 takes 10.8 s on a 2-CPU Xeon VM, both with
-#: multiplicity 1.  Larger multiplicities cost more, and their size is not
-#: bounded.
-MAX_CP_R = 16
+#: with s = r hyperplanes has 2^(r+1) - 1 strata.  With `--d` and every
+#: multiplicity at the `sncpair.MAX_INT_DIGITS` limit, `chi-d cp --r 18
+#: --s 18` takes 5.5 s and r = 19 takes 10.4 s on a 2-CPU Xeon VM.
+MAX_CP_R = 18
 
 #: Largest accepted Hodge diamond dimension, for a loaded diamond (builtin
 #: name or file) and for the result of `hodge bundle`.  `hodge ledger
@@ -184,10 +183,20 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
         raise CliInputError(f"--mults must be a comma-separated integer list, got {raw!r}")
 
 
+def _check_digits(values, flag: str) -> None:
+    for value in values:
+        if abs(value) >= 10 ** sncpair.MAX_INT_DIGITS:
+            raise CliInputError(
+                f"{flag}: {len(str(abs(value)))} digits exceed the limit of "
+                f"{sncpair.MAX_INT_DIGITS}")
+
+
 def cmd_chi_d_cp(args) -> Report:
     if args.r > MAX_CP_R:
         raise CliInputError(f"--r must be at most {MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
+    _check_digits([args.d], "--d")
+    _check_digits(mults, "--mults")
     try:
         model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
     except sncpair.PairValidationError as exc:
@@ -352,9 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"ambient dimension (at most {MAX_CP_R})")
     pc.add_argument("--s", type=int, required=True,
                     help="number of coordinate hyperplanes")
-    pc.add_argument("--d", type=int, required=True, help="pluricanonical degree")
+    pc.add_argument("--d", type=int, required=True,
+                    help="pluricanonical degree (at most "
+                         f"{sncpair.MAX_INT_DIGITS} digits)")
     pc.add_argument("--mults", default="",
-                    help="comma-separated positive multiplicities, one per hyperplane")
+                    help="comma-separated positive multiplicities, one per "
+                         f"hyperplane (at most {sncpair.MAX_INT_DIGITS} digits each)")
     _add_output_flags(pc)
     pc.set_defaults(func=cmd_chi_d_cp)
     pt = chi_sub.add_parser("table", help="stratum table from a JSON file")

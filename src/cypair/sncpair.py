@@ -73,6 +73,12 @@ from typing import Iterable, NamedTuple
 
 MAX_COMPONENTS = 30
 
+#: Most decimal digits accepted in d and in each multiplicity of a table
+#: document (the CLI bounds `chi-d cp --d` and `--mults` by it too).  The
+#: numerators in `chi_d` grow with the product of all m_j + d, so the cost
+#: of a table grows with these digits.
+MAX_INT_DIGITS = 40
+
 
 class PairValidationError(ValueError):
     """Raised when pair data is internally inconsistent."""
@@ -194,11 +200,14 @@ def validate(pair: SncPair) -> None:
     for mask, stratum in pair.strata.items():
         if mask & ~full:
             raise PairValidationError(f"stratum mask {mask} references unknown components")
-        for j in _bits(mask):
-            if (mask & ~(1 << j)) not in pair.strata:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mask ^ low not in pair.strata:
                 raise PairValidationError(
                     f"stratum {pair.subset_label(mask)} is marked nonempty but its "
-                    f"subset {pair.subset_label(mask & ~(1 << j))} is empty")
+                    f"subset {pair.subset_label(mask ^ low)} is empty")
     for j, comp in enumerate(pair.components):
         if (1 << j) not in pair.strata:
             raise PairValidationError(
@@ -276,12 +285,38 @@ def weight(d: int, mults: Iterable[int], subset) -> Fraction:
 
 
 def chi_d(pair: SncPair) -> Fraction:
-    """The weighted Euler characteristic sum_J w_d^J chi(D_J), exactly."""
-    mults = pair.mults
-    total = Fraction(0)
-    for mask, stratum in pair.strata.items():
-        total += weight(pair.d, mults, mask) * stratum.chi
-    return total
+    """The weighted Euler characteristic sum_J w_d^J chi(D_J), exactly.
+
+    Every weight is taken over the common denominator
+    D = prod_j (m_j + d): the integer numerator of w_d^J is
+    num[J] = D * prod_{j in J} (-m_j) / (m_j + d).  Each nonempty J is
+    reached from J minus its lowest bit j, which is in the table by
+    downward closure, and
+
+        num[empty] = D,   num[J] = num[J - {j}] // (m_j + d) * (-m_j),
+
+    where the division is exact whatever the signs, because the factor
+    m_j + d of D is still present in num[J - {j}].  The walk is depth
+    first, so only the numerators on the current path are alive.  The sum
+    of chi(D_J) * num[J] is an integer, and one Fraction divides it by D.
+    """
+    strata = pair.strata
+    shifted = [m + pair.d for m in pair.mults]
+    negated = [-m for m in pair.mults]
+    denominator = 1
+    for factor in shifted:
+        denominator *= factor
+    total = 0
+    # (mask, num[mask], bits below the lowest bit of mask)
+    stack = [(0, denominator, len(shifted))]
+    while stack:
+        mask, num, below = stack.pop()
+        total += strata[mask].chi * num
+        for j in range(below):
+            child = mask | 1 << j
+            if child in strata:
+                stack.append((child, num // shifted[j] * negated[j], j))
+    return Fraction(total, denominator)
 
 
 def scale_check(pair: SncPair, k: int) -> bool:
@@ -318,10 +353,20 @@ def _restrict(pair: SncPair, entries: StratumTable,
     if extra is not None:
         new_bit[len(pair.components)] = 1 << len(components)
         components.append(extra)
+    # Each mask's image is its lowest bit's image joined to the image of
+    # the rest, which comes earlier in sorted order.  The rest is missing
+    # only for the empty mask or a table that is not downward closed;
+    # those masks are mapped bit by bit, and validation rejects the table.
+    image: dict[int, int] = {}
+    for mask in sorted(entries):
+        low = mask & -mask
+        rest = image.get(mask ^ low)
+        if rest is None:
+            image[mask] = sum(new_bit[j] for j in _bits(mask))
+        else:
+            image[mask] = rest | new_bit[low.bit_length() - 1]
     strata: StratumTable = {
-        sum(new_bit[j] for j in _bits(mask)): stratum
-        for mask, stratum in entries.items()
-    }
+        image[mask]: stratum for mask, stratum in entries.items()}
     return SncPair(d=pair.d, components=tuple(components), strata=strata)
 
 
@@ -675,12 +720,21 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _expect_bounded_int(value, where: str) -> int:
+    value = _expect_int(value, where)
+    if abs(value) >= 10 ** MAX_INT_DIGITS:
+        raise TableFormatError(
+            f"{where}: {len(str(abs(value)))} digits exceed the limit of "
+            f"{MAX_INT_DIGITS}")
+    return value
+
+
 def pair_from_obj(obj) -> SncPair:
     """Build and validate a pair from a decoded stratum-table document."""
     if not isinstance(obj, dict):
         raise TableFormatError("top level: expected an object")
     _expect_keys(obj, "top level", {"d", "components", "strata"}, {"center"})
-    d = _expect_int(obj["d"], "d")
+    d = _expect_bounded_int(obj["d"], "d")
 
     raw_components = obj["components"]
     if not isinstance(raw_components, list):
@@ -693,7 +747,7 @@ def pair_from_obj(obj) -> SncPair:
         _expect_keys(entry, where, {"id", "mult"}, {"contains_center"})
         if not isinstance(entry["id"], str) or not entry["id"]:
             raise TableFormatError(f"{where}.id: expected a non-empty string")
-        mult = _expect_int(entry["mult"], f"{where}.mult")
+        mult = _expect_bounded_int(entry["mult"], f"{where}.mult")
         flag = entry.get("contains_center", False)
         if not isinstance(flag, bool):
             raise TableFormatError(f"{where}.contains_center: expected a boolean")

@@ -25,6 +25,26 @@ TRIANGLE_TABLE = {
     ],
 }
 
+# Codimension-2 center inside B and C but not A, at d = 1.  The stratum
+# {B,C} has the Euler number of the center, so the blow-up deletes it,
+# while {A,B,C} (chi 5) survives: the blown-up table is not downward
+# closed, and the transform must reject it.
+NOT_CLOSED_AFTER_BLOWUP_TABLE = {
+    "d": 1,
+    "components": [
+        {"id": "A", "mult": 1},
+        {"id": "B", "mult": 1, "contains_center": True},
+        {"id": "C", "mult": 1, "contains_center": True},
+    ],
+    "center": {"codim": 2},
+    "strata": [
+        {"subset": subset, "chi": chi, "chi_meet_center": 2 if "A" in subset else 1}
+        for subset, chi in [
+            ([], 3), (["A"], 3), (["B"], 3), (["C"], 3), (["A", "B"], 3),
+            (["A", "C"], 3), (["B", "C"], 1), (["A", "B", "C"], 5)]
+    ],
+}
+
 EMPTY_DIVISOR_TABLE = {
     "d": 2,
     "components": [],

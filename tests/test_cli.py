@@ -9,7 +9,7 @@ import pytest
 from cypair import cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
-from conftest import TRIANGLE_TABLE
+from conftest import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE
 
 
 def run_cli(args, capsys):
@@ -135,6 +135,16 @@ def test_blowup_check_negative_containing_component(capsys, tmp_path):
     assert "negative" in err
 
 
+def test_blowup_check_rejects_table_that_loses_downward_closure(capsys, tmp_path):
+    path = tmp_path / "not_closed.json"
+    path.write_text(json.dumps(NOT_CLOSED_AFTER_BLOWUP_TABLE))
+    code, out, err = run_cli(["blowup-check", "--file", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: stratum {{A,B,C}} is marked nonempty but its "
+                   f"subset {{B,C}} is empty\n")
+
+
 def test_superset_of_empty_stratum_rejected(capsys, tmp_path):
     table = json.loads(json.dumps(TRIANGLE_TABLE))
     table["strata"] = [s for s in table["strata"] if s["subset"] != ["H1"]]
@@ -214,6 +224,45 @@ def test_chi_d_cp_accepts_largest_r(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, mults", [("--d", "1,1"), ("--mults", "1,{}")])
+def test_chi_d_cp_rejects_oversize_digits(capsys, monkeypatch, flag, mults):
+    monkeypatch.setattr(sncpair, "cp_pair", _refuse)
+    limit = sncpair.MAX_INT_DIGITS
+    big = str(10 ** limit)
+    d = big if flag == "--d" else "1"
+    code, out, err = run_cli(
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", d,
+         "--mults", mults.format(big)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag}: {limit + 1} digits exceed the limit of {limit}" in err
+
+
+def test_chi_d_cp_accepts_largest_digits(capsys):
+    largest = str(10 ** sncpair.MAX_INT_DIGITS - 1)
+    code, out, _ = run_cli(
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", largest,
+         "--mults", f"{largest},{largest}"], capsys)
+    assert code == 0
+    assert "overall: pass" in out
+
+
+@pytest.mark.parametrize("field", ["d", "components[0].mult"])
+def test_table_int_digits_limit(capsys, tmp_path, field):
+    limit = sncpair.MAX_INT_DIGITS
+    for value, code_expected in [(10 ** limit - 1, 0), (10 ** limit, 2)]:
+        table = json.loads(json.dumps(TRIANGLE_TABLE))
+        if field == "d":
+            table["d"] = value
+        else:
+            table["components"][0]["mult"] = value
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(table))
+        code, _, err = run_cli(["chi-d", "table", "--file", str(path)], capsys)
+        assert code == code_expected, err
+    assert f"{field}: {limit + 1} digits exceed the limit of {limit}" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     (["hodge", "ledger", "--diamond", "{}"], "--diamond"),
     (["hodge", "correction", "--diamond", "{}"], "--diamond"),
@@ -265,6 +314,8 @@ def test_readme_limits_table_matches_the_code():
         "`hrr cp --n`": MAX_HRR_N,
         "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
         "`chi-d cp --r`": MAX_CP_R,
+        "`chi-d cp --d`, `--mults`; table `d`, `components[i].mult` "
+        "(decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
     }

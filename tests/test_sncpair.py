@@ -26,12 +26,15 @@ from cypair.sncpair import (
     exceptional_pair,
     induced_center_pairs,
     pair_from_json,
+    pair_from_obj,
     pair_to_json,
     random_blowup_instance,
     scale_check,
     validate,
     weight,
 )
+
+from conftest import NOT_CLOSED_AFTER_BLOWUP_TABLE
 
 
 def triangle_pair(with_center: bool) -> SncPair:
@@ -406,6 +409,14 @@ def test_exceptional_pair_raises_where_blowup_does(build):
         exceptional_pair(build())
 
 
+def test_blowup_rejects_table_that_loses_downward_closure():
+    pair = pair_from_obj(NOT_CLOSED_AFTER_BLOWUP_TABLE)
+    with pytest.raises(PairValidationError) as err:
+        blowup_transform(pair)
+    assert str(err.value) == (
+        "stratum {A,B,C} is marked nonempty but its subset {B,C} is empty")
+
+
 def test_blowup_invariance_random_tables():
     rng = random.Random(97)
     for _ in range(150):
@@ -486,6 +497,63 @@ def test_induced_pairs_match_docstring_rules():
                     == expected_on_stratum(pair, mask))
         assert (check_blowup_invariance(pair).exceptional_multiplicity
                 == exceptional_multiplicity(pair))
+
+
+def oracle_chi_d(pair: SncPair) -> Fraction:
+    """sum_J chi(D_J) prod_{j in J} (-m_j)/(m_j + d), one factor at a time."""
+    total = Fraction(0)
+    for mask, stratum in pair.strata.items():
+        term = Fraction(stratum.chi)
+        for j, comp in enumerate(pair.components):
+            if (mask >> j) & 1:
+                term *= Fraction(-comp.mult, comp.mult + pair.d)
+        total += term
+    return total
+
+
+def test_chi_d_matches_subset_product_oracle():
+    rng = random.Random(4242)
+    negative_shifts = 0
+    for _ in range(500):
+        pair = random_blowup_instance(rng)
+        blown = blowup_transform(pair)
+        for induced in (pair, blown, center_pair(pair), sncpair._on_exceptional(blown)):
+            assert chi_d(induced) == oracle_chi_d(induced), pair_to_json(pair)
+            negative_shifts += any(m + induced.d < 0 for m in induced.mults)
+    assert negative_shifts > 100
+
+
+def test_chi_d_negative_degree_by_hand():
+    # d = -2: the weights are -3 (A), 1 (B) and -5/7 (C), so
+    # chi_d = 4 + 2 (-3 + 1 - 5/7) + (-3 + 15/7 - 5/7) = -3.
+    pair = SncPair(
+        d=-2,
+        components=(Component("A", 3), Component("B", 1), Component("C", -5)),
+        strata={0: Stratum(4), 0b001: Stratum(2), 0b010: Stratum(2),
+                0b100: Stratum(2), 0b011: Stratum(1), 0b101: Stratum(1),
+                0b110: Stratum(1)},
+    )
+    assert chi_d(pair) == oracle_chi_d(pair) == -3
+
+
+def test_chi_d_with_300_digit_multiplicities():
+    big = 10 ** 299
+    model, pair = cp_pair(5, 5, 7, [big + 3 * j for j in range(5)])
+    assert chi_d(pair) == oracle_chi_d(pair) == chi_d_via_fprime(model) == 0
+
+
+def test_chi_d_builds_one_fraction(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    _, pair = cp_pair(10, 10, 1, range(1, 11))
+    monkeypatch.setattr(sncpair, "Fraction", CountingFraction)
+    assert chi_d(pair) == 0
+    assert len(built) == 1
 
 
 def test_blowup_check_validates_each_pair_once(monkeypatch):
