@@ -185,10 +185,9 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
 
 def _check_digits(values, flag: str) -> None:
     for value in values:
-        if abs(value) >= 10 ** sncpair.MAX_INT_DIGITS:
-            raise CliInputError(
-                f"{flag}: {len(str(abs(value)))} digits exceed the limit of "
-                f"{sncpair.MAX_INT_DIGITS}")
+        message = sncpair.digits_error(value, flag)
+        if message is not None:
+            raise CliInputError(message)
 
 
 def cmd_chi_d_cp(args) -> Report:

@@ -353,20 +353,10 @@ def _restrict(pair: SncPair, entries: StratumTable,
     if extra is not None:
         new_bit[len(pair.components)] = 1 << len(components)
         components.append(extra)
-    # Each mask's image is its lowest bit's image joined to the image of
-    # the rest, which comes earlier in sorted order.  The rest is missing
-    # only for the empty mask or a table that is not downward closed;
-    # those masks are mapped bit by bit, and validation rejects the table.
-    image: dict[int, int] = {}
-    for mask in sorted(entries):
-        low = mask & -mask
-        rest = image.get(mask ^ low)
-        if rest is None:
-            image[mask] = sum(new_bit[j] for j in _bits(mask))
-        else:
-            image[mask] = rest | new_bit[low.bit_length() - 1]
     strata: StratumTable = {
-        image[mask]: stratum for mask, stratum in entries.items()}
+        sum(new_bit[j] for j in _bits(mask)): stratum
+        for mask, stratum in entries.items()
+    }
     return SncPair(d=pair.d, components=tuple(components), strata=strata)
 
 
@@ -720,12 +710,19 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def digits_error(value: int, where: str) -> str | None:
+    """The message for an integer over `MAX_INT_DIGITS` digits, else None."""
+    if abs(value) < 10 ** MAX_INT_DIGITS:
+        return None
+    return (f"{where}: {len(str(abs(value)))} digits exceed the limit of "
+            f"{MAX_INT_DIGITS}")
+
+
 def _expect_bounded_int(value, where: str) -> int:
     value = _expect_int(value, where)
-    if abs(value) >= 10 ** MAX_INT_DIGITS:
-        raise TableFormatError(
-            f"{where}: {len(str(abs(value)))} digits exceed the limit of "
-            f"{MAX_INT_DIGITS}")
+    message = digits_error(value, where)
+    if message is not None:
+        raise TableFormatError(message)
     return value
 
 
