@@ -20,13 +20,23 @@ projective space, Whitney products across products, and the relative
 Euler sequence for projective bundles.  `hrr_chi` integrates
 Td(T) * ch(E) by evaluating the universal Todd polynomial from `symcalc`
 at the model's tangent Chern classes.
+
+Each model memoizes the reduction of every raw exponent tuple it has met,
+as integer numerators over one denominator.  A product accumulates the
+integer numerators of its term pairs per raw monomial, over the product of
+the operands' common denominators, maps each distinct raw monomial through
+the memo once and builds one `Fraction` per output term.  `hrr_chi` pairs
+only the terms of Td and ch whose degrees add up to the dimension, so the
+product Td * ch is never formed.  The powers c_k(T)^e that the genera are
+evaluated at are kept on the model too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from typing import Mapping
 
 from . import symcalc
@@ -63,6 +73,10 @@ class RingModel:
         self.integrals: dict[Monomial, Fraction] = {caps: Fraction(1)}
         self.tangent_chern: CohClass = self.one()  # set by the constructors
         self._todd: CohClass | None = None
+        # raw exponent tuple -> (denominator, ((basis monomial, numerator), ...))
+        self._reduced: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
+        # (tangent_chern, {(k, e): c_k^e}) kept by `evaluate_chern_series`
+        self._tangent_powers: tuple | None = None
 
     # -- class constructors ----------------------------------------------
 
@@ -97,11 +111,33 @@ class RingModel:
     # -- monomial reduction ----------------------------------------------
 
     def reduce_terms(self, terms: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms.items():
-            if coeff:
-                self._reduce_into(mono, Fraction(coeff), out)
-        return {m: q for m, q in out.items() if q != 0}
+        den, raw = _numerators({m: Fraction(q) for m, q in terms.items() if q})
+        nums, rden = self._reduce_numerators(dict(raw))
+        den *= rden
+        return {m: Fraction(n, den) for m, n in nums.items() if n}
+
+    def _reduce_numerators(self, raw: Mapping[Monomial, int]) -> tuple[dict[Monomial, int], int]:
+        """Reduce sum_m n_m m for integer n_m: basis numerators over one denominator."""
+        vectors = [self._reduced_vector(mono) for mono in raw]
+        den = lcm(*(d for d, _ in vectors))
+        out: dict[Monomial, int] = {}
+        for n, (d, vector) in zip(raw.values(), vectors):
+            scale = n * (den // d)
+            for mono, v in vector:
+                out[mono] = out.get(mono, 0) + scale * v
+        return out, den
+
+    def _reduced_vector(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+        """The memoized reduction of one raw monomial, as integer numerators."""
+        entry = self._reduced.get(mono)
+        if entry is None:
+            out: dict[Monomial, Fraction] = {}
+            self._reduce_into(mono, Fraction(1), out)
+            den = lcm(*(q.denominator for q in out.values()))
+            entry = (den, tuple((m, q.numerator * (den // q.denominator))
+                                for m, q in out.items() if q))
+            self._reduced[mono] = entry
+        return entry
 
     def _reduce_into(self, mono: Monomial, coeff: Fraction, out: dict) -> None:
         if sum(mono) > self.dim:
@@ -134,7 +170,8 @@ class CohClass:
     def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction], *, reduced=False):
         self.model = model
         if reduced:
-            self.terms = {m: Fraction(q) for m, q in terms.items() if q != 0}
+            self.terms = {m: q if isinstance(q, Fraction) else Fraction(q)
+                          for m, q in terms.items() if q != 0}
         else:
             self.terms = model.reduce_terms(terms)
 
@@ -167,12 +204,24 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._same_model(other)
-            raw: dict[Monomial, Fraction] = {}
-            for ma, qa in self.terms.items():
-                for mb, qb in other.terms.items():
-                    key = tuple(a + b for a, b in zip(ma, mb))
-                    raw[key] = raw.get(key, Fraction(0)) + qa * qb
-            return CohClass(self.model, raw)
+            model = self.model
+            # Integer numerators over the operands' common denominators; each
+            # raw monomial is reduced once, through the model's memo.
+            den_a, a = _numerators(self.terms)
+            den_b, b = _numerators(other.terms)
+            graded_b = sorted((sum(mb), mb, nb) for mb, nb in b)
+            raw: dict[Monomial, int] = {}
+            for ma, na in a:
+                room = model.dim - sum(ma)
+                for db, mb, nb in graded_b:
+                    if db > room:
+                        break
+                    key = tuple(map(add, ma, mb))
+                    raw[key] = raw.get(key, 0) + na * nb
+            nums, den = model._reduce_numerators(raw)
+            den *= den_a * den_b
+            return CohClass(
+                model, {m: Fraction(n, den) for m, n in nums.items() if n}, reduced=True)
         q = Fraction(other)
         return CohClass(self.model, {m: c * q for m, c in self.terms.items()}, reduced=True)
 
@@ -221,6 +270,12 @@ class CohClass:
             q = self.terms[mono]
             bits.append(f"{q}" if not name else f"{q}*{name}")
         return " + ".join(bits)
+
+
+def _numerators(terms: Mapping[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
+    """The lcm D of the coefficient denominators, and each coefficient times D."""
+    den = lcm(*(q.denominator for q in terms.values()))
+    return den, [(m, q.numerator * (den // q.denominator)) for m, q in terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -406,27 +461,36 @@ def adiabatic_coefficient(model: RingModel) -> Fraction:
 
 
 def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) -> CohClass:
-    """Evaluate a universal polynomial in c_1..c_m at actual Chern classes."""
+    """Evaluate a universal polynomial in c_1..c_m at actual Chern classes.
+
+    At the model's own `tangent_chern` the components and the powers
+    c_k^e are kept on the model, so every genus evaluated there shares them.
+    """
     model = total_chern.model
-    components = [total_chern.component(k) for k in range(series.num_roots + 1)]
     powers: dict[tuple[int, int], CohClass] = {}
+    if total_chern is model.tangent_chern:
+        if model._tangent_powers is None or model._tangent_powers[0] is not total_chern:
+            model._tangent_powers = (total_chern, powers)
+        powers = model._tangent_powers[1]
 
     def power(k: int, e: int) -> CohClass:
         key = (k, e)
         if key not in powers:
-            powers[key] = components[k] ** e
+            powers[key] = total_chern.component(k) if e == 1 else power(k, 1) ** e
         return powers[key]
 
-    result = model.zero()
+    out: dict[Monomial, Fraction] = {}
     for expo, q in series.terms.items():
         if sum((k + 1) * e for k, e in enumerate(expo)) > model.dim:
             continue
-        acc = model.constant(q)
+        acc = None
         for k, e in enumerate(expo, start=1):
             if e:
-                acc = acc * power(k, e)
-        result = result + acc
-    return result
+                acc = power(k, e) if acc is None else acc * power(k, e)
+        terms = acc.terms if acc is not None else {(0,) * len(model.generators): 1}
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + q * c
+    return CohClass(model, out, reduced=True)
 
 
 def todd_class(model: RingModel) -> CohClass:
@@ -441,13 +505,31 @@ def todd_class(model: RingModel) -> CohClass:
 
 
 def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
-    """The Riemann-Roch Euler characteristic: integral of Td(T) * ch."""
+    """The Riemann-Roch Euler characteristic: integral of Td(T) * ch.
+
+    Only the top-degree part of Td * ch integrates to anything, so the
+    product is never formed: each pair of terms of complementary degree
+    adds an integer numerator to its raw monomial, and every raw monomial
+    is weighted once, through the model's reduction memo and `integrals`.
+    """
     if ch_sheaf.model is not model:
         raise ModelError("ch class does not live on this model")
     rank = ch_sheaf.terms.get((0,) * len(model.generators), Fraction(0))
     if rank.denominator != 1:
         raise ModelError(f"ch has non-integral rank {rank}")
-    return integrate(todd_class(model) * ch_sheaf)
+    den_t, todd = _numerators(todd_class(model).terms)
+    den_s, sheaf = _numerators(ch_sheaf.terms)
+    by_degree: dict[int, list[tuple[Monomial, int]]] = {}
+    for ms, ns in sheaf:
+        by_degree.setdefault(sum(ms), []).append((ms, ns))
+    raw: dict[Monomial, int] = {}
+    for mt, nt in todd:
+        for ms, ns in by_degree.get(model.dim - sum(mt), ()):
+            key = tuple(map(add, mt, ms))
+            raw[key] = raw.get(key, 0) + nt * ns
+    nums, den = model._reduce_numerators(raw)
+    total = sum(n * model.integrals.get(m, 0) for m, n in nums.items())
+    return Fraction(total, den * den_t * den_s)
 
 
 def ch_line(model: RingModel, divisor: CohClass) -> CohClass:

@@ -31,13 +31,13 @@ MAX_HRR_N = 19
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
 #: with s = r hyperplanes has 2^(r+1) - 1 strata.  With `--d` and every
 #: multiplicity at the `sncpair.MAX_INT_DIGITS` limit, `chi-d cp --r 18
-#: --s 18` takes 5.5 s and r = 19 takes 10.4 s on a 2-CPU Xeon VM.
+#: --s 18` takes 3.1-3.4 s and r = 19 takes 6.1 s on a 2-CPU Xeon VM.
 MAX_CP_R = 18
 
 #: Largest accepted Hodge diamond dimension, for a loaded diamond (builtin
 #: name or file) and for the result of `hodge bundle`.  `hodge ledger
-#: --diamond cp300` takes 4.8-7.5 s and cp400 takes 10.9 s on a 2-CPU Xeon
-#: VM; `hodge bundle --base point --fiber-dim 300` takes 3.3 s.
+#: --diamond cp300` takes 0.8 s and cp400 takes 1.1 s on a 2-CPU Xeon VM;
+#: `hodge bundle --base point --fiber-dim 300` takes 3.2 s.
 MAX_DIAMOND_DIM = 300
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four

@@ -73,10 +73,11 @@ from typing import Iterable, NamedTuple
 
 MAX_COMPONENTS = 30
 
-#: Most decimal digits accepted in d and in each multiplicity of a table
-#: document (the CLI bounds `chi-d cp --d` and `--mults` by it too).  The
-#: numerators in `chi_d` grow with the product of all m_j + d, so the cost
-#: of a table grows with these digits.
+#: Most decimal digits accepted in every integer of a table document: d,
+#: the multiplicities, the center's codimension and the Euler numbers (the
+#: CLI bounds `chi-d cp --d` and `--mults` by it too).  The numerators in
+#: `chi_d` grow with the product of all m_j + d, so the cost of a table
+#: grows with these digits.
 MAX_INT_DIGITS = 40
 
 
@@ -437,11 +438,12 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
         [Component(f"H{j + 1}", m) for j, m in enumerate(mults)]
         + [Component("Hinf", m_inf)]
     )
+    by_size = [Stratum(r + 1 - size) for size in range(s + 2)]
     strata: StratumTable = {}
-    for size in range(0, min(s + 1, r) + 1):
-        for chosen in itertools.combinations(range(s + 1), size):
-            mask = sum(1 << j for j in chosen)
-            strata[mask] = Stratum(r + 1 - size)
+    for mask in range(1 << (s + 1)):
+        size = mask.bit_count()
+        if size <= r:
+            strata[mask] = by_size[size]
     pair = SncPair(d=d, components=components, strata=strata)
 
     poly = [Fraction(0)] * (r - s) + [Fraction(1)]
@@ -704,12 +706,6 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
         raise TableFormatError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TableFormatError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def digits_error(value: int, where: str) -> str | None:
     """The message for an integer over `MAX_INT_DIGITS` digits, else None."""
     if abs(value) < 10 ** MAX_INT_DIGITS:
@@ -719,7 +715,8 @@ def digits_error(value: int, where: str) -> str | None:
 
 
 def _expect_bounded_int(value, where: str) -> int:
-    value = _expect_int(value, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TableFormatError(f"{where}: expected an integer, got {value!r}")
     message = digits_error(value, where)
     if message is not None:
         raise TableFormatError(message)
@@ -758,7 +755,7 @@ def pair_from_obj(obj) -> SncPair:
         center = None
     elif isinstance(raw_center, dict):
         _expect_keys(raw_center, "center", {"codim"}, set())
-        center = Center(codim=_expect_int(raw_center["codim"], "center.codim"))
+        center = Center(codim=_expect_bounded_int(raw_center["codim"], "center.codim"))
     else:
         raise TableFormatError("center: expected an object or null")
 
@@ -785,13 +782,13 @@ def pair_from_obj(obj) -> SncPair:
             mask |= bit
         if mask in strata:
             raise TableFormatError(f"{where}: duplicate subset {sorted(subset)}")
-        chi_value = _expect_int(entry["chi"], f"{where}.chi")
+        chi_value = _expect_bounded_int(entry["chi"], f"{where}.chi")
         nonempty = entry.get("nonempty", True)
         if not isinstance(nonempty, bool):
             raise TableFormatError(f"{where}.nonempty: expected a boolean")
         meet = entry.get("chi_meet_center")
         if meet is not None:
-            meet = _expect_int(meet, f"{where}.chi_meet_center")
+            meet = _expect_bounded_int(meet, f"{where}.chi_meet_center")
         if not nonempty:
             if chi_value != 0 or meet is not None:
                 raise TableFormatError(

@@ -300,3 +300,107 @@ def test_adiabatic_coefficient_examples():
     assert adiabatic_coefficient(projective_space(1)) == 4
     assert adiabatic_coefficient(projective_space(3)) == 36
     assert adiabatic_coefficient(point()) == 0
+
+
+# ---------------------------------------------------------------------------
+# products through the reduction memo
+# ---------------------------------------------------------------------------
+
+#: Projective-space factors of a base product, then fiber ranks of iterated
+#: bundles over it, as in the benchmark's riemann-roch models.
+SHAPES = [
+    ((1,), ()), ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((3,), ()),
+    ((1, 1, 1), ()), ((1, 2), ()), ((1, 1), (1,)), ((1,), (2,)),
+    ((1, 1, 1, 1), ()), ((2, 2), ()), ((1, 1), (2,)), ((1, 2), (1,)),
+    ((1,), (1, 2)), ((1, 1, 1, 1, 1), ()), ((1,), (1, 1, 1, 1)),
+    ((1, 1, 2), (1,)), ((2, 2), (1,)),
+]
+
+
+def shape_model(shape, rng):
+    factors, ranks = shape
+    model = point()
+    for n in factors:
+        model = product(model, projective_space(n))
+    for rank in ranks:
+        # c(N) = prod (1 + L_i) with L_i seeded integral degree-1 classes
+        chern = model.one()
+        for _ in range(rank):
+            line = model.zero()
+            for i in range(len(model.generators)):
+                line = line + model.gen_class(i) * rng.randint(-2, 2)
+            chern = chern * (model.one() + line)
+        model = projective_bundle(model, chern, rank)
+    return model
+
+
+def fractional_bundle():
+    """A P^2-bundle over P^2 whose c(N) has non-integer coefficients."""
+    base = projective_space(2)
+    h = base.gen_class(0)
+    return projective_bundle(
+        base, base.one() + h * Fraction(1, 2) + h * h * Fraction(-2, 3), 2)
+
+
+def oracle_models():
+    rng = random.Random(6)
+    return [shape_model(shape, rng) for shape in SHAPES] + [fractional_bundle()]
+
+
+def random_class(model, rng, rank=None):
+    terms = {
+        mono: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for mono in model.basis() if rng.random() < 0.7}
+    if rank is not None:
+        terms[(0,) * len(model.generators)] = Fraction(rank)
+    return CohClass(model, terms, reduced=True)
+
+
+def oracle_product(a, b):
+    """The raw product, reduced by the unmemoized recursion."""
+    raw = {}
+    for ma, qa in a.terms.items():
+        for mb, qb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            raw[key] = raw.get(key, Fraction(0)) + qa * qb
+    out = {}
+    for mono, q in raw.items():
+        a.model._reduce_into(mono, q, out)
+    return {m: q for m, q in out.items() if q != 0}
+
+
+def test_memoized_product_matches_unmemoized_reduction():
+    rng = random.Random(2024)
+    for model in oracle_models():
+        assert model.dim <= 5
+        for _ in range(4):
+            a, b = random_class(model, rng), random_class(model, rng)
+            assert (a * b).terms == oracle_product(a, b), model
+        assert model.tangent_chern.terms == oracle_product(
+            model.tangent_chern, model.one())
+
+
+def test_hrr_chi_matches_integrated_product():
+    rng = random.Random(77)
+    for model in oracle_models():
+        todd = todd_class(model)
+        for _ in range(3):
+            sheaf = random_class(model, rng, rank=rng.randint(0, 3))
+            assert hrr_chi(model, sheaf) == integrate(todd * sheaf), model
+
+
+def test_cotangent_powers_built_once_per_model(monkeypatch):
+    built = []
+    original = CohClass.__pow__
+
+    def counting(self, k):
+        built.append((frozenset(self.terms.items()), k))
+        return original(self, k)
+
+    model = product(projective_space(1), projective_space(2))
+    monkeypatch.setattr(CohClass, "__pow__", counting)
+    for p in range(model.dim + 1):
+        ch_cotangent_exterior(model, p)
+    todd_class(model)
+    assert built
+    assert len(built) == len(set(built))

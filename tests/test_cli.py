@@ -247,15 +247,29 @@ def test_chi_d_cp_accepts_largest_digits(capsys):
     assert "overall: pass" in out
 
 
-@pytest.mark.parametrize("field", ["d", "components[0].mult"])
+def _set_meet(table, value):
+    # H1 and H2 contain the center, so all four strata inside H1 + H2
+    # share its Euler number; keep them consistent.
+    for i in (0, 1, 2, 4):
+        table["strata"][i]["chi_meet_center"] = value
+
+
+#: Each bounded integer field of a table document, and how to set it.
+TABLE_INT_FIELDS = {
+    "d": lambda t, v: t.update(d=v),
+    "components[0].mult": lambda t, v: t["components"][0].update(mult=v),
+    "center.codim": lambda t, v: t["center"].update(codim=v),
+    "strata[0].chi": lambda t, v: t["strata"][0].update(chi=v),
+    "strata[0].chi_meet_center": _set_meet,
+}
+
+
+@pytest.mark.parametrize("field", TABLE_INT_FIELDS)
 def test_table_int_digits_limit(capsys, tmp_path, field):
     limit = sncpair.MAX_INT_DIGITS
     for value, code_expected in [(10 ** limit - 1, 0), (10 ** limit, 2)]:
         table = json.loads(json.dumps(TRIANGLE_TABLE))
-        if field == "d":
-            table["d"] = value
-        else:
-            table["components"][0]["mult"] = value
+        TABLE_INT_FIELDS[field](table, value)
         path = tmp_path / "digits.json"
         path.write_text(json.dumps(table))
         code, _, err = run_cli(["chi-d", "table", "--file", str(path)], capsys)
@@ -314,7 +328,8 @@ def test_readme_limits_table_matches_the_code():
         "`hrr cp --n`": MAX_HRR_N,
         "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
         "`chi-d cp --r`": MAX_CP_R,
-        "`chi-d cp --d`, `--mults`; table `d`, `components[i].mult` "
+        "`chi-d cp --d`, `--mults`; table `d`, `components[i].mult`, "
+        "`center.codim`, `strata[i].chi`, `strata[i].chi_meet_center` "
         "(decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
