@@ -254,6 +254,7 @@ def cmd_hrr_cp(args) -> Report:
         raise CliInputError(f"--n must lie in 0..{MAX_HRR_N}, got {args.n}")
     if not 0 <= args.p <= args.n:
         raise CliInputError(f"--p must lie in 0..{args.n}")
+    _check_digits([args.twist], "--twist")
     value = chow.chi_twisted_hodge(args.n, args.p, args.twist)
     checks = []
     if 1 <= args.twist <= args.p:

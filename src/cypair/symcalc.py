@@ -1,17 +1,19 @@
 """Exact truncated series calculus in Chern roots and Chern classes.
 
-Series live in one of two graded coordinate systems:
+Every series is a sparse polynomial in m variables, truncated at a fixed
+order, and one class implements their arithmetic.  Its two subclasses
+differ only in the grading:
 
-* root coordinates: polynomials in formal Chern roots x_1, ..., x_m,
-  graded by total degree and truncated at a fixed order;
-* Chern coordinates: polynomials in the classes c_1, ..., c_m, where c_k
-  is the k-th elementary symmetric polynomial of the roots, graded by the
+* `RootSeries`: polynomials in formal Chern roots x_1, ..., x_m, graded
+  by total degree;
+* `ChernSeries`: polynomials in the classes c_1, ..., c_m, where c_k is
+  the k-th elementary symmetric polynomial of the roots, graded by the
   weighted degree sum(k * e_k) of a monomial c_1^{e_1} * ... * c_m^{e_m}.
 
 All coefficients are `fractions.Fraction`; nothing here ever rounds.
 Series are sparse maps from exponent vectors to coefficients with zero
 entries pruned, so equality is plain dictionary equality and a zero
-series is an empty map.
+series is an empty map.  Series of different classes never combine.
 
 Generators implemented here:
 
@@ -65,16 +67,20 @@ class SymmetryError(ValueError):
     """Raised when a root series claimed to be symmetric is not."""
 
 
-def _clean(terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-    return {e: q for e, q in terms.items() if q != 0}
+@lru_cache(maxsize=None)
+def _weighted_degree(expo: Exponents) -> int:
+    return sum((k + 1) * e for k, e in enumerate(expo))
 
 
-class RootSeries:
-    """Sparse polynomial in the roots x_1..x_m, truncated by total degree.
+class _Series:
+    """Sparse polynomial in m variables, truncated at a graded order.
 
-    Instances are immutable after construction; every operation returns a
-    new series.  Addition and multiplication truncate at the smaller of
-    the two operand orders.
+    `terms` maps exponent vectors to nonzero `Fraction`s.  A subclass
+    fixes the grading, `_degree` of an exponent vector, and the letter
+    `_symbol` its variables print with.  Instances are immutable after
+    construction; every operation returns a new series of the same class.
+    Addition and multiplication truncate at the smaller of the two operand
+    orders, and only series of the same class combine.
     """
 
     __slots__ = ("num_roots", "order", "terms")
@@ -84,26 +90,173 @@ class RootSeries:
             raise ValueError("num_roots and order must be non-negative")
         self.num_roots = num_roots
         self.order = order
+        degree = self._degree
         clean: dict[Exponents, Fraction] = {}
         for expo, q in (terms or {}).items():
             if len(expo) != num_roots:
                 raise ValueError(f"exponent vector {expo} has wrong length")
-            if sum(expo) > order:
+            if degree(expo) > order:
                 continue
-            q = Fraction(q)
-            if q != 0:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            if q:
                 clean[expo] = q
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, num_roots: int, order: int) -> "RootSeries":
+    def zero(cls, num_roots: int, order: int) -> "_Series":
         return cls(num_roots, order)
 
     @classmethod
-    def constant(cls, num_roots: int, order: int, value) -> "RootSeries":
+    def constant(cls, num_roots: int, order: int, value) -> "_Series":
         return cls(num_roots, order, {(0,) * num_roots: Fraction(value)})
+
+    # -- arithmetic ------------------------------------------------------
+
+    def _compatible(self, other: "_Series") -> int:
+        if self.num_roots != other.num_roots:
+            raise ValueError("series live over different root counts")
+        return min(self.order, other.order)
+
+    def __add__(self, other):
+        if type(other) is type(self):
+            order = self._compatible(other)
+            terms = dict(self.terms)
+            for e, q in other.terms.items():
+                prev = terms.get(e)
+                terms[e] = q if prev is None else prev + q
+            return type(self)(self.num_roots, order, terms)
+        return self + self.constant(self.num_roots, self.order, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(
+            self.num_roots, self.order, {e: -q for e, q in self.terms.items()}
+        )
+
+    def __sub__(self, other):
+        if type(other) is type(self):
+            return self + (-other)
+        return self + (-Fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            q = Fraction(other)
+            return type(self)(
+                self.num_roots, self.order, {e: c * q for e, c in self.terms.items()}
+            )
+        order = self._compatible(other)
+        degree = self._degree
+        a, b = self.terms, other.terms
+        if len(b) < len(a):
+            a, b = b, a
+        # Accumulate integer numerators over the common denominators and
+        # reduce each output coefficient once.
+        den_a = lcm(*(q.denominator for q in a.values()))
+        den_b = lcm(*(q.denominator for q in b.values()))
+        graded_b = sorted(
+            (degree(eb), eb, qb.numerator * (den_b // qb.denominator))
+            for eb, qb in b.items()
+        )
+        out: dict[Exponents, int] = {}
+        for ea, qa in a.items():
+            na = qa.numerator * (den_a // qa.denominator)
+            room = order - degree(ea)
+            for db, eb, nb in graded_b:
+                if db > room:
+                    break
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + na * nb
+        den = den_a * den_b
+        return type(self)(
+            self.num_roots, order, {e: Fraction(n, den) for e, n in out.items()}
+        )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.num_roots == other.num_roots
+            and self.order == other.order
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.num_roots, self.order, frozenset(self.terms.items())))
+
+    # -- structure -------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def truncate(self, order: int) -> "_Series":
+        if order >= self.order:
+            return type(self)(self.num_roots, order, self.terms)
+        degree = self._degree
+        return type(self)(
+            self.num_roots,
+            order,
+            {e: q for e, q in self.terms.items() if degree(e) <= order},
+        )
+
+    def degree_part(self, p) -> "_Series":
+        """Extract the homogeneous part of degree p, or of a range of degrees."""
+        degrees = range(p, p + 1) if isinstance(p, int) else p
+        degree = self._degree
+        return type(self)(
+            self.num_roots,
+            self.order,
+            {e: q for e, q in self.terms.items() if degree(e) in degrees},
+        )
+
+    def constant_term(self) -> Fraction:
+        return self.terms.get((0,) * self.num_roots, Fraction(0))
+
+    def inverse(self) -> "_Series":
+        """Multiplicative inverse, by recursion on homogeneous degree.
+
+        Requires a nonzero constant term.
+        """
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise ValueError("series with zero constant term is not invertible")
+        homog = [self.degree_part(d) for d in range(self.order + 1)]
+        inv = [self.constant(self.num_roots, self.order, 1 / c0)]
+        for d in range(1, self.order + 1):
+            acc = self.zero(self.num_roots, self.order)
+            for k in range(1, d + 1):
+                acc = acc + homog[k] * inv[d - k]
+            inv.append(acc * (-1 / c0))
+        return sum(inv, self.zero(self.num_roots, self.order))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for expo in sorted(self.terms, key=lambda e: (self._degree(e), e)):
+            mono = "*".join(
+                f"{self._symbol}{i + 1}" + (f"^{k}" if k > 1 else "")
+                for i, k in enumerate(expo)
+                if k
+            )
+            q = self.terms[expo]
+            bits.append(f"{q}" if not mono else f"{q}*{mono}")
+        return " + ".join(bits)
+
+
+class RootSeries(_Series):
+    """Sparse polynomial in the roots x_1..x_m, truncated by total degree."""
+
+    __slots__ = ()
+    _degree = staticmethod(sum)
+    _symbol = "x"
+    # Own entry: the benchmark's tracer times it as `symcalc.root_mul`.
+    __mul__ = __rmul__ = _Series.__mul__
 
     @classmethod
     def variable(cls, num_roots: int, order: int, j: int) -> "RootSeries":
@@ -128,136 +281,8 @@ class RootSeries:
             terms[expo] = Fraction(q)
         return cls(num_roots, order, terms)
 
-    # -- arithmetic ------------------------------------------------------
 
-    def _compatible(self, other: "RootSeries") -> int:
-        if self.num_roots != other.num_roots:
-            raise ValueError("root series live over different root counts")
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, RootSeries):
-            order = self._compatible(other)
-            terms = dict(self.terms)
-            for e, q in other.terms.items():
-                terms[e] = terms.get(e, Fraction(0)) + q
-            return RootSeries(self.num_roots, order, _clean(terms))
-        return self + RootSeries.constant(self.num_roots, self.order, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RootSeries(
-            self.num_roots, self.order, {e: -q for e, q in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, RootSeries):
-            return self + (-other)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, RootSeries):
-            order = self._compatible(other)
-            a, b = self.terms, other.terms
-            if len(b) < len(a):
-                a, b = b, a
-            graded_b = sorted(((sum(eb), eb, qb) for eb, qb in b.items()))
-            out: dict[Exponents, Fraction] = {}
-            for ea, qa in a.items():
-                da = sum(ea)
-                for db, eb, qb in graded_b:
-                    if da + db > order:
-                        break
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    out[e] = out.get(e, Fraction(0)) + qa * qb
-            return RootSeries(self.num_roots, order, _clean(out))
-        q = Fraction(other)
-        return RootSeries(
-            self.num_roots, self.order, {e: c * q for e, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootSeries)
-            and self.num_roots == other.num_roots
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_roots, self.order, frozenset(self.terms.items())))
-
-    # -- structure -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncate(self, order: int) -> "RootSeries":
-        if order >= self.order:
-            return RootSeries(self.num_roots, order, self.terms)
-        return RootSeries(
-            self.num_roots, order, {e: q for e, q in self.terms.items() if sum(e) <= order}
-        )
-
-    def degree_part(self, p) -> "RootSeries":
-        """Extract the homogeneous part of degree p, or of a range of degrees."""
-        degrees = range(p, p + 1) if isinstance(p, int) else p
-        return RootSeries(
-            self.num_roots,
-            self.order,
-            {e: q for e, q in self.terms.items() if sum(e) in degrees},
-        )
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_roots, Fraction(0))
-
-    def inverse(self) -> "RootSeries":
-        """Multiplicative inverse, by recursion on homogeneous degree.
-
-        Requires a nonzero constant term.
-        """
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ValueError("series with zero constant term is not invertible")
-        homog = [self.degree_part(d) for d in range(self.order + 1)]
-        inv = [RootSeries.constant(self.num_roots, self.order, 1 / c0)]
-        for d in range(1, self.order + 1):
-            acc = RootSeries.zero(self.num_roots, self.order)
-            for k in range(1, d + 1):
-                acc = acc + homog[k] * inv[d - k]
-            inv.append(acc * (-1 / c0))
-        total = RootSeries.zero(self.num_roots, self.order)
-        for part in inv:
-            total = total + part
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(expo)
-                if k
-            )
-            q = self.terms[expo]
-            bits.append(f"{q}" if not mono else f"{q}*{mono}")
-        return " + ".join(bits)
-
-
-@lru_cache(maxsize=None)
-def _weighted_degree(expo: Exponents) -> int:
-    return sum((k + 1) * e for k, e in enumerate(expo))
-
-
-class ChernSeries:
+class ChernSeries(_Series):
     """Sparse polynomial in c_1..c_m, truncated by weighted degree.
 
     The exponent vector (e_1, ..., e_m) stands for c_1^{e_1} ... c_m^{e_m}
@@ -265,32 +290,11 @@ class ChernSeries:
     expansion.  Expanding to roots and re-symmetrizing is the identity.
     """
 
-    __slots__ = ("num_roots", "order", "terms")
-
-    def __init__(self, num_roots: int, order: int, terms: Coeffs | None = None):
-        if num_roots < 0 or order < 0:
-            raise ValueError("num_roots and order must be non-negative")
-        self.num_roots = num_roots
-        self.order = order
-        clean: dict[Exponents, Fraction] = {}
-        for expo, q in (terms or {}).items():
-            if len(expo) != num_roots:
-                raise ValueError(f"exponent vector {expo} has wrong length")
-            if _weighted_degree(expo) > order:
-                continue
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            if q:
-                clean[expo] = q
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, num_roots: int, order: int) -> "ChernSeries":
-        return cls(num_roots, order)
-
-    @classmethod
-    def constant(cls, num_roots: int, order: int, value) -> "ChernSeries":
-        return cls(num_roots, order, {(0,) * num_roots: Fraction(value)})
+    __slots__ = ()
+    _degree = staticmethod(_weighted_degree)
+    _symbol = "c"
+    # Own entry: the benchmark's tracer times it as `symcalc.chern_mul`.
+    __mul__ = __rmul__ = _Series.__mul__
 
     @classmethod
     def chern_class(cls, num_roots: int, order: int, k: int) -> "ChernSeries":
@@ -301,116 +305,6 @@ class ChernSeries:
             return cls.constant(num_roots, order, 1)
         expo = tuple(1 if i == k - 1 else 0 for i in range(num_roots))
         return cls(num_roots, order, {expo: Fraction(1)})
-
-    def _compatible(self, other: "ChernSeries") -> int:
-        if self.num_roots != other.num_roots:
-            raise ValueError("series live over different root counts")
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, ChernSeries):
-            order = self._compatible(other)
-            terms = dict(self.terms)
-            for e, q in other.terms.items():
-                prev = terms.get(e)
-                terms[e] = q if prev is None else prev + q
-            return ChernSeries(self.num_roots, order, terms)
-        return self + ChernSeries.constant(self.num_roots, self.order, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ChernSeries(
-            self.num_roots, self.order, {e: -q for e, q in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, ChernSeries):
-            return self + (-other)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, ChernSeries):
-            order = self._compatible(other)
-            a, b = self.terms, other.terms
-            if len(b) < len(a):
-                a, b = b, a
-            # Accumulate integer numerators over the common denominators
-            # and reduce each output coefficient once.
-            den_a = lcm(*(q.denominator for q in a.values()))
-            den_b = lcm(*(q.denominator for q in b.values()))
-            graded_b = sorted(
-                (_weighted_degree(eb), eb, qb.numerator * (den_b // qb.denominator))
-                for eb, qb in b.items()
-            )
-            out: dict[Exponents, int] = {}
-            for ea, qa in a.items():
-                na = qa.numerator * (den_a // qa.denominator)
-                room = order - _weighted_degree(ea)
-                for db, eb, nb in graded_b:
-                    if db > room:
-                        break
-                    e = tuple(map(add, ea, eb))
-                    out[e] = out.get(e, 0) + na * nb
-            den = den_a * den_b
-            return ChernSeries(
-                self.num_roots, order, {e: Fraction(n, den) for e, n in out.items()}
-            )
-        q = Fraction(other)
-        return ChernSeries(
-            self.num_roots, self.order, {e: c * q for e, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChernSeries)
-            and self.num_roots == other.num_roots
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_roots, self.order, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncate(self, order: int) -> "ChernSeries":
-        if order >= self.order:
-            return ChernSeries(self.num_roots, order, self.terms)
-        return ChernSeries(
-            self.num_roots,
-            order,
-            {e: q for e, q in self.terms.items() if _weighted_degree(e) <= order},
-        )
-
-    def degree_part(self, p) -> "ChernSeries":
-        """Extract the weighted-degree-p part, or a range of degrees."""
-        degrees = range(p, p + 1) if isinstance(p, int) else p
-        return ChernSeries(
-            self.num_roots,
-            self.order,
-            {e: q for e, q in self.terms.items() if _weighted_degree(e) in degrees},
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for expo in sorted(self.terms, key=lambda e: (_weighted_degree(e), e)):
-            mono = "*".join(
-                f"c{k + 1}" + (f"^{e}" if e > 1 else "")
-                for k, e in enumerate(expo)
-                if e
-            )
-            q = self.terms[expo]
-            bits.append(f"{q}" if not mono else f"{q}*{mono}")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +495,7 @@ def shift_derivative(series: RootSeries) -> RootSeries:
             e[j] -= 1
             key = tuple(e)
             out[key] = out.get(key, Fraction(0)) + q * expo[j]
-    return RootSeries(m, series.order, _clean(out))
+    return RootSeries(m, series.order, out)
 
 
 @lru_cache(maxsize=None)

@@ -32,3 +32,17 @@ def test_tracing_genus_caches_resolve():
     tracing = load_tracing()
     for name in tracing.GENUS_CACHES:
         assert callable(getattr(getattr(symcalc, name), "cache_info", None)), name
+
+
+def test_tracer_counts_root_and_chern_products_apart():
+    # Both classes share one product; each must keep its own span.
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        symcalc.RootSeries.variable(2, 2, 0) * symcalc.RootSeries.variable(2, 2, 1)
+        symcalc.ChernSeries.chern_class(2, 2, 1) * symcalc.ChernSeries.chern_class(2, 2, 1)
+    finally:
+        tracer.uninstall()
+    counts, _ = tracer.summary(0.0)
+    assert counts["symcalc.root_mul.calls"] == 1
+    assert counts["symcalc.chern_mul.calls"] == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cypair import cli, hodge, sncpair, symcalc
+from cypair import chow, cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
 from conftest import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE
@@ -247,6 +247,27 @@ def test_chi_d_cp_accepts_largest_digits(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_hrr_cp_rejects_oversize_twist(capsys, monkeypatch, sign):
+    monkeypatch.setattr(chow, "chi_twisted_hodge", _refuse)
+    limit = sncpair.MAX_INT_DIGITS
+    code, out, err = run_cli(
+        ["hrr", "cp", "--n", "2", "--p", "1", "--twist", sign + str(10 ** limit)],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--twist: {limit + 1} digits exceed the limit of {limit}" in err
+
+
+def test_hrr_cp_accepts_largest_twist(capsys):
+    largest = 10 ** sncpair.MAX_INT_DIGITS - 1
+    code, out, _ = run_cli(
+        ["hrr", "cp", "--n", "2", "--p", "1", "--twist", str(largest), "--json"],
+        capsys)
+    assert code == 0
+    assert json.loads(out)["overall"] == "pass"
+
+
 def _set_meet(table, value):
     # H1 and H2 contain the center, so all four strata inside H1 + H2
     # share its Euler number; keep them consistent.
@@ -328,9 +349,9 @@ def test_readme_limits_table_matches_the_code():
         "`hrr cp --n`": MAX_HRR_N,
         "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
         "`chi-d cp --r`": MAX_CP_R,
-        "`chi-d cp --d`, `--mults`; table `d`, `components[i].mult`, "
-        "`center.codim`, `strata[i].chi`, `strata[i].chi_meet_center` "
-        "(decimal digits)": sncpair.MAX_INT_DIGITS,
+        "`chi-d cp --d`, `--mults`; `hrr cp --twist`; table `d`, "
+        "`components[i].mult`, `center.codim`, `strata[i].chi`, "
+        "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
     }

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -276,6 +278,60 @@ def test_chern_product_matches_root_product():
         roots = expand_to_roots(left, product.order) * expand_to_roots(
             right, product.order)
         assert product == symmetrize_to_chern(roots)
+
+
+def _naive_product(left, right, degree):
+    """Full convolution of the term maps, cut at the smaller order."""
+    order = min(left.order, right.order)
+    out = {}
+    for ea, qa in left.terms.items():
+        for eb, qb in right.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + qa * qb
+    return {e: q for e, q in out.items() if q != 0 and degree(e) <= order}
+
+
+@pytest.mark.parametrize("cls, degree", [
+    (RootSeries, sum),
+    (ChernSeries, lambda e: sum(k * x for k, x in enumerate(e, start=1))),
+], ids=["roots", "chern"])
+def test_product_matches_naive_convolution(cls, degree):
+    rng = random.Random(2718)
+
+    def draw(m, order, size):
+        # Degrees up to one past the order, so the constructor drops some.
+        by_degree = [[] for _ in range(order + 2)]
+        for e in itertools.product(range(order + 2), repeat=m):
+            if degree(e) <= order + 1:
+                by_degree[degree(e)].append(e)
+        return cls(m, order, {
+            rng.choice(rng.choice(by_degree)):
+                Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            for _ in range(size)})
+
+    # Order 0 and the zero series on either side, then random pairs.
+    cases = [(draw(2, 0, 4), draw(2, 5, 6)), (draw(3, 4, 6), draw(3, 0, 3)),
+             (draw(2, 3, 0), draw(2, 3, 5)), (draw(3, 6, 7), cls.zero(3, 2))]
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        cases.append(tuple(
+            draw(m, rng.randint(1, 7), rng.randint(1, 10)) for _ in range(2)))
+    for left, right in cases:
+        product = left * right
+        assert type(product) is cls
+        assert product.order == min(left.order, right.order)
+        assert product.terms == _naive_product(left, right, degree)
+
+
+def test_root_and_chern_series_never_combine():
+    terms = {(0, 0): Fraction(3), (1, 0): Fraction(1, 2)}
+    root, chern = RootSeries(2, 3, terms), ChernSeries(2, 3, terms)
+    assert root.terms == chern.terms
+    assert root != chern and chern != root
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((root, chern), (chern, root)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 # ---------------------------------------------------------------------------
