@@ -282,6 +282,7 @@ def cmd_hodge_bundle(args) -> Report:
 
 
 def cmd_hodge_blowup(args) -> Report:
+    _check_digits([args.codim], "--codim")
     ambient = _load_diamond(args.x, "--x")
     center = _load_diamond(args.y, "--y")
     try:
@@ -408,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl = hodge_sub.add_parser("blowup", help="blow-up diamond")
     pl.add_argument("--x", required=True, help="ambient diamond (name or file)")
     pl.add_argument("--y", required=True, help="center diamond (name or file)")
-    pl.add_argument("--codim", type=int, required=True)
+    pl.add_argument("--codim", type=int, required=True,
+                    help="codimension of the center (at most "
+                         f"{sncpair.MAX_INT_DIGITS} digits)")
     _add_output_flags(pl)
     pl.set_defaults(func=cmd_hodge_blowup)
     pco = hodge_sub.add_parser("correction", help="normalization correction term")

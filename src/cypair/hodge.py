@@ -21,6 +21,7 @@ metric normalizations stay out: ledgers are integer bookkeeping only.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from typing import Iterable, Mapping
@@ -265,10 +266,14 @@ def lambda_exponent_check(diamond: HodgeDiamond) -> bool:
     * eta assembles from the rows as tensor of lambda_p^((-1)^p).
 
     The identities are about exponents only, so the result depends on the
-    dimension n alone, not on the Hodge numbers.  Both row sums accumulate
-    in place, in O(n^2).
+    dimension n alone, not on the Hodge numbers; it is computed once per n
+    and memoized.  Both row sums accumulate in place, in O(n^2).
     """
-    n = diamond.n
+    return _exponent_identities_hold(diamond.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_identities_hold(n: int) -> bool:
     lam = ledger_lambda(n)
     if ledger_lambda_dr(n) != lam + lam.conjugate():
         return False

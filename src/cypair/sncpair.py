@@ -64,6 +64,7 @@ is written once, in `blowup_transform`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -195,22 +196,23 @@ def validate(pair: SncPair) -> None:
                 f"component {comp.id!r} has forbidden multiplicity {comp.mult} = -d")
 
     full = (1 << l) - 1
-    if 0 not in pair.strata:
+    strata = pair.strata
+    if 0 not in strata:
         raise PairValidationError(
             "the empty-subset stratum (the ambient space) is mandatory")
-    for mask, stratum in pair.strata.items():
+    for mask in strata:
         if mask & ~full:
             raise PairValidationError(f"stratum mask {mask} references unknown components")
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            if mask ^ low not in pair.strata:
+            if mask ^ low not in strata:
                 raise PairValidationError(
                     f"stratum {pair.subset_label(mask)} is marked nonempty but its "
                     f"subset {pair.subset_label(mask ^ low)} is empty")
     for j, comp in enumerate(pair.components):
-        if (1 << j) not in pair.strata:
+        if (1 << j) not in strata:
             raise PairValidationError(
                 f"component {comp.id!r} has an empty singleton stratum; "
                 "divisor components must be nonempty")
@@ -220,7 +222,7 @@ def validate(pair: SncPair) -> None:
         if contains:
             raise PairValidationError(
                 "components are flagged contains_center but no center is declared")
-        for mask, stratum in pair.strata.items():
+        for mask, stratum in strata.items():
             if stratum.chi_meet_center is not None:
                 raise PairValidationError(
                     f"stratum {pair.subset_label(mask)} carries chi_meet_center "
@@ -230,38 +232,44 @@ def validate(pair: SncPair) -> None:
     r = pair.center.codim
     if r < 1:
         raise PairValidationError(f"center codimension must be >= 1, got {r}")
-    s = bin(contains).count("1")
+    s = contains.bit_count()
     if s > r:
         raise PairValidationError(
             f"{s} components contain the center but its codimension is only {r}")
-    if pair.strata[0].chi_meet_center is None:
+    if strata[0].chi_meet_center is None:
         raise PairValidationError(
             "chi_meet_center of the empty subset (the Euler number of the "
             "center itself) is required when a center is declared")
-    for mask, stratum in pair.strata.items():
+    for mask, stratum in strata.items():
         reduced = mask & ~contains
-        expected = pair.strata[reduced].chi_meet_center
+        expected = strata[reduced].chi_meet_center
         if stratum.chi_meet_center != expected:
             raise PairValidationError(
                 f"chi_meet_center of {pair.subset_label(mask)} is "
                 f"{stratum.chi_meet_center} but the center lies inside the "
                 f"containing components, so it must equal the value "
                 f"{expected} recorded for {pair.subset_label(reduced)}")
-        if stratum.chi_meet_center is None:
+        if expected is None:
             continue
-        for j in _bits(mask):
-            sub = mask & ~(1 << j)
-            if pair.strata[sub].chi_meet_center is None:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if strata[mask ^ low].chi_meet_center is None:
                 raise PairValidationError(
                     f"center meets stratum {pair.subset_label(mask)} but "
-                    f"supposedly misses stratum {pair.subset_label(sub)}, "
+                    f"supposedly misses stratum {pair.subset_label(mask ^ low)}, "
                     "which contains it")
-        for j in _bits(contains & ~mask):
-            if (mask | (1 << j)) not in pair.strata:
+        rest = contains & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mask | low not in strata:
                 raise PairValidationError(
                     f"center meets stratum {pair.subset_label(mask)} and is "
-                    f"contained in component {pair.components[j].id!r}, so "
-                    f"stratum {pair.subset_label(mask | (1 << j))} cannot be empty")
+                    f"contained in component "
+                    f"{pair.components[low.bit_length() - 1].id!r}, so "
+                    f"stratum {pair.subset_label(mask | low)} cannot be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +310,9 @@ def chi_d(pair: SncPair) -> Fraction:
     of chi(D_J) * num[J] is an integer, and one Fraction divides it by D.
     """
     strata = pair.strata
-    shifted = [m + pair.d for m in pair.mults]
-    negated = [-m for m in pair.mults]
+    mults = pair.mults
+    shifted = [m + pair.d for m in mults]
+    negated = [-m for m in mults]
     denominator = 1
     for factor in shifted:
         denominator *= factor
@@ -345,19 +354,23 @@ def _restrict(pair: SncPair, entries: StratumTable,
     in `entries`; bit len(pair.components) stands for `extra`, appended
     as the last component.  The result carries no center metadata.
     """
-    new_bit: dict[int, int] = {}
+    new_bit: dict[int, int] = {}  # old bit -> new bit
     components = []
     for j, comp in enumerate(pair.components):
         if (1 << j) in entries:
-            new_bit[j] = 1 << len(components)
+            new_bit[1 << j] = 1 << len(components)
             components.append(Component(comp.id, comp.mult))
     if extra is not None:
-        new_bit[len(pair.components)] = 1 << len(components)
+        new_bit[1 << len(pair.components)] = 1 << len(components)
         components.append(extra)
-    strata: StratumTable = {
-        sum(new_bit[j] for j in _bits(mask)): stratum
-        for mask, stratum in entries.items()
-    }
+    strata: StratumTable = {}
+    for mask, stratum in entries.items():
+        new = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            new |= new_bit[low]
+        strata[new] = stratum
     return SncPair(d=pair.d, components=tuple(components), strata=strata)
 
 
@@ -471,9 +484,8 @@ def _require_center(pair: SncPair) -> Center:
     if pair.d <= 0:
         raise PairValidationError(
             f"blow-up operations require d > 0, got d = {pair.d}")
-    for j in _bits(pair.contains_mask):
-        comp = pair.components[j]
-        if comp.mult < 0:
+    for comp in pair.components:
+        if comp.contains_center and comp.mult < 0:
             raise PairValidationError(
                 f"center lies inside component {comp.id!r} of negative "
                 f"multiplicity {comp.mult}; blow-up requires positive "
@@ -484,8 +496,7 @@ def _require_center(pair: SncPair) -> Center:
 def exceptional_multiplicity(pair: SncPair) -> int:
     """m_0 = m_1 + ... + m_s + r d - d over the containing components."""
     center = _require_center(pair)
-    contains = pair.contains_mask
-    m0 = sum(pair.components[j].mult for j in _bits(contains))
+    m0 = sum(c.mult for c in pair.components if c.contains_center)
     m0 += (center.codim - 1) * pair.d
     return m0
 
@@ -519,7 +530,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
     e_bit = 1 << l
     entries: StratumTable = {}
     for mask, stratum in pair.strata.items():
-        fiber = r - bin(mask & contains).count("1")
+        fiber = r - (mask & contains).bit_count()
         meets = stratum.chi_meet_center
         if meets is None:
             entries[mask] = Stratum(stratum.chi)
@@ -533,7 +544,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
     for mask in entries:
         orphans = mask & dropped
         if orphans:
-            orphan = next(_bits(orphans))
+            orphan = (orphans & -orphans).bit_length() - 1
             raise PairValidationError(
                 f"ambiguous center containment: stratum "
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
@@ -575,6 +586,33 @@ def induced_center_pairs(pair: SncPair) -> tuple[Fraction, Fraction]:
     return chi_d(center_pair(pair)), chi_d(exceptional_pair(pair))
 
 
+def fibration_check(pair: SncPair) -> bool:
+    """Whether chi_d of the exceptional divisor is F times chi_d of the center.
+
+    The exceptional divisor E is a P^(r-1)-bundle over the center Y.  The
+    components not containing Y restrict to E as pull-backs from Y, and
+    the strict transforms of the s containing ones cut every fiber in s
+    coordinate hyperplanes, any k of which meet in a P^(r-1-k) with Euler
+    number r - k (empty once k >= r).  So chi_d(E) = F chi_d(Y) with
+
+        F = sum_{K subset C, |K| < r} (r - |K|) prod_{m in K} (-m)/(m + d)
+
+    over the multiplicities C of the containing components.  The sum is
+    taken through the elementary symmetric functions e_k of those weights;
+    validation keeps |C| <= r, and the k = r term is 0.
+    """
+    r = _require_center(pair).codim
+    elementary = [Fraction(1)]  # e_0, e_1, ... of the weights seen so far
+    for comp in pair.components:
+        if comp.contains_center:
+            w = Fraction(-comp.mult, comp.mult + pair.d)
+            elementary = [a + w * b for a, b in
+                          zip(elementary + [0], [0] + elementary)]
+    factor = sum((r - k) * e for k, e in enumerate(elementary))
+    center_value, exceptional_value = induced_center_pairs(pair)
+    return exceptional_value == factor * center_value
+
+
 @dataclass(frozen=True)
 class BlowupCheck:
     exceptional_multiplicity: int
@@ -610,6 +648,18 @@ def check_blowup_invariance(pair: SncPair) -> BlowupCheck:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets_in_order(l: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(size, mask, masks one element smaller) for every nonempty subset of
+    range(l), in the order of `itertools.combinations` taken size by size."""
+    out = []
+    for size in range(1, l + 1):
+        for chosen in itertools.combinations(range(l), size):
+            mask = sum(1 << j for j in chosen)
+            out.append((size, mask, tuple(mask ^ (1 << j) for j in chosen)))
+    return tuple(out)
+
+
 def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPair:
     """A random consistent pair with center metadata, for property suites.
 
@@ -636,12 +686,13 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
     def chi() -> int:
         return rng.randint(-9, 9)
 
+    subsets = _subsets_in_order(l)
     present: dict[int, int] = {0: chi()}
-    for size in range(1, l + 1):
-        for chosen in itertools.combinations(range(l), size):
-            mask = sum(1 << j for j in chosen)
-            if any((mask & ~(1 << j)) not in present for j in chosen):
-                continue
+    for size, mask, lower in subsets:
+        for sub in lower:
+            if sub not in present:
+                break
+        else:
             if size == 1 or rng.random() < max(0.25, 0.95 - 0.2 * size):
                 present[mask] = chi()
     # the center sits inside every intersection of its containing components
@@ -649,7 +700,6 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
         if sub not in present:
             present[sub] = chi()
 
-    noncontains = [j for j in range(l) if not (contains >> j) & 1]
     if s == r and rng.random() < 0.5:
         # center equals the full intersection of its containing components
         meets = {
@@ -658,14 +708,15 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
             if not mask & contains and (mask | contains) in present
         }
     else:
+        # the subsets of the non-containing components, in the same order
         meets = {0: chi()}
-        for size in range(1, len(noncontains) + 1):
-            for chosen in itertools.combinations(noncontains, size):
-                mask = sum(1 << j for j in chosen)
-                if mask not in present:
-                    continue
-                if any((mask & ~(1 << j)) not in meets for j in chosen):
-                    continue
+        for _, mask, lower in subsets:
+            if mask & contains or mask not in present:
+                continue
+            for sub in lower:
+                if sub not in meets:
+                    break
+            else:
                 if rng.random() < 0.75:
                     meets[mask] = chi()
         for mask in meets:
@@ -812,7 +863,7 @@ def pair_from_json(text: str) -> SncPair:
 
 def pair_to_obj(pair: SncPair) -> dict:
     strata = []
-    for mask in sorted(pair.strata, key=lambda m: (bin(m).count("1"), m)):
+    for mask in sorted(pair.strata, key=lambda m: (m.bit_count(), m)):
         stratum = pair.strata[mask]
         strata.append({
             "subset": [c.id for j, c in enumerate(pair.components) if (mask >> j) & 1],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -109,6 +110,37 @@ def test_blowup_check_random(capsys):
         ["blowup-check", "--random", "25", "--seed", "7"], capsys)
     assert code == 0
     assert out.count("[PASS]") == 25
+
+
+# sha256 of the --json stdout of `--random 200 --seed S`.  The benchmark
+# oracle redraws the blowup-check instances from the same seed, so the
+# order in which they are drawn must not change.  Every ledger check reads
+# True, so its report does not depend on the seed (the diamond draws are
+# pinned in test_hodge.py).
+RANDOM_REPORT_DIGESTS = {
+    ("blowup-check", 1):
+        "d5425505467ebc7a864d6110092042ab253da1a1c5eb669fe585418fe75b967c",
+    ("blowup-check", 2):
+        "e43e0aec66616105b1e98a45d9bf0ea8511b16618700e5d5465758d7f00833e5",
+    ("blowup-check", 3):
+        "96ea5d631da82b5a9d0b9299d1634150502dcae7d3d0beb7427929c7c0364eb2",
+    ("hodge ledger", 1):
+        "8200e143d24b26045d4dd09ef0dbcb7ccc77e65b2e63c51040b4a478b08ec088",
+    ("hodge ledger", 2):
+        "8200e143d24b26045d4dd09ef0dbcb7ccc77e65b2e63c51040b4a478b08ec088",
+    ("hodge ledger", 3):
+        "8200e143d24b26045d4dd09ef0dbcb7ccc77e65b2e63c51040b4a478b08ec088",
+}
+
+
+@pytest.mark.parametrize("command, seed", sorted(RANDOM_REPORT_DIGESTS))
+def test_random_reports_match_recorded_digests(capsys, command, seed):
+    code, out, _ = run_cli(
+        command.split() + ["--random", "200", "--seed", str(seed), "--json"],
+        capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RANDOM_REPORT_DIGESTS[command, seed]
 
 
 def test_blowup_check_requires_one_mode(capsys, triangle_table_path):
@@ -349,7 +381,8 @@ def test_readme_limits_table_matches_the_code():
         "`hrr cp --n`": MAX_HRR_N,
         "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
         "`chi-d cp --r`": MAX_CP_R,
-        "`chi-d cp --d`, `--mults`; `hrr cp --twist`; table `d`, "
+        "`chi-d cp --d`, `--mults`; `hrr cp --twist`; `hodge blowup --codim`; "
+        "table `d`, "
         "`components[i].mult`, `center.codim`, `strata[i].chi`, "
         "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
@@ -369,6 +402,36 @@ def test_hodge_blowup(capsys):
         ["hodge", "blowup", "--x", "cp3", "--y", "point", "--codim", "3"], capsys)
     assert code == 0
     assert "1,0,2,0,2,0,1" in out
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_hodge_blowup_rejects_oversize_codim(capsys, monkeypatch, sign):
+    monkeypatch.setattr(hodge, "blowup_diamond", _refuse)
+    limit = sncpair.MAX_INT_DIGITS
+    code, out, err = run_cli(
+        ["hodge", "blowup", "--x", "cp3", "--y", "point",
+         "--codim", sign + str(10 ** limit)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --codim: {limit + 1} digits exceed the limit of {limit}\n"
+
+
+def test_hodge_blowup_passes_largest_codim_on(capsys, monkeypatch):
+    largest = 10 ** sncpair.MAX_INT_DIGITS - 1
+    received = []
+    original = hodge.blowup_diamond
+
+    def recording(x, y, r):
+        received.append(r)
+        return original(x, y, r)
+
+    monkeypatch.setattr(hodge, "blowup_diamond", recording)
+    code, _, err = run_cli(
+        ["hodge", "blowup", "--x", "cp3", "--y", "point",
+         "--codim", str(largest)], capsys)
+    assert received == [largest]
+    assert code == 2
+    assert "dimension mismatch" in err
 
 
 def test_hodge_blowup_dimension_mismatch(capsys):
@@ -396,6 +459,10 @@ def test_hodge_ledger(capsys):
         ["hodge", "ledger", "--random", "10", "--seed", "3"], capsys)
     assert code == 0
     assert out.count("[PASS]") == 10
+    # the per-dimension memo filled by --random answers a later --diamond
+    code, out, _ = run_cli(["hodge", "ledger", "--diamond", "cp5"], capsys)
+    assert code == 0
+    assert "[PASS] ledger-identities: expected True, actual True" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -197,6 +198,58 @@ def test_lambda_exponent_check_always_true():
     rng = random.Random(55)
     for _ in range(50):
         assert lambda_exponent_check(random_symmetric_diamond(rng))
+
+
+def _identities_hold(n):
+    # The three identities of lambda_exponent_check, restated over plain
+    # dicts of nonzero exponents and recomputed on every call.
+    def ledger(entries):
+        return {key: v for key, v in entries if v != 0}
+
+    cells = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    lam = ledger(((p, q), (-1) ** (p + q) * p) for p, q in cells)
+    lam_conj = ledger(((p, q), (-1) ** (p + q) * q) for p, q in cells)
+    lam_dr = ledger(((p, q), (-1) ** (p + q) * (p + q)) for p, q in cells)
+    eta = ledger(((p, q), (-1) ** (p + q)) for p, q in cells)
+    lam_plus_conj = ledger(
+        (key, lam.get(key, 0) + lam_conj.get(key, 0)) for key in cells)
+    # row p of the Dolbeault complex carries (-1)^q at (p, q)
+    lam_rows = ledger(((p, q), (-1) ** p * p * (-1) ** q) for p, q in cells)
+    eta_rows = ledger(((p, q), (-1) ** p * (-1) ** q) for p, q in cells)
+    return lam_dr == lam_plus_conj and lam == lam_rows and eta == eta_rows
+
+
+def test_lambda_exponent_check_matches_unmemoized_restatement():
+    for n in range(41):
+        assert lambda_exponent_check(HodgeDiamond.projective_space(n)) \
+            == _identities_hold(n)
+
+
+def test_lambda_exponent_check_ignores_hodge_numbers():
+    k3_like = HodgeDiamond(2, ((1, 0, 1), (0, 20, 0), (1, 0, 1)))
+    for first, second in [(HodgeDiamond.projective_space(2), k3_like),
+                          (QUINTIC, HodgeDiamond.empty(3))]:
+        assert first.n == second.n and first != second
+        assert lambda_exponent_check(first) is True
+        assert lambda_exponent_check(second) is True
+
+
+# sha256 of the diamond_to_json texts of the first 50 draws from
+# Random(seed); `hodge ledger --random` draws them in this order.
+RANDOM_DIAMOND_DIGESTS = {
+    1: "d41f7876d2b526589a446f0bba54d2ff3d5ef77793a18422713acb1e25d640a0",
+    2: "255dd750b91610b048befbfb1adfab3874ad2e1019bb0ed4bb067ef6c43b2932",
+    3: "2b424c087d37d104ff88d954435f38db01d19e92364392672a55449feb15d0bf",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_DIAMOND_DIGESTS))
+def test_random_diamonds_match_recorded_digests(seed):
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        digest.update(diamond_to_json(random_symmetric_diamond(rng)).encode())
+    assert digest.hexdigest() == RANDOM_DIAMOND_DIGESTS[seed]
 
 
 def test_pointwise_exponent_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from cypair.sncpair import (
     divisor_on_stratum,
     exceptional_multiplicity,
     exceptional_pair,
+    fibration_check,
     induced_center_pairs,
     pair_from_json,
     pair_from_obj,
@@ -431,6 +433,38 @@ def test_random_instances_validate():
         validate(random_blowup_instance(rng))
 
 
+# sha256 of the pair_to_json texts of the first 50 draws from Random(seed).
+# The blowup-check report and the benchmark's oracle both draw the same
+# instances from the same seed, so the draw order is part of the interface.
+RANDOM_INSTANCE_DIGESTS = {
+    1: "79f50bcd27edd315231d67f9bdfceb309695d14b6b98a6b7331e6abf4e31fe3b",
+    2: "89e97582a05731d6be0de02a14f82b6ba5915770675e82d6953c2913c9a3fa58",
+    3: "a60bbc9d222d72b564381975f4d8d7841750792f2aad03cec6e8de208085f420",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_INSTANCE_DIGESTS))
+def test_random_instances_match_recorded_digests(seed):
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        digest.update(pair_to_json(random_blowup_instance(rng)).encode())
+    assert digest.hexdigest() == RANDOM_INSTANCE_DIGESTS[seed]
+
+
+def test_fibration_law_random_instances():
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            pair = random_blowup_instance(rng)
+            assert fibration_check(pair), pair_to_json(pair)
+
+
+def test_fibration_check_requires_center():
+    with pytest.raises(PairValidationError):
+        fibration_check(triangle_pair(with_center=False))
+
+
 # Restatements of the module-docstring rules, written over sets of component
 # ids so that they share no code with the bitmask implementation.
 
@@ -571,6 +605,14 @@ def test_blowup_check_validates_each_pair_once(monkeypatch):
     derived = validated[1:]
     assert derived == [blowup_transform(pair), center_pair(pair),
                        exceptional_pair(pair)]
+    # each derived pair is validated on random tables too: one for the
+    # blow-up, one for the center and one for the exceptional divisor
+    rng = random.Random(4)
+    for _ in range(50):
+        pair = random_blowup_instance(rng)
+        before = len(validated)
+        check_blowup_invariance(pair)
+        assert len(validated) - before == 3
 
 
 # ---------------------------------------------------------------------------
