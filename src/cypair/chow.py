@@ -21,21 +21,22 @@ Euler sequence for projective bundles.  `hrr_chi` integrates
 Td(T) * ch(E) by evaluating the universal Todd polynomial from `symcalc`
 at the model's tangent Chern classes.
 
-Each model memoizes the reduction of every raw exponent tuple it has met,
-as integer numerators over one denominator.  A product accumulates the
-integer numerators of its term pairs per raw monomial, over the product of
-the operands' common denominators, maps each distinct raw monomial through
-the memo once and builds one `Fraction` per output term.  `hrr_chi` pairs
-only the terms of Td and ch whose degrees add up to the dimension, so the
-product Td * ch is never formed.  The powers c_k(T)^e that the genera are
-evaluated at are kept on the model too.
+A class holds coefficients of basis monomials only.  Raw monomials are
+brought to the basis by one reducer, `RingModel.reduce_terms`, which takes
+integer numerators over one denominator and maps each distinct raw
+monomial through a per-model memo once.  A product accumulates the integer
+numerators of its term pairs per raw monomial, over the product of the
+operands' common denominators, and hands them to that reducer.  `hrr_chi`
+pairs only the terms of Td and ch whose degrees add up to the dimension,
+so the product Td * ch is never formed.  The powers c_k(T)^e that the
+genera are evaluated at are kept on the model too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import add
 from typing import Mapping
 
@@ -70,33 +71,29 @@ class RingModel:
         self.rewrites = {i: dict(rule) for i, rule in rewrites.items()}
         self.base = base
         self.fiber_rank = fiber_rank
-        self.integrals: dict[Monomial, Fraction] = {caps: Fraction(1)}
-        self.tangent_chern: CohClass = self.one()  # set by the constructors
+        self.tangent_chern: CohClass = self.one()  # set once by the constructors
         self._todd: CohClass | None = None
         # raw exponent tuple -> (denominator, ((basis monomial, numerator), ...))
         self._reduced: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
-        # (tangent_chern, {(k, e): c_k^e}) kept by `evaluate_chern_series`
-        self._tangent_powers: tuple | None = None
+        # {(k, e): c_k(T)^e}, kept by `evaluate_chern_series`
+        self._tangent_powers: dict[tuple[int, int], CohClass] = {}
 
     # -- class constructors ----------------------------------------------
 
     def zero(self) -> "CohClass":
-        return CohClass(self, {}, reduced=True)
+        return CohClass(self, {})
 
     def one(self) -> "CohClass":
         return self.constant(1)
 
     def constant(self, value) -> "CohClass":
-        q = Fraction(value)
-        if q == 0:
-            return self.zero()
-        return CohClass(self, {(0,) * len(self.generators): q}, reduced=True)
+        return CohClass(self, {(0,) * len(self.generators): Fraction(value)})
 
     def gen_class(self, which) -> "CohClass":
         """The degree-one class of a generator, by index or by name."""
         idx = which if isinstance(which, int) else self.generators.index(which)
         expo = tuple(1 if i == idx else 0 for i in range(len(self.generators)))
-        return CohClass(self, {expo: Fraction(1)})
+        return CohClass(self, self.reduce_terms({expo: 1}, 1))
 
     def basis(self) -> list[Monomial]:
         """All basis monomials (exponents within the caps), sorted by degree."""
@@ -110,22 +107,17 @@ class RingModel:
 
     # -- monomial reduction ----------------------------------------------
 
-    def reduce_terms(self, terms: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        den, raw = _numerators({m: Fraction(q) for m, q in terms.items() if q})
-        nums, rden = self._reduce_numerators(dict(raw))
-        den *= rden
-        return {m: Fraction(n, den) for m, n in nums.items() if n}
-
-    def _reduce_numerators(self, raw: Mapping[Monomial, int]) -> tuple[dict[Monomial, int], int]:
-        """Reduce sum_m n_m m for integer n_m: basis numerators over one denominator."""
+    def reduce_terms(self, raw: Mapping[Monomial, int], den: int) -> dict[Monomial, Fraction]:
+        """Reduce sum_m raw[m] * m / den, for integers raw[m], to basis coefficients."""
         vectors = [self._reduced_vector(mono) for mono in raw]
-        den = lcm(*(d for d, _ in vectors))
+        common = lcm(*(d for d, _ in vectors))
         out: dict[Monomial, int] = {}
         for n, (d, vector) in zip(raw.values(), vectors):
-            scale = n * (den // d)
+            scale = n * (common // d)
             for mono, v in vector:
                 out[mono] = out.get(mono, 0) + scale * v
-        return out, den
+        den *= common
+        return {m: Fraction(n, den) for m, n in out.items() if n}
 
     def _reduced_vector(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
         """The memoized reduction of one raw monomial, as integer numerators."""
@@ -163,17 +155,19 @@ class RingModel:
 
 
 class CohClass:
-    """A cohomology class: an exact-coefficient combination of basis monomials."""
+    """A cohomology class: an exact-coefficient sum of basis monomials.
+
+    `terms` maps basis monomials (every exponent within its cap) to their
+    coefficients; zero coefficients are dropped.  A sum of raw monomials
+    goes through `RingModel.reduce_terms` first.
+    """
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction], *, reduced=False):
+    def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction]):
         self.model = model
-        if reduced:
-            self.terms = {m: q if isinstance(q, Fraction) else Fraction(q)
-                          for m, q in terms.items() if q != 0}
-        else:
-            self.terms = model.reduce_terms(terms)
+        self.terms = {m: q if isinstance(q, Fraction) else Fraction(q)
+                      for m, q in terms.items() if q != 0}
 
     def _same_model(self, other: "CohClass") -> None:
         if self.model is not other.model:
@@ -185,13 +179,13 @@ class CohClass:
             terms = dict(self.terms)
             for m, q in other.terms.items():
                 terms[m] = terms.get(m, Fraction(0)) + q
-            return CohClass(self.model, terms, reduced=True)
+            return CohClass(self.model, terms)
         return self + self.model.constant(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CohClass(self.model, {m: -q for m, q in self.terms.items()}, reduced=True)
+        return CohClass(self.model, {m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, CohClass):
@@ -218,12 +212,9 @@ class CohClass:
                         break
                     key = tuple(map(add, ma, mb))
                     raw[key] = raw.get(key, 0) + na * nb
-            nums, den = model._reduce_numerators(raw)
-            den *= den_a * den_b
-            return CohClass(
-                model, {m: Fraction(n, den) for m, n in nums.items() if n}, reduced=True)
+            return CohClass(model, model.reduce_terms(raw, den_a * den_b))
         q = Fraction(other)
-        return CohClass(self.model, {m: c * q for m, c in self.terms.items()}, reduced=True)
+        return CohClass(self.model, {m: c * q for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -251,10 +242,7 @@ class CohClass:
     def component(self, p: int) -> "CohClass":
         """The part of total degree p."""
         return CohClass(
-            self.model,
-            {m: q for m, q in self.terms.items() if sum(m) == p},
-            reduced=True,
-        )
+            self.model, {m: q for m, q in self.terms.items() if sum(m) == p})
 
     def __repr__(self):
         if not self.terms:
@@ -333,8 +321,8 @@ def product(a: RingModel, b: RingModel) -> RingModel:
     for i, rule in b.rewrites.items():
         rewrites[la + i] = _pad_terms(rule, la, 0)
     model = RingModel(names, a.caps + b.caps, rewrites)
-    ta = CohClass(model, _pad_terms(a.tangent_chern.terms, 0, lb), reduced=True)
-    tb = CohClass(model, _pad_terms(b.tangent_chern.terms, la, 0), reduced=True)
+    ta = CohClass(model, _pad_terms(a.tangent_chern.terms, 0, lb))
+    tb = CohClass(model, _pad_terms(b.tangent_chern.terms, la, 0))
     model.tangent_chern = ta * tb
     return model
 
@@ -345,7 +333,7 @@ def lift_from_base(model: RingModel, cls: CohClass) -> CohClass:
         raise ModelError("model is not a projective bundle")
     if cls.model is not model.base:
         raise ModelError("class does not live on the bundle's base")
-    return CohClass(model, _pad_terms(cls.terms, 0, 1), reduced=True)
+    return CohClass(model, _pad_terms(cls.terms, 0, 1))
 
 
 def projective_bundle(base: RingModel, chern_n: CohClass, rank: int) -> RingModel:
@@ -384,19 +372,17 @@ def projective_bundle(base: RingModel, chern_n: CohClass, rank: int) -> RingMode
     model = RingModel(names, base.caps + (rank,), rewrites,
                       base=base, fiber_rank=rank)
 
-    xi = model.gen_class(nb)
-    # Relative tangent class c((N + 1) tensor O(1)) via the universal twist
-    # formula for a rank rank+1 bundle with c_i = c_i(N).
+    # Relative tangent class c((N + 1) tensor O(1)), by the twist formula
+    # for a bundle of rank rank+1 with c_i = c_i(N) (Fulton, Intersection
+    # Theory, 3.2): sum_{i=0..rank} c_i(N) (1 + xi)^{rank+1-i}.
+    one_plus_xi = model.one() + model.gen_class(nb)
     relative = model.zero()
-    for k in range(0, rank + 2):
-        for i in range(0, min(k, rank) + 1):
-            ci = chern_n.component(i)
-            if ci.is_zero():
-                continue
-            coeff = comb(rank + 1 - i, k - i)
-            if coeff == 0:
-                continue
-            relative = relative + lift_from_base(model, ci) * (xi ** (k - i)) * coeff
+    power = model.one()
+    for i in reversed(range(rank + 1)):
+        power = power * one_plus_xi
+        ci = chern_n.component(i)
+        if not ci.is_zero():
+            relative = relative + lift_from_base(model, ci) * power
     model.tangent_chern = lift_from_base(model, base.tangent_chern) * relative
     return model
 
@@ -426,18 +412,13 @@ def fiber_integrate(model: RingModel, cls: CohClass) -> CohClass:
 
 
 def integrate(cls: CohClass) -> Fraction:
-    """Evaluate the integration functional; zero without a top-degree part."""
-    total = Fraction(0)
-    for mono, q in cls.terms.items():
-        weight = cls.model.integrals.get(mono)
-        if weight is not None:
-            total += q * weight
-    return total
+    """The coefficient of the volume monomial; zero without a top-degree part."""
+    return cls.terms.get(cls.model.caps, Fraction(0))
 
 
 def euler_characteristic(model: RingModel) -> int:
     """The integral of the top Chern class of the tangent bundle."""
-    value = integrate(model.tangent_chern.component(model.dim))
+    value = integrate(model.tangent_chern)
     if value.denominator != 1:
         raise ModelError(
             f"Euler characteristic {value} is not an integer; model is inconsistent"
@@ -467,11 +448,7 @@ def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) ->
     c_k^e are kept on the model, so every genus evaluated there shares them.
     """
     model = total_chern.model
-    powers: dict[tuple[int, int], CohClass] = {}
-    if total_chern is model.tangent_chern:
-        if model._tangent_powers is None or model._tangent_powers[0] is not total_chern:
-            model._tangent_powers = (total_chern, powers)
-        powers = model._tangent_powers[1]
+    powers = model._tangent_powers if total_chern is model.tangent_chern else {}
 
     def power(k: int, e: int) -> CohClass:
         key = (k, e)
@@ -490,7 +467,7 @@ def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) ->
         terms = acc.terms if acc is not None else {(0,) * len(model.generators): 1}
         for m, c in terms.items():
             out[m] = out.get(m, 0) + q * c
-    return CohClass(model, out, reduced=True)
+    return CohClass(model, out)
 
 
 def todd_class(model: RingModel) -> CohClass:
@@ -509,8 +486,9 @@ def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
 
     Only the top-degree part of Td * ch integrates to anything, so the
     product is never formed: each pair of terms of complementary degree
-    adds an integer numerator to its raw monomial, and every raw monomial
-    is weighted once, through the model's reduction memo and `integrals`.
+    adds an integer numerator to its raw monomial, the raw sum goes
+    through `RingModel.reduce_terms` once, and the result is the
+    coefficient of the volume monomial, as in `integrate`.
     """
     if ch_sheaf.model is not model:
         raise ModelError("ch class does not live on this model")
@@ -527,9 +505,7 @@ def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
         for ms, ns in by_degree.get(model.dim - sum(mt), ()):
             key = tuple(map(add, mt, ms))
             raw[key] = raw.get(key, 0) + nt * ns
-    nums, den = model._reduce_numerators(raw)
-    total = sum(n * model.integrals.get(m, 0) for m, n in nums.items())
-    return Fraction(total, den * den_t * den_s)
+    return model.reduce_terms(raw, den_t * den_s).get(model.caps, Fraction(0))
 
 
 def ch_line(model: RingModel, divisor: CohClass) -> CohClass:

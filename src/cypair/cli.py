@@ -25,7 +25,7 @@ DEFAULT_SEED = 7
 
 #: Largest accepted `hrr cp --n`.  The universal Todd and ch series in n
 #: roots grow with the partitions of n: `hrr cp --n 19 --p 9 --twist 1`
-#: takes 6.7-7.4 s and n = 20 takes 11.9-12.7 s on a 2-CPU Xeon VM.
+#: takes 7.1-8.7 s and n = 20 takes 11.9-12.7 s on a 2-CPU Xeon VM.
 MAX_HRR_N = 19
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
@@ -43,6 +43,12 @@ MAX_DIAMOND_DIM = 300
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
 MAX_RANDOM = 10_000
+
+#: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
+#: is linear in its size, about 0.25-0.33 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.3-4.4 s and 165 MiB
+#: on a 2-CPU Xeon VM.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
 
 
 class CliInputError(ValueError):
@@ -106,21 +112,25 @@ def _emit(report: Report, args) -> int:
     return 0 if report.overall == "pass" else 1
 
 
-def _read_text(path: str) -> str:
+def _parse_file(path: str, parse):
+    """`parse` applied to the UTF-8 text of a file of at most MAX_INPUT_BYTES.
+
+    Every failure, from reading, decoding or parsing, names the path.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}")
-
-
-def _load_pair(path: str) -> sncpair.SncPair:
-    text = _read_text(path)
+    if len(data) > MAX_INPUT_BYTES:
+        raise CliInputError(
+            f"{path}: file is larger than the limit of {MAX_INPUT_BYTES} bytes")
     try:
-        return sncpair.pair_from_json(text)
+        data = data.decode("utf-8")  # the bytes are freed before parsing
+        return parse(data)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except ValueError as exc:
+    except ValueError as exc:  # also a UnicodeDecodeError
         raise CliInputError(f"{path}: {exc}")
 
 
@@ -139,13 +149,7 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
         n = int(match.group(1))
         _check_diamond_dim(n, flag)
         return hodge.HodgeDiamond.projective_space(n)
-    text = _read_text(source)
-    try:
-        diamond = hodge.diamond_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except ValueError as exc:
-        raise CliInputError(f"{source}: {exc}")
+    diamond = _parse_file(source, hodge.diamond_from_json)
     _check_diamond_dim(diamond.n, flag)
     return diamond
 
@@ -196,10 +200,7 @@ def cmd_chi_d_cp(args) -> Report:
     mults = _parse_mults(args.mults)
     _check_digits([args.d], "--d")
     _check_digits(mults, "--mults")
-    try:
-        model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
-    except sncpair.PairValidationError as exc:
-        raise CliInputError(str(exc))
+    model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
     by_enumeration = sncpair.chi_d(pair)
     by_derivative = sncpair.chi_d_via_fprime(model)
     checks = [
@@ -214,7 +215,7 @@ def cmd_chi_d_cp(args) -> Report:
 
 
 def cmd_chi_d_table(args) -> Report:
-    pair = _load_pair(args.file)
+    pair = _parse_file(args.file, sncpair.pair_from_json)
     value = sncpair.chi_d(pair)
     return Report("chi-d table", [_check("chi-d", value)], [])
 
@@ -223,7 +224,7 @@ def cmd_blowup_check(args) -> Report:
     if (args.file is None) == (args.random is None):
         raise CliInputError("exactly one of --file or --random is required")
     if args.file is not None:
-        pair = _load_pair(args.file)
+        pair = _parse_file(args.file, sncpair.pair_from_json)
         result = sncpair.check_blowup_invariance(pair)
         checks = [
             _check("exceptional-multiplicity", result.exceptional_multiplicity),
@@ -285,10 +286,7 @@ def cmd_hodge_blowup(args) -> Report:
     _check_digits([args.codim], "--codim")
     ambient = _load_diamond(args.x, "--x")
     center = _load_diamond(args.y, "--y")
-    try:
-        blown = hodge.blowup_diamond(ambient, center, args.codim)
-    except hodge.DiamondError as exc:
-        raise CliInputError(str(exc))
+    blown = hodge.blowup_diamond(ambient, center, args.codim)
     expected_euler = ambient.euler() + (args.codim - 1) * center.euler()
     checks = [
         _check("betti-vector", ",".join(map(str, blown.betti_vector()))),
@@ -422,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     ple.add_argument("--diamond", help="diamond (name or file)")
     ple.add_argument("--random", type=int, metavar="COUNT",
                      help="check COUNT random symmetric diamonds instead "
-                          f"(at most {MAX_RANDOM})")
+                          f"(at most {MAX_RANDOM}); the identities depend on "
+                          "the dimension alone, so every seed gives the same "
+                          "report")
     ple.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(ple)
     ple.set_defaults(func=cmd_hodge_ledger)

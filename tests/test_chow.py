@@ -18,6 +18,7 @@ from cypair.chow import (
     fiber_integrate,
     hrr_chi,
     integrate,
+    lift_from_base,
     point,
     product,
     projective_bundle,
@@ -124,7 +125,7 @@ def test_basis_and_integration_support():
     assert len(monomials) == 6
     assert monomials[0] == (0, 0) and monomials[-1] == (1, 2)
     # integration is supported exactly on the top-degree volume monomial
-    assert [m for m in monomials if model.integrals.get(m)] == [(1, 2)]
+    assert [m for m in monomials if integrate(CohClass(model, {m: 1}))] == [(1, 2)]
 
 
 def test_trivial_bundle_over_line():
@@ -317,7 +318,8 @@ SHAPES = [
 ]
 
 
-def shape_model(shape, rng):
+def shape_model(shape, rng, bundles):
+    """The model of `shape`; each bundle step appends (bundle, c(N)) to `bundles`."""
     factors, ranks = shape
     model = point()
     for n in factors:
@@ -331,20 +333,25 @@ def shape_model(shape, rng):
                 line = line + model.gen_class(i) * rng.randint(-2, 2)
             chern = chern * (model.one() + line)
         model = projective_bundle(model, chern, rank)
+        bundles.append((model, chern))
     return model
 
 
-def fractional_bundle():
+def fractional_bundle(bundles):
     """A P^2-bundle over P^2 whose c(N) has non-integer coefficients."""
     base = projective_space(2)
     h = base.gen_class(0)
-    return projective_bundle(
-        base, base.one() + h * Fraction(1, 2) + h * h * Fraction(-2, 3), 2)
+    chern = base.one() + h * Fraction(1, 2) + h * h * Fraction(-2, 3)
+    model = projective_bundle(base, chern, 2)
+    bundles.append((model, chern))
+    return model
 
 
-def oracle_models():
+def oracle_models(bundles=None):
+    bundles = [] if bundles is None else bundles
     rng = random.Random(6)
-    return [shape_model(shape, rng) for shape in SHAPES] + [fractional_bundle()]
+    return ([shape_model(shape, rng, bundles) for shape in SHAPES]
+            + [fractional_bundle(bundles)])
 
 
 def random_class(model, rng, rank=None):
@@ -353,7 +360,7 @@ def random_class(model, rng, rank=None):
         for mono in model.basis() if rng.random() < 0.7}
     if rank is not None:
         terms[(0,) * len(model.generators)] = Fraction(rank)
-    return CohClass(model, terms, reduced=True)
+    return CohClass(model, terms)
 
 
 def oracle_product(a, b):
@@ -404,3 +411,58 @@ def test_cotangent_powers_built_once_per_model(monkeypatch):
     todd_class(model)
     assert built
     assert len(built) == len(set(built))
+
+
+# ---------------------------------------------------------------------------
+# classes hold basis monomials only
+# ---------------------------------------------------------------------------
+
+
+def test_library_classes_hold_basis_monomials_only():
+    rng = random.Random(31)
+    for model in oracle_models():
+        basis = set(model.basis())
+        gens = [model.gen_class(i) for i in range(len(model.generators))]
+        divisor = model.zero()
+        for g in gens:
+            divisor = divisor + g * rng.randint(-2, 2)
+        a, b = random_class(model, rng), random_class(model, rng)
+        classes = gens + [model.tangent_chern, todd_class(model),
+                          ch_line(model, divisor), a * b, divisor ** model.dim]
+        classes += [ch_cotangent_exterior(model, p) for p in range(model.dim + 1)]
+        if model.base is not None:
+            classes.append(lift_from_base(model, random_class(model.base, rng)))
+        for cls in classes:
+            assert set(cls.terms) <= basis, (model, cls)
+        if model.base is not None:
+            pushed = fiber_integrate(model, a * b)
+            assert set(pushed.terms) <= set(model.base.basis()), (model, pushed)
+
+
+def test_gen_class_reduces_a_capped_generator():
+    # cap 0 with no rewrite: g = 0; cap 0 rewritten to 2a: b = 2a
+    assert RingModel(("g",), (0,), {}).gen_class("g").is_zero()
+    model = RingModel(("a", "b"), (1, 0), {1: {(1, 0): Fraction(2)}})
+    assert model.gen_class("b") == model.gen_class("a") * 2
+
+
+def double_loop_tangent_chern(bundle, chern_n):
+    """c(T) of P(N + 1): c(T_base) times c((N + 1) tensor O(1)), expanded as
+    sum_k sum_{i <= k} C(rank + 1 - i, k - i) c_i(N) xi^{k-i}."""
+    rank = bundle.fiber_rank
+    xi = bundle.gen_class(len(bundle.base.generators))
+    relative = bundle.zero()
+    for k in range(rank + 2):
+        for i in range(min(k, rank) + 1):
+            ci = lift_from_base(bundle, chern_n.component(i))
+            relative = relative + ci * xi ** (k - i) * comb(rank + 1 - i, k - i)
+    return lift_from_base(bundle, bundle.base.tangent_chern) * relative
+
+
+def test_bundle_tangent_chern_matches_double_loop_twist_formula():
+    bundles = []
+    oracle_models(bundles)
+    assert any(any(q.denominator > 1 for q in chern.terms.values())
+               for _, chern in bundles)
+    for bundle, chern_n in bundles:
+        assert bundle.tangent_chern == double_loop_tangent_chern(bundle, chern_n), bundle

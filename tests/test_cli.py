@@ -90,6 +90,39 @@ def test_chi_d_table_syntax_error_is_line_anchored(capsys, tmp_path):
     assert f"{path}:2:" in err
 
 
+#: A command that reads a file, and a valid document for it.
+FILE_INPUTS = [
+    (["chi-d", "table", "--file"], json.dumps(TRIANGLE_TABLE)),
+    (["hodge", "correction", "--diamond"], '{"n": 1, "h": [[1, 0], [0, 1]]}'),
+]
+
+
+@pytest.mark.parametrize("command, text", FILE_INPUTS)
+def test_input_file_size_limit_is_inclusive(capsys, monkeypatch, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    size = len(text.encode())
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    code, _, _ = run_cli(command + [str(path)], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    code, out, err = run_cli(command + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: file is larger than the limit of {size - 1} bytes\n"
+
+
+@pytest.mark.parametrize("command, text", FILE_INPUTS)
+def test_non_utf8_input_file_names_the_path(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text.encode()[:-1] + b"\xff")
+    code, out, err = run_cli(command + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "can't decode byte 0xff" in err
+
+
 # ---------------------------------------------------------------------------
 # blowup-check
 # ---------------------------------------------------------------------------
@@ -387,6 +420,8 @@ def test_readme_limits_table_matches_the_code():
         "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
+        "`chi-d table --file`, `blowup-check --file`, `hodge` diamond files "
+        "(bytes)": cli.MAX_INPUT_BYTES,
     }
 
 
