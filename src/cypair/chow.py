@@ -21,15 +21,17 @@ Euler sequence for projective bundles.  `hrr_chi` integrates
 Td(T) * ch(E) by evaluating the universal Todd polynomial from `symcalc`
 at the model's tangent Chern classes.
 
-A class holds coefficients of basis monomials only.  Raw monomials are
-brought to the basis by one reducer, `RingModel.reduce_terms`, which takes
-integer numerators over one denominator and maps each distinct raw
-monomial through a per-model memo once.  A product accumulates the integer
-numerators of its term pairs per raw monomial, over the product of the
-operands' common denominators, and hands them to that reducer.  `hrr_chi`
-pairs only the terms of Td and ch whose degrees add up to the dimension,
-so the product Td * ch is never formed.  The powers c_k(T)^e that the
-genera are evaluated at are kept on the model too.
+A class is a `symcalc` series in the model's generators, graded by total
+degree and truncated at the dimension, that holds coefficients of basis
+monomials only; its arithmetic is the series arithmetic.  Raw monomials
+are brought to the basis by one reducer, `RingModel.reduce_terms`, which
+takes integer numerators over one denominator and maps each distinct raw
+monomial through a per-model memo once.  A class product is the truncated
+series product, whose integer numerators per raw monomial go to that
+reducer instead of becoming coefficients.  `hrr_chi` pairs only the terms
+of Td and ch whose degrees add up to the dimension, so the product
+Td * ch is never formed.  The powers c_k(T)^e that the genera are
+evaluated at are kept on the model too.
 """
 
 from __future__ import annotations
@@ -154,69 +156,41 @@ class RingModel:
         return f"RingModel(dim {self.dim}; relations {gens or 'none'})"
 
 
-class CohClass:
+class CohClass(symcalc._Series):
     """A cohomology class: an exact-coefficient sum of basis monomials.
 
-    `terms` maps basis monomials (every exponent within its cap) to their
-    coefficients; zero coefficients are dropped.  A sum of raw monomials
-    goes through `RingModel.reduce_terms` first.
+    A `symcalc` series in the model's generators, graded by total degree
+    and truncated at the model's dimension, whose `terms` hold basis
+    monomials (every exponent within its cap) only.  A product's raw
+    monomials go through `RingModel.reduce_terms`, as must any other sum
+    of raw monomials.  Only classes on the same model combine.
     """
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model",)
+    _degree = staticmethod(sum)
+    # Own entry: the benchmark's tracer times it as `chow.mul`.
+    __mul__ = __rmul__ = symcalc._Series.__mul__
 
     def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction]):
         self.model = model
+        self.num_roots = len(model.generators)
+        self.order = model.dim
         self.terms = {m: q if isinstance(q, Fraction) else Fraction(q)
                       for m, q in terms.items() if q != 0}
 
-    def _same_model(self, other: "CohClass") -> None:
+    def _new(self, order: int, terms: Mapping[Monomial, Fraction]) -> "CohClass":
+        return CohClass(self.model, terms)
+
+    def _compatible(self, other: "CohClass") -> int:
         if self.model is not other.model:
             raise ModelError("classes belong to different ring models")
+        return self.order
 
-    def __add__(self, other):
-        if isinstance(other, CohClass):
-            self._same_model(other)
-            terms = dict(self.terms)
-            for m, q in other.terms.items():
-                terms[m] = terms.get(m, Fraction(0)) + q
-            return CohClass(self.model, terms)
-        return self + self.model.constant(other)
+    def _settle(self, order: int, raw: dict[Monomial, int], den: int) -> "CohClass":
+        return CohClass(self.model, self.model.reduce_terms(raw, den))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CohClass(self.model, {m: -q for m, q in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, CohClass):
-            return self + (-other)
-        return self + self.model.constant(-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, CohClass):
-            self._same_model(other)
-            model = self.model
-            # Integer numerators over the operands' common denominators; each
-            # raw monomial is reduced once, through the model's memo.
-            den_a, a = _numerators(self.terms)
-            den_b, b = _numerators(other.terms)
-            graded_b = sorted((sum(mb), mb, nb) for mb, nb in b)
-            raw: dict[Monomial, int] = {}
-            for ma, na in a:
-                room = model.dim - sum(ma)
-                for db, mb, nb in graded_b:
-                    if db > room:
-                        break
-                    key = tuple(map(add, ma, mb))
-                    raw[key] = raw.get(key, 0) + na * nb
-            return CohClass(model, model.reduce_terms(raw, den_a * den_b))
-        q = Fraction(other)
-        return CohClass(self.model, {m: c * q for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _names(self) -> tuple[str, ...]:
+        return self.model.generators
 
     def __pow__(self, k: int):
         if k < 0:
@@ -236,28 +210,8 @@ class CohClass:
     def __hash__(self):
         return hash((id(self.model), frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def component(self, p: int) -> "CohClass":
-        """The part of total degree p."""
-        return CohClass(
-            self.model, {m: q for m, q in self.terms.items() if sum(m) == p})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        gens = self.model.generators
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
-            name = "*".join(
-                f"{gens[i]}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
-            )
-            q = self.terms[mono]
-            bits.append(f"{q}" if not name else f"{q}*{name}")
-        return " + ".join(bits)
+    #: The part of total degree p.
+    component = symcalc._Series.degree_part
 
 
 def _numerators(terms: Mapping[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 from dataclasses import dataclass
@@ -173,9 +174,12 @@ def cmd_identities(args) -> Report:
     return Report("identities", checks, [])
 
 
-def _check_random_count(count: int) -> None:
-    if not 1 <= count <= MAX_RANDOM:
-        raise CliInputError(f"--random must lie in 1..{MAX_RANDOM}, got {count}")
+def _random_generator(args) -> random.Random:
+    """The generator seeded by `--seed`, once `--random COUNT` is in range."""
+    if not 1 <= args.random <= MAX_RANDOM:
+        raise CliInputError(
+            f"--random must lie in 1..{MAX_RANDOM}, got {args.random}")
+    return random.Random(args.seed)
 
 
 def _parse_mults(raw: str | None) -> tuple[int, ...]:
@@ -236,10 +240,7 @@ def cmd_blowup_check(args) -> Report:
         ]
         return Report("blowup-check", checks, [])
 
-    _check_random_count(args.random)
-    import random as random_module
-
-    rng = random_module.Random(args.seed)
+    rng = _random_generator(args)
     checks = []
     for i in range(args.random):
         pair = sncpair.random_blowup_instance(rng)
@@ -315,10 +316,7 @@ def cmd_hodge_ledger(args) -> Report:
         checks.append(
             _check("ledger-identities", hodge.lambda_exponent_check(diamond), True))
     else:
-        _check_random_count(args.random)
-        import random as random_module
-
-        rng = random_module.Random(args.seed)
+        rng = _random_generator(args)
         for i in range(args.random):
             diamond = hodge.random_symmetric_diamond(rng)
             checks.append(

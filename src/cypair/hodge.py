@@ -287,8 +287,11 @@ def _exponent_identities_hold(n: int) -> bool:
     return lam == ExponentLedger(lam_rows) and ledger_eta(n) == ExponentLedger(eta_rows)
 
 
-def random_symmetric_diamond(rng: random.Random, max_n: int = 4,
-                             max_entry: int = 9) -> HodgeDiamond:
+#: Largest Hodge number `random_symmetric_diamond` draws.
+RANDOM_ENTRY_MAX = 9
+
+
+def random_symmetric_diamond(rng: random.Random, max_n: int = 4) -> HodgeDiamond:
     """A random table satisfying both symmetries, with h^{0,0} = 1."""
     n = rng.randint(0, max_n)
     rows = [[0] * (n + 1) for _ in range(n + 1)]
@@ -297,7 +300,7 @@ def random_symmetric_diamond(rng: random.Random, max_n: int = 4,
         for q in range(n + 1):
             if (p, q) in filled:
                 continue
-            value = rng.randint(0, max_entry)
+            value = rng.randint(0, RANDOM_ENTRY_MAX)
             for a, b in {(p, q), (q, p), (n - p, n - q), (n - q, n - p)}:
                 rows[a][b] = value
                 filled.add((a, b))

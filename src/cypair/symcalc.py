@@ -1,14 +1,17 @@
 """Exact truncated series calculus in Chern roots and Chern classes.
 
 Every series is a sparse polynomial in m variables, truncated at a fixed
-order, and one class implements their arithmetic.  Its two subclasses
-differ only in the grading:
+order, and one class, `_Series`, implements their arithmetic.  Its three
+subclasses differ only in the grading and in what a product settles to:
 
 * `RootSeries`: polynomials in formal Chern roots x_1, ..., x_m, graded
   by total degree;
 * `ChernSeries`: polynomials in the classes c_1, ..., c_m, where c_k is
   the k-th elementary symmetric polynomial of the roots, graded by the
-  weighted degree sum(k * e_k) of a monomial c_1^{e_1} * ... * c_m^{e_m}.
+  weighted degree sum(k * e_k) of a monomial c_1^{e_1} * ... * c_m^{e_m};
+* `chow.CohClass`: classes on a ring model, in its generators, graded by
+  total degree and truncated at the model's dimension; a product is the
+  truncated series product followed by the model's `reduce_terms`.
 
 All coefficients are `fractions.Fraction`; nothing here ever rounds.
 Series are sparse maps from exponent vectors to coefficients with zero
@@ -78,9 +81,11 @@ class _Series:
     `terms` maps exponent vectors to nonzero `Fraction`s.  A subclass
     fixes the grading, `_degree` of an exponent vector, and the letter
     `_symbol` its variables print with.  Instances are immutable after
-    construction; every operation returns a new series of the same class.
+    construction; every operation builds its result through `_new`.
     Addition and multiplication truncate at the smaller of the two operand
-    orders, and only series of the same class combine.
+    orders, and only series of the same class combine.  A subclass may
+    replace these rules (`_compatible`), the product's result (`_settle`)
+    and the printed variable names (`_names`).
     """
 
     __slots__ = ("num_roots", "order", "terms")
@@ -113,12 +118,26 @@ class _Series:
     def constant(cls, num_roots: int, order: int, value) -> "_Series":
         return cls(num_roots, order, {(0,) * num_roots: Fraction(value)})
 
-    # -- arithmetic ------------------------------------------------------
+    # -- hooks a subclass may replace ----------------------------------
+
+    def _new(self, order: int, terms: Coeffs) -> "_Series":
+        """A series of the same kind as self, with the given order and terms."""
+        return type(self)(self.num_roots, order, terms)
 
     def _compatible(self, other: "_Series") -> int:
+        """Check that other combines with self; the order of the result."""
         if self.num_roots != other.num_roots:
             raise ValueError("series live over different root counts")
         return min(self.order, other.order)
+
+    def _settle(self, order: int, raw: dict[Exponents, int], den: int) -> "_Series":
+        """The product whose coefficients are raw[e] / den."""
+        return self._new(order, {e: Fraction(n, den) for e, n in raw.items()})
+
+    def _names(self) -> list[str]:
+        return [f"{self._symbol}{i}" for i in range(1, self.num_roots + 1)]
+
+    # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is type(self):
@@ -127,15 +146,13 @@ class _Series:
             for e, q in other.terms.items():
                 prev = terms.get(e)
                 terms[e] = q if prev is None else prev + q
-            return type(self)(self.num_roots, order, terms)
-        return self + self.constant(self.num_roots, self.order, other)
+            return self._new(order, terms)
+        return self + self._new(self.order, {(0,) * self.num_roots: Fraction(other)})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(
-            self.num_roots, self.order, {e: -q for e, q in self.terms.items()}
-        )
+        return self._new(self.order, {e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is type(self):
@@ -148,9 +165,7 @@ class _Series:
     def __mul__(self, other):
         if type(other) is not type(self):
             q = Fraction(other)
-            return type(self)(
-                self.num_roots, self.order, {e: c * q for e, c in self.terms.items()}
-            )
+            return self._new(self.order, {e: c * q for e, c in self.terms.items()})
         order = self._compatible(other)
         degree = self._degree
         a, b = self.terms, other.terms
@@ -173,10 +188,7 @@ class _Series:
                     break
                 e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + na * nb
-        den = den_a * den_b
-        return type(self)(
-            self.num_roots, order, {e: Fraction(n, den) for e, n in out.items()}
-        )
+        return self._settle(order, out, den_a * den_b)
 
     def __eq__(self, other):
         return (
@@ -196,23 +208,17 @@ class _Series:
 
     def truncate(self, order: int) -> "_Series":
         if order >= self.order:
-            return type(self)(self.num_roots, order, self.terms)
+            return self._new(order, self.terms)
         degree = self._degree
-        return type(self)(
-            self.num_roots,
-            order,
-            {e: q for e, q in self.terms.items() if degree(e) <= order},
-        )
+        return self._new(
+            order, {e: q for e, q in self.terms.items() if degree(e) <= order})
 
     def degree_part(self, p) -> "_Series":
         """Extract the homogeneous part of degree p, or of a range of degrees."""
         degrees = range(p, p + 1) if isinstance(p, int) else p
         degree = self._degree
-        return type(self)(
-            self.num_roots,
-            self.order,
-            {e: q for e, q in self.terms.items() if degree(e) in degrees},
-        )
+        return self._new(
+            self.order, {e: q for e, q in self.terms.items() if degree(e) in degrees})
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.num_roots, Fraction(0))
@@ -225,24 +231,24 @@ class _Series:
         c0 = self.constant_term()
         if c0 == 0:
             raise ValueError("series with zero constant term is not invertible")
+        zero = self._new(self.order, {})
         homog = [self.degree_part(d) for d in range(self.order + 1)]
-        inv = [self.constant(self.num_roots, self.order, 1 / c0)]
+        inv = [zero + 1 / c0]
         for d in range(1, self.order + 1):
-            acc = self.zero(self.num_roots, self.order)
+            acc = zero
             for k in range(1, d + 1):
                 acc = acc + homog[k] * inv[d - k]
             inv.append(acc * (-1 / c0))
-        return sum(inv, self.zero(self.num_roots, self.order))
+        return sum(inv, zero)
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = self._names()
         bits = []
         for expo in sorted(self.terms, key=lambda e: (self._degree(e), e)):
             mono = "*".join(
-                f"{self._symbol}{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(expo)
-                if k
+                names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(expo) if k
             )
             q = self.terms[expo]
             bits.append(f"{q}" if not mono else f"{q}*{mono}")

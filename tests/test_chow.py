@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -411,6 +412,43 @@ def test_cotangent_powers_built_once_per_model(monkeypatch):
     todd_class(model)
     assert built
     assert len(built) == len(set(built))
+
+
+# ---------------------------------------------------------------------------
+# classes as truncated series: inverses and models
+# ---------------------------------------------------------------------------
+
+
+def test_total_chern_class_inverse_on_p3():
+    p3 = projective_space(3)
+    h = p3.gen_class(0)
+    inverse = p3.tangent_chern.inverse()  # (1 + h)^-4
+    assert inverse == p3.one() - 4 * h + 10 * h**2 - 20 * h**3
+    assert p3.tangent_chern * inverse == p3.one()
+
+
+def test_inverse_on_a_bundle_over_p1_p2():
+    base = product(projective_space(1), projective_space(2))
+    h1, h2 = base.gen_class(0), base.gen_class(1)
+    chern = (base.one() + h1 - h2) * (base.one() + 2 * h2)
+    bundle = projective_bundle(base, chern, 2)
+    rng = random.Random(12)
+    for cls in (bundle.tangent_chern, random_class(bundle, rng, rank=3)):
+        assert cls * cls.inverse() == bundle.one()
+        assert cls.inverse() * cls == bundle.one()
+
+
+def test_classes_of_different_models_never_combine():
+    # `product` builds a new model on every call.
+    first = product(projective_space(1), projective_space(1))
+    second = product(projective_space(1), projective_space(1))
+    a, b = first.gen_class(0), second.gen_class(0)
+    assert a.terms == b.terms
+    assert a != b and b != a
+    for op in (operator.add, operator.sub, operator.mul):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ModelError):
+                op(x, y)
 
 
 # ---------------------------------------------------------------------------

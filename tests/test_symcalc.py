@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cypair import symcalc
+from cypair import chow, symcalc
 from cypair.symcalc import (
     ChernSeries,
     RootSeries,
@@ -324,12 +324,15 @@ def test_product_matches_naive_convolution(cls, degree):
 
 
 def test_root_and_chern_series_never_combine():
+    # A ring class is a third kind of series over the same arithmetic.
     terms = {(0, 0): Fraction(3), (1, 0): Fraction(1, 2)}
     root, chern = RootSeries(2, 3, terms), ChernSeries(2, 3, terms)
-    assert root.terms == chern.terms
-    assert root != chern and chern != root
-    for op in (operator.add, operator.sub, operator.mul):
-        for a, b in ((root, chern), (chern, root)):
+    cls = chow.CohClass(chow.product(chow.projective_space(1),
+                                     chow.projective_space(1)), terms)
+    assert root.terms == chern.terms == cls.terms
+    for a, b in itertools.permutations((root, chern, cls), 2):
+        assert a != b
+        for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(a, b)
 
