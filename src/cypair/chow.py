@@ -23,15 +23,15 @@ at the model's tangent Chern classes.
 
 A class is a `symcalc` series in the model's generators, graded by total
 degree and truncated at the dimension, that holds coefficients of basis
-monomials only; its arithmetic is the series arithmetic.  Raw monomials
-are brought to the basis by one reducer, `RingModel.reduce_terms`, which
-takes integer numerators over one denominator and maps each distinct raw
-monomial through a per-model memo once.  A class product is the truncated
-series product, whose integer numerators per raw monomial go to that
-reducer instead of becoming coefficients.  `hrr_chi` pairs only the terms
-of Td and ch whose degrees add up to the dimension, so the product
-Td * ch is never formed.  The powers c_k(T)^e that the genera are
-evaluated at are kept on the model too.
+monomials only; its arithmetic is the series arithmetic, on integer
+numerators over one denominator.  Raw monomials are brought to the basis
+by one reducer, `RingModel.reduce_terms`, which takes that integer form,
+maps each distinct raw monomial through a per-model memo once and returns
+the class.  A class product is the truncated series product, whose raw
+monomials go to that reducer instead of becoming coefficients.  `hrr_chi`
+pairs only the terms of Td and ch whose degrees add up to the dimension,
+so the product Td * ch is never formed.  The powers c_k(T)^e that the
+genera are evaluated at are kept on the model too.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class RingModel:
     # -- class constructors ----------------------------------------------
 
     def zero(self) -> "CohClass":
-        return CohClass(self, {})
+        return _class(self, {}, 1)
 
     def one(self) -> "CohClass":
         return self.constant(1)
@@ -95,7 +95,7 @@ class RingModel:
         """The degree-one class of a generator, by index or by name."""
         idx = which if isinstance(which, int) else self.generators.index(which)
         expo = tuple(1 if i == idx else 0 for i in range(len(self.generators)))
-        return CohClass(self, self.reduce_terms({expo: 1}, 1))
+        return self.reduce_terms({expo: 1}, 1)
 
     def basis(self) -> list[Monomial]:
         """All basis monomials (exponents within the caps), sorted by degree."""
@@ -109,8 +109,8 @@ class RingModel:
 
     # -- monomial reduction ----------------------------------------------
 
-    def reduce_terms(self, raw: Mapping[Monomial, int], den: int) -> dict[Monomial, Fraction]:
-        """Reduce sum_m raw[m] * m / den, for integers raw[m], to basis coefficients."""
+    def reduce_terms(self, raw: Mapping[Monomial, int], den: int) -> "CohClass":
+        """The class sum_m raw[m] * m / den, for integers raw[m] and den > 0."""
         vectors = [self._reduced_vector(mono) for mono in raw]
         common = lcm(*(d for d, _ in vectors))
         out: dict[Monomial, int] = {}
@@ -118,8 +118,7 @@ class RingModel:
             scale = n * (common // d)
             for mono, v in vector:
                 out[mono] = out.get(mono, 0) + scale * v
-        den *= common
-        return {m: Fraction(n, den) for m, n in out.items() if n}
+        return _class(self, *symcalc._lowest(out, den * common))
 
     def _reduced_vector(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
         """The memoized reduction of one raw monomial, as integer numerators."""
@@ -127,10 +126,8 @@ class RingModel:
         if entry is None:
             out: dict[Monomial, Fraction] = {}
             self._reduce_into(mono, Fraction(1), out)
-            den = lcm(*(q.denominator for q in out.values()))
-            entry = (den, tuple((m, q.numerator * (den // q.denominator))
-                                for m, q in out.items() if q))
-            self._reduced[mono] = entry
+            num, den = symcalc._integer_form(out)
+            entry = self._reduced[mono] = (den, tuple(num.items()))
         return entry
 
     def _reduce_into(self, mono: Monomial, coeff: Fraction, out: dict) -> None:
@@ -173,13 +170,10 @@ class CohClass(symcalc._Series):
 
     def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction]):
         self.model = model
-        self.num_roots = len(model.generators)
-        self.order = model.dim
-        self.terms = {m: q if isinstance(q, Fraction) else Fraction(q)
-                      for m, q in terms.items() if q != 0}
+        symcalc._Series.__init__(self, len(model.generators), model.dim, terms)
 
-    def _new(self, order: int, terms: Mapping[Monomial, Fraction]) -> "CohClass":
-        return CohClass(self.model, terms)
+    def _new(self, order: int, num: dict[Monomial, int], den: int) -> "CohClass":
+        return _class(self.model, num, den)
 
     def _compatible(self, other: "CohClass") -> int:
         if self.model is not other.model:
@@ -187,7 +181,7 @@ class CohClass(symcalc._Series):
         return self.order
 
     def _settle(self, order: int, raw: dict[Monomial, int], den: int) -> "CohClass":
-        return CohClass(self.model, self.model.reduce_terms(raw, den))
+        return self.model.reduce_terms(raw, den)
 
     def _names(self) -> tuple[str, ...]:
         return self.model.generators
@@ -200,24 +194,18 @@ class CohClass(symcalc._Series):
             result = result * self
         return result
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohClass)
-            and self.model is other.model
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.model), frozenset(self.terms.items())))
+    def _space(self) -> RingModel:
+        return self.model
 
     #: The part of total degree p.
     component = symcalc._Series.degree_part
 
 
-def _numerators(terms: Mapping[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
-    """The lcm D of the coefficient denominators, and each coefficient times D."""
-    den = lcm(*(q.denominator for q in terms.values()))
-    return den, [(m, q.numerator * (den // q.denominator)) for m, q in terms.items()]
+def _class(model: RingModel, num: dict[Monomial, int], den: int) -> CohClass:
+    """The class with basis numerators num over den, already in lowest terms."""
+    out = CohClass._make(len(model.generators), model.dim, num, den)
+    out.model = model
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +263,9 @@ def product(a: RingModel, b: RingModel) -> RingModel:
     for i, rule in b.rewrites.items():
         rewrites[la + i] = _pad_terms(rule, la, 0)
     model = RingModel(names, a.caps + b.caps, rewrites)
-    ta = CohClass(model, _pad_terms(a.tangent_chern.terms, 0, lb))
-    tb = CohClass(model, _pad_terms(b.tangent_chern.terms, la, 0))
-    model.tangent_chern = ta * tb
+    ta, tb = a.tangent_chern, b.tangent_chern
+    model.tangent_chern = (_class(model, _pad_terms(ta._num, 0, lb), ta._den)
+                           * _class(model, _pad_terms(tb._num, la, 0), tb._den))
     return model
 
 
@@ -287,7 +275,7 @@ def lift_from_base(model: RingModel, cls: CohClass) -> CohClass:
         raise ModelError("model is not a projective bundle")
     if cls.model is not model.base:
         raise ModelError("class does not live on the bundle's base")
-    return CohClass(model, _pad_terms(cls.terms, 0, 1))
+    return _class(model, _pad_terms(cls._num, 0, 1), cls._den)
 
 
 def projective_bundle(base: RingModel, chern_n: CohClass, rank: int) -> RingModel:
@@ -352,12 +340,8 @@ def fiber_integrate(model: RingModel, cls: CohClass) -> CohClass:
     if cls.model is not model:
         raise ModelError("class does not live on this bundle")
     nb = len(model.base.generators)
-    out: dict[Monomial, Fraction] = {}
-    for mono, q in cls.terms.items():
-        if mono[nb] == model.fiber_rank:
-            key = mono[:nb]
-            out[key] = out.get(key, Fraction(0)) + q
-    return CohClass(model.base, out)
+    top = {mono[:nb]: n for mono, n in cls._num.items() if mono[nb] == model.fiber_rank}
+    return _class(model.base, *symcalc._lowest(top, cls._den))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +351,7 @@ def fiber_integrate(model: RingModel, cls: CohClass) -> CohClass:
 
 def integrate(cls: CohClass) -> Fraction:
     """The coefficient of the volume monomial; zero without a top-degree part."""
-    return cls.terms.get(cls.model.caps, Fraction(0))
+    return Fraction(cls._num.get(cls.model.caps, 0), cls._den)
 
 
 def euler_characteristic(model: RingModel) -> int:
@@ -410,18 +394,16 @@ def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) ->
             powers[key] = total_chern.component(k) if e == 1 else power(k, 1) ** e
         return powers[key]
 
-    out: dict[Monomial, Fraction] = {}
-    for expo, q in series.terms.items():
-        if sum((k + 1) * e for k, e in enumerate(expo)) > model.dim:
+    total = model.zero()
+    for expo, n in series._num.items():
+        if symcalc._weighted_degree(expo) > model.dim:
             continue
         acc = None
         for k, e in enumerate(expo, start=1):
             if e:
                 acc = power(k, e) if acc is None else acc * power(k, e)
-        terms = acc.terms if acc is not None else {(0,) * len(model.generators): 1}
-        for m, c in terms.items():
-            out[m] = out.get(m, 0) + q * c
-    return CohClass(model, out)
+        total = total + (model.one() if acc is None else acc) * n
+    return total * Fraction(1, series._den)
 
 
 def todd_class(model: RingModel) -> CohClass:
@@ -446,20 +428,19 @@ def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
     """
     if ch_sheaf.model is not model:
         raise ModelError("ch class does not live on this model")
-    rank = ch_sheaf.terms.get((0,) * len(model.generators), Fraction(0))
+    rank = ch_sheaf.constant_term()
     if rank.denominator != 1:
         raise ModelError(f"ch has non-integral rank {rank}")
-    den_t, todd = _numerators(todd_class(model).terms)
-    den_s, sheaf = _numerators(ch_sheaf.terms)
+    todd = todd_class(model)
     by_degree: dict[int, list[tuple[Monomial, int]]] = {}
-    for ms, ns in sheaf:
+    for ms, ns in ch_sheaf._num.items():
         by_degree.setdefault(sum(ms), []).append((ms, ns))
     raw: dict[Monomial, int] = {}
-    for mt, nt in todd:
+    for mt, nt in todd._num.items():
         for ms, ns in by_degree.get(model.dim - sum(mt), ()):
             key = tuple(map(add, mt, ms))
             raw[key] = raw.get(key, 0) + nt * ns
-    return model.reduce_terms(raw, den_t * den_s).get(model.caps, Fraction(0))
+    return integrate(model.reduce_terms(raw, todd._den * ch_sheaf._den))
 
 
 def ch_line(model: RingModel, divisor: CohClass) -> CohClass:

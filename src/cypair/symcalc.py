@@ -13,10 +13,10 @@ subclasses differ only in the grading and in what a product settles to:
   total degree and truncated at the model's dimension; a product is the
   truncated series product followed by the model's `reduce_terms`.
 
-All coefficients are `fractions.Fraction`; nothing here ever rounds.
-Series are sparse maps from exponent vectors to coefficients with zero
-entries pruned, so equality is plain dictionary equality and a zero
-series is an empty map.  Series of different classes never combine.
+Coefficients are exact rationals, kept as integer numerators over one
+denominator in lowest terms: nothing here ever rounds, equal series have
+equal representations and a zero series has no terms.  Series of
+different classes never combine.
 
 Generators implemented here:
 
@@ -50,20 +50,20 @@ result, so a nonzero residual is reported, not raised.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 Coeffs = Mapping[Exponents, Fraction]
 
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
-#: partitions of the truncation order m + 2: `cypair identities --max-m 14`
-#: takes 6.1-7.7 s and 15 takes 10.5-12.9 s on a 2-CPU Xeon VM.
-MAX_VERIFY_ROOTS = 14
+#: partitions of the truncation order m + 2: `cypair identities --max-m 15`
+#: takes 3.6-4.9 s and 16 takes 7.1 s on a 2-CPU Xeon VM.
+MAX_VERIFY_ROOTS = 15
 
 
 class SymmetryError(ValueError):
@@ -75,54 +75,87 @@ def _weighted_degree(expo: Exponents) -> int:
     return sum((k + 1) * e for k, e in enumerate(expo))
 
 
+class _Terms(Mapping):
+    """The coefficients num[e] / den as `Fraction`s, read-only; `len` is free."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Exponents, int], den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, expo: Exponents) -> Fraction:
+        return Fraction(self._num[expo], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
+def _lowest(num: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:
+    """num / den, for den > 0, without zero numerators and with gcd(den, *num) 1.
+
+    May return `num` itself, which the caller must then leave unchanged.
+    """
+    g = gcd(den, *num.values())  # zero numerators leave the gcd unchanged
+    if 0 in num.values():
+        num = {e: n for e, n in num.items() if n}
+    if g == 1:
+        return num, den
+    return {e: n // g for e, n in num.items()}, den // g
+
+
+def _integer_form(terms: Coeffs) -> tuple[dict[Exponents, int], int]:
+    """Rational coefficients as numerators over their lcm denominator, in lowest terms."""
+    fracs = [(e, q if type(q) is Fraction else Fraction(q)) for e, q in terms.items()]
+    den = lcm(*(q.denominator for _, q in fracs))
+    return {e: q.numerator * (den // q.denominator) for e, q in fracs if q}, den
+
+
 class _Series:
     """Sparse polynomial in m variables, truncated at a graded order.
 
-    `terms` maps exponent vectors to nonzero `Fraction`s.  A subclass
-    fixes the grading, `_degree` of an exponent vector, and the letter
-    `_symbol` its variables print with.  Instances are immutable after
-    construction; every operation builds its result through `_new`.
-    Addition and multiplication truncate at the smaller of the two operand
-    orders, and only series of the same class combine.  A subclass may
-    replace these rules (`_compatible`), the product's result (`_settle`)
-    and the printed variable names (`_names`).
+    The coefficients are integer numerators `_num` over one denominator
+    `_den`, in lowest terms (see `_lowest`).  That form is unique, so
+    equality and hashing compare it; `terms` shows it as `Fraction`s.  A
+    subclass fixes the grading, `_degree` of an exponent vector, and the
+    letter `_symbol` its variables print with.  Instances are immutable;
+    every operation builds its result through `_new`.  Addition and
+    multiplication truncate at the smaller of the two operand orders, and
+    only series of the same class combine.  A subclass may replace these
+    rules (`_compatible`), the product's result (`_settle`), the printed
+    variable names (`_names`) and what equal series share (`_space`).
     """
 
-    __slots__ = ("num_roots", "order", "terms")
+    __slots__ = ("num_roots", "order", "_num", "_den")
 
     def __init__(self, num_roots: int, order: int, terms: Coeffs | None = None):
         if num_roots < 0 or order < 0:
             raise ValueError("num_roots and order must be non-negative")
-        self.num_roots = num_roots
-        self.order = order
         degree = self._degree
-        clean: dict[Exponents, Fraction] = {}
+        kept = {}
         for expo, q in (terms or {}).items():
             if len(expo) != num_roots:
                 raise ValueError(f"exponent vector {expo} has wrong length")
-            if degree(expo) > order:
-                continue
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            if q:
-                clean[expo] = q
-        self.terms = clean
-
-    # -- constructors ---------------------------------------------------
+            if degree(expo) <= order:
+                kept[expo] = q
+        self.num_roots = num_roots
+        self.order = order
+        self._num, self._den = _integer_form(kept)
 
     @classmethod
-    def zero(cls, num_roots: int, order: int) -> "_Series":
-        return cls(num_roots, order)
-
-    @classmethod
-    def constant(cls, num_roots: int, order: int, value) -> "_Series":
-        return cls(num_roots, order, {(0,) * num_roots: Fraction(value)})
+    def _make(cls, num_roots: int, order: int, num: dict, den: int) -> "_Series":
+        """A series from numerators already in lowest terms, unchecked."""
+        out = object.__new__(cls)
+        out.num_roots, out.order, out._num, out._den = num_roots, order, num, den
+        return out
 
     # -- hooks a subclass may replace ----------------------------------
 
-    def _new(self, order: int, terms: Coeffs) -> "_Series":
-        """A series of the same kind as self, with the given order and terms."""
-        return type(self)(self.num_roots, order, terms)
+    def _new(self, order: int, num: dict[Exponents, int], den: int) -> "_Series":
+        """A series of the same kind as self from numerators in lowest terms."""
+        return self._make(self.num_roots, order, num, den)
 
     def _compatible(self, other: "_Series") -> int:
         """Check that other combines with self; the order of the result."""
@@ -132,32 +165,47 @@ class _Series:
 
     def _settle(self, order: int, raw: dict[Exponents, int], den: int) -> "_Series":
         """The product whose coefficients are raw[e] / den."""
-        return self._new(order, {e: Fraction(n, den) for e, n in raw.items()})
+        return self._new(order, *_lowest(raw, den))
 
     def _names(self) -> list[str]:
         return [f"{self._symbol}{i}" for i in range(1, self.num_roots + 1)]
 
+    def _space(self):
+        """What two equal series share besides their class and coefficients."""
+        return self.num_roots, self.order
+
     # -- arithmetic ------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        return _Terms(self._num, self._den)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
     def __add__(self, other):
-        if type(other) is type(self):
-            order = self._compatible(other)
-            terms = dict(self.terms)
-            for e, q in other.terms.items():
-                prev = terms.get(e)
-                terms[e] = q if prev is None else prev + q
-            return self._new(order, terms)
-        return self + self._new(self.order, {(0,) * self.num_roots: Fraction(other)})
+        if type(other) is not type(self):
+            q = Fraction(other)
+            const = {(0,) * self.num_roots: q.numerator} if q else {}
+            other = self._new(self.order, const, q.denominator)
+        order = self._compatible(other)
+        den = lcm(self._den, other._den)
+        scale_a, scale_b = den // self._den, den // other._den
+        num = {e: n * scale_a for e, n in self._num.items()} if scale_a > 1 else dict(self._num)
+        for e, n in other._num.items():
+            num[e] = num.get(e, 0) + n * scale_b
+        if order < self.order or order < other.order:
+            degree = self._degree
+            num = {e: n for e, n in num.items() if degree(e) <= order}
+        return self._new(order, *_lowest(num, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(self.order, {e: -q for e, q in self.terms.items()})
+        return self._new(self.order, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if type(other) is type(self):
-            return self + (-other)
-        return self + (-Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -165,94 +213,90 @@ class _Series:
     def __mul__(self, other):
         if type(other) is not type(self):
             q = Fraction(other)
-            return self._new(self.order, {e: c * q for e, c in self.terms.items()})
+            n = q.numerator
+            scaled = {e: c * n for e, c in self._num.items()}
+            return self._new(self.order, *_lowest(scaled, self._den * q.denominator))
         order = self._compatible(other)
         degree = self._degree
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         if len(b) < len(a):
             a, b = b, a
-        # Accumulate integer numerators over the common denominators and
-        # reduce each output coefficient once.
-        den_a = lcm(*(q.denominator for q in a.values()))
-        den_b = lcm(*(q.denominator for q in b.values()))
-        graded_b = sorted(
-            (degree(eb), eb, qb.numerator * (den_b // qb.denominator))
-            for eb, qb in b.items()
-        )
+        graded_b = sorted((degree(eb), eb, nb) for eb, nb in b.items())
         out: dict[Exponents, int] = {}
-        for ea, qa in a.items():
-            na = qa.numerator * (den_a // qa.denominator)
+        get = out.get
+        for ea, na in a.items():
             room = order - degree(ea)
             for db, eb, nb in graded_b:
                 if db > room:
                     break
                 e = tuple(map(add, ea, eb))
-                out[e] = out.get(e, 0) + na * nb
-        return self._settle(order, out, den_a * den_b)
+                out[e] = get(e, 0) + na * nb
+        return self._settle(order, out, self._den * other._den)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.num_roots == other.num_roots
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return (type(other) is type(self) and self._space() == other._space()
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.num_roots, self.order, frozenset(self.terms.items())))
+        return hash((self._space(), self._den, frozenset(self._num.items())))
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def truncate(self, order: int) -> "_Series":
         if order >= self.order:
-            return self._new(order, self.terms)
-        degree = self._degree
-        return self._new(
-            order, {e: q for e, q in self.terms.items() if degree(e) <= order})
+            return self._new(order, self._num, self._den)
+        return self._part(order, range(order + 1))
 
     def degree_part(self, p) -> "_Series":
         """Extract the homogeneous part of degree p, or of a range of degrees."""
-        degrees = range(p, p + 1) if isinstance(p, int) else p
+        return self._part(self.order, range(p, p + 1) if isinstance(p, int) else p)
+
+    def _part(self, order: int, degrees) -> "_Series":
         degree = self._degree
-        return self._new(
-            self.order, {e: q for e, q in self.terms.items() if degree(e) in degrees})
+        kept = {e: n for e, n in self._num.items() if degree(e) in degrees}
+        return self._new(order, *_lowest(kept, self._den))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_roots, Fraction(0))
+        return Fraction(self._num.get((0,) * self.num_roots, 0), self._den)
 
     def inverse(self) -> "_Series":
-        """Multiplicative inverse, by recursion on homogeneous degree.
+        """Multiplicative inverse; requires a nonzero constant term c0.
 
-        Requires a nonzero constant term.
+        u = 1 - self / c0 has no constant term, so u^(order + 1) vanishes
+        and 1 / self = (1 + u + ... + u^order) / c0, summed by Horner's rule.
         """
         c0 = self.constant_term()
         if c0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        zero = self._new(self.order, {})
-        homog = [self.degree_part(d) for d in range(self.order + 1)]
-        inv = [zero + 1 / c0]
-        for d in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, d + 1):
-                acc = acc + homog[k] * inv[d - k]
-            inv.append(acc * (-1 / c0))
-        return sum(inv, zero)
+        u = 1 - self * (1 / c0)
+        inv = self._new(self.order, {}, 1) + 1
+        for _ in range(self.order):
+            inv = inv * u + 1
+        return inv * (1 / c0)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         names = self._names()
         bits = []
-        for expo in sorted(self.terms, key=lambda e: (self._degree(e), e)):
+        for expo in sorted(self._num, key=lambda e: (self._degree(e), e)):
             mono = "*".join(
                 names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(expo) if k
             )
-            q = self.terms[expo]
+            q = Fraction(self._num[expo], self._den)
             bits.append(f"{q}" if not mono else f"{q}*{mono}")
         return " + ".join(bits)
+
+
+def _zero(cls, num_roots: int, order: int):
+    return cls(num_roots, order)
+
+
+def _constant(cls, num_roots: int, order: int, value):
+    return cls(num_roots, order, {(0,) * num_roots: value})
 
 
 class RootSeries(_Series):
@@ -263,6 +307,8 @@ class RootSeries(_Series):
     _symbol = "x"
     # Own entry: the benchmark's tracer times it as `symcalc.root_mul`.
     __mul__ = __rmul__ = _Series.__mul__
+    zero = classmethod(_zero)
+    constant = classmethod(_constant)
 
     @classmethod
     def variable(cls, num_roots: int, order: int, j: int) -> "RootSeries":
@@ -301,6 +347,8 @@ class ChernSeries(_Series):
     _symbol = "c"
     # Own entry: the benchmark's tracer times it as `symcalc.chern_mul`.
     __mul__ = __rmul__ = _Series.__mul__
+    zero = classmethod(_zero)
+    constant = classmethod(_constant)
 
     @classmethod
     def chern_class(cls, num_roots: int, order: int, k: int) -> "ChernSeries":
@@ -348,8 +396,8 @@ def expand_to_roots(series: ChernSeries, order: int | None = None) -> RootSeries
         order = series.order
     m = series.num_roots
     total = RootSeries.zero(m, order)
-    for expo, q in series.terms.items():
-        acc = RootSeries.constant(m, order, q)
+    for expo, n in series._num.items():
+        acc = RootSeries.constant(m, order, n)
         for k, e in enumerate(expo, start=1):
             if not e:
                 continue
@@ -357,20 +405,21 @@ def expand_to_roots(series: ChernSeries, order: int | None = None) -> RootSeries
             for _ in range(e):
                 acc = acc * ek
         total = total + acc
-    return total
+    return total * Fraction(1, series._den)
 
 
 def _check_symmetric(series: RootSeries) -> None:
-    m = series.num_roots
+    m, num, den = series.num_roots, series._num, series._den
     for i in range(m - 1):
-        for expo, q in series.terms.items():
+        for expo, n in num.items():
             swapped = list(expo)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            other = series.terms.get(tuple(swapped), Fraction(0))
-            if other != q:
+            other = num.get(tuple(swapped), 0)
+            if other != n:
                 raise SymmetryError(
                     f"series is not symmetric: swapping x{i + 1} and x{i + 2} "
-                    f"sends the coefficient of {expo} from {q} to {other}"
+                    f"sends the coefficient of {expo} from {Fraction(n, den)} "
+                    f"to {Fraction(other, den)}"
                 )
 
 
@@ -385,8 +434,10 @@ def symmetrize_to_chern(series: RootSeries) -> ChernSeries:
     """
     _check_symmetric(series)
     m, order = series.num_roots, series.order
-    work = dict(series.terms)
-    out: dict[Exponents, Fraction] = {}
+    # Numerators over series._den throughout: a Chern monomial expands to
+    # integer root coefficients.
+    work = dict(series._num)
+    out: dict[Exponents, int] = {}
     while work:
         alpha = max(work)
         if any(alpha[i] < alpha[i + 1] for i in range(m - 1)):
@@ -398,17 +449,15 @@ def symmetrize_to_chern(series: RootSeries) -> ChernSeries:
         cexpo = tuple(
             alpha[k] - alpha[k + 1] if k < m - 1 else alpha[k] for k in range(m)
         )
-        out[cexpo] = out.get(cexpo, Fraction(0)) + coeff
-        expansion = expand_to_roots(
-            ChernSeries(m, order, {cexpo: Fraction(1)}), order
-        )
-        for e, q in expansion.terms.items():
-            val = work.get(e, Fraction(0)) - coeff * q
+        out[cexpo] = out.get(cexpo, 0) + coeff
+        expansion = expand_to_roots(ChernSeries(m, order, {cexpo: 1}), order)
+        for e, q in expansion._num.items():
+            val = work.get(e, 0) - coeff * q
             if val == 0:
                 work.pop(e, None)
             else:
                 work[e] = val
-    return ChernSeries(m, order, out)
+    return ChernSeries._make(m, order, *_lowest(out, series._den))
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +533,6 @@ def todd_prime_roots(num_roots: int, order: int) -> RootSeries:
     return slope
 
 
-def shift_derivative(series: RootSeries) -> RootSeries:
-    """d/dt of series(x_1 + t, ..., x_m + t) at t = 0, i.e. sum_j d/dx_j.
-
-    Same uniform-shift derivative that defines the shifted Todd series;
-    exposed so callers can apply it to other symmetric series (for
-    instance the elementary symmetric polynomials).
-    """
-    m = series.num_roots
-    out: dict[Exponents, Fraction] = {}
-    for expo, q in series.terms.items():
-        for j in range(m):
-            if expo[j] == 0:
-                continue
-            e = list(expo)
-            e[j] -= 1
-            key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + q * expo[j]
-    return RootSeries(m, series.order, out)
-
-
 @lru_cache(maxsize=None)
 def _exterior_levels(num_roots: int, order: int) -> tuple[RootSeries, ...]:
     """e_r(exp(-x_1), ..., exp(-x_m)) for every r at once, by one pass of
@@ -528,16 +557,6 @@ def ch_exterior_roots(num_roots: int, r: int, order: int) -> RootSeries:
     if not 0 <= r <= num_roots:
         raise ValueError(f"exterior power {r} out of range 0..{num_roots}")
     return _exterior_levels(num_roots, order)[r]
-
-
-def embed_roots(series: RootSeries, num_roots: int, offset: int = 0) -> RootSeries:
-    """View a series in m roots inside a larger root set, shifted by offset."""
-    if offset < 0 or offset + series.num_roots > num_roots:
-        raise ValueError("embedded roots do not fit in the target root set")
-    pad_left = (0,) * offset
-    pad_right = (0,) * (num_roots - offset - series.num_roots)
-    terms = {pad_left + e + pad_right: q for e, q in series.terms.items()}
-    return RootSeries(num_roots, series.order, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from cypair import chow
+from cypair import chow, symcalc
 from cypair.chow import (
     CohClass,
     ModelError,
@@ -31,6 +31,22 @@ from cypair.chow import (
 # ---------------------------------------------------------------------------
 # projective spaces and products
 # ---------------------------------------------------------------------------
+
+
+def test_zero_and_constant_classes_come_from_the_model():
+    # A class needs its model, so only the series with a variable count
+    # have the zero/constant classmethods; RingModel builds those classes.
+    for name in ("zero", "constant"):
+        assert not hasattr(CohClass, name)
+        assert not hasattr(symcalc._Series, name)
+        for cls in (symcalc.RootSeries, symcalc.ChernSeries):
+            assert getattr(cls, name)(2, 3, *([1] if name == "constant" else [])).order == 3
+    model = product(projective_space(1), projective_space(2))
+    zero, one = model.zero(), model.one()
+    assert zero.is_zero() and zero.model is model
+    assert one == model.constant(1) and one.model is model
+    assert one * model.gen_class(0) == model.gen_class(0)
+    assert zero + 3 == model.constant(3)
 
 
 def test_point_model():

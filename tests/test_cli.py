@@ -176,6 +176,33 @@ def test_random_reports_match_recorded_digests(capsys, command, seed):
     assert digest == RANDOM_REPORT_DIGESTS[command, seed]
 
 
+# sha256 of exact-arithmetic reports: `identities --max-m 8 --json`, and the
+# concatenated `hrr cp --json` stdout for n = 0..10, every p and twists
+# -1..2.  Rationals print as reduced "p/q", so the digests pin the values
+# and their printed form whatever the series store internally.
+IDENTITIES_M8_DIGEST = "f38ec16aeb06a9242d0199074e48ab58699b0292dd44eaa56f638894b0c0b0d3"
+HRR_CP_N10_DIGEST = "1d38ecf4f2a5191f13745003e6d1d47dbb689e620e0b8abb518f3a16fda108be"
+
+
+def test_identities_report_matches_recorded_digest(capsys):
+    code, out, _ = run_cli(["identities", "--max-m", "8", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_M8_DIGEST
+
+
+def test_hrr_cp_reports_match_recorded_digest(capsys):
+    outs = []
+    for n in range(11):
+        for p in range(n + 1):
+            for twist in (-1, 0, 1, 2):
+                code, out, _ = run_cli(
+                    ["hrr", "cp", "--n", str(n), "--p", str(p), "--twist", str(twist),
+                     "--json"], capsys)
+                assert code == 0
+                outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == HRR_CP_N10_DIGEST
+
+
 def test_blowup_check_requires_one_mode(capsys, triangle_table_path):
     code, _, err = run_cli(["blowup-check"], capsys)
     assert code == 2

@@ -2,8 +2,11 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cypair import chow, symcalc
 from cypair.symcalc import (
@@ -13,9 +16,7 @@ from cypair.symcalc import (
     ch_exterior,
     ch_exterior_roots,
     elementary_symmetric,
-    embed_roots,
     expand_to_roots,
-    shift_derivative,
     symmetrize_to_chern,
     todd,
     todd_prime,
@@ -24,6 +25,24 @@ from cypair.symcalc import (
     verify_shifted_class_identities,
     verify_total_class_identities,
 )
+
+
+def shift_derivative(series):
+    """d/dt of series(x_1 + t, ..., x_m + t) at t = 0, i.e. sum_j d/dx_j."""
+    out = {}
+    for expo, q in series.terms.items():
+        for j, k in enumerate(expo):
+            if k:
+                key = expo[:j] + (k - 1,) + expo[j + 1:]
+                out[key] = out.get(key, 0) + q * k
+    return RootSeries(series.num_roots, series.order, out)
+
+
+def embed_roots(series, num_roots, offset):
+    """A series in m roots viewed inside num_roots roots, shifted by offset."""
+    pad = num_roots - offset - series.num_roots
+    return RootSeries(num_roots, series.order, {
+        (0,) * offset + e + (0,) * pad: q for e, q in series.terms.items()})
 
 
 def cs(m, order, terms):
@@ -335,6 +354,157 @@ def test_root_and_chern_series_never_combine():
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(a, b)
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator, against a Fraction-dict oracle
+# ---------------------------------------------------------------------------
+
+
+def _ring_models():
+    p1 = chow.projective_space(1)
+    h = p1.gen_class(0)
+    p1p1 = chow.product(p1, p1)
+    h1, h2 = p1p1.gen_class(0), p1p1.gen_class(1)
+    return [
+        chow.projective_space(2),
+        p1p1,
+        chow.projective_bundle(p1, p1.one() + 2 * h, 1),
+        chow.projective_bundle(p1p1, p1p1.one() + h1 - h2, 1),
+    ]
+
+
+RING_MODELS = _ring_models()
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two operands of one kind, each with the oracle's copy of its terms."""
+    kind = draw(st.sampled_from(["roots", "chern", "ring"]))
+    if kind == "ring":
+        model = draw(st.sampled_from(RING_MODELS))
+        keys = st.sampled_from(model.basis())
+        pairs = []
+        for _ in range(2):
+            terms = draw(st.dictionaries(keys, RATIONALS, max_size=8))
+            pairs.append((chow.CohClass(model, terms), {e: q for e, q in terms.items() if q}))
+        return pairs
+    cls = RootSeries if kind == "roots" else ChernSeries
+    m = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, 3)] * m)
+    pairs = []
+    for _ in range(2):
+        order = draw(st.integers(0, 4))
+        terms = draw(st.dictionaries(keys, RATIONALS, max_size=8))
+        series = cls(m, order, terms)
+        pairs.append((series, {e: q for e, q in terms.items()
+                               if q and _oracle_degree(series)(e) <= order}))
+    return pairs
+
+
+def _oracle_degree(series):
+    if isinstance(series, ChernSeries):
+        return lambda e: sum(k * x for k, x in enumerate(e, start=1))
+    return sum
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for e, q in b.items():
+        out[e] = out.get(e, 0) + q
+    return {e: q for e, q in out.items() if q}
+
+
+def _oracle_scale(a, s):
+    return {e: q * s for e, q in a.items() if q * s}
+
+
+def _oracle_mul(a, b, series, order):
+    """Full convolution, then truncation, or reduction on a ring model."""
+    raw = {}
+    for ea, qa in a.items():
+        for eb, qb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            raw[e] = raw.get(e, 0) + qa * qb
+    degree = _oracle_degree(series)
+    raw = {e: q for e, q in raw.items() if q and degree(e) <= order}
+    if not isinstance(series, chow.CohClass):
+        return raw
+    out = {}
+    for e, q in raw.items():
+        series.model._reduce_into(e, q, out)
+    return {e: q for e, q in out.items() if q}
+
+
+def _oracle_inverse(a, series):
+    """The recursion on homogeneous degree, in Fractions."""
+    degree, order = _oracle_degree(series), series.order
+    zero = (0,) * series.num_roots
+    c0 = a[zero]
+    homog = [{e: q for e, q in a.items() if degree(e) == d} for d in range(order + 1)]
+    inv = [{zero: 1 / c0}]
+    for d in range(1, order + 1):
+        acc = {}
+        for k in range(1, d + 1):
+            acc = _oracle_add(acc, _oracle_mul(homog[k], inv[d - k], series, order))
+        inv.append(_oracle_scale(acc, -1 / c0))
+    total = {}
+    for part in inv:
+        total = _oracle_add(total, part)
+    return total
+
+
+def _assert_lowest_terms(series):
+    nums = list(series._num.values())
+    assert series._den > 0
+    assert 0 not in nums
+    assert gcd(series._den, *nums) == 1
+    # The same value built through the public constructor is equal and
+    # hashes equal.
+    if isinstance(series, chow.CohClass):
+        rebuilt = chow.CohClass(series.model, dict(series.terms))
+    else:
+        rebuilt = type(series)(series.num_roots, series.order, dict(series.terms))
+    assert rebuilt == series
+    assert hash(rebuilt) == hash(series)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_pairs(), RATIONALS)
+def test_integer_form_matches_fraction_oracle(pairs, scalar):
+    (a, ta), (b, tb) = pairs
+    order = min(a.order, b.order)
+    degree = _oracle_degree(a)
+
+    def cut(terms):
+        return {e: q for e, q in terms.items() if degree(e) <= order}
+
+    for series in (a, b):
+        _assert_lowest_terms(series)
+    results = [
+        (a + b, cut(_oracle_add(ta, tb))),
+        (a - b, cut(_oracle_add(ta, _oracle_scale(tb, -1)))),
+        (a * b, _oracle_mul(ta, tb, a, order)),
+        (a * scalar, _oracle_scale(ta, scalar)),
+        (scalar * b, _oracle_scale(tb, scalar)),
+        (a + scalar, _oracle_add(ta, {(0,) * a.num_roots: scalar})),
+        (-a, _oracle_scale(ta, -1)),
+    ]
+    for k in range(a.order + 1):
+        results.append((a.truncate(k), {e: q for e, q in ta.items() if degree(e) <= k}))
+        results.append((a.degree_part(k), {e: q for e, q in ta.items() if degree(e) == k}))
+    if ta.get((0,) * a.num_roots):
+        results.append((a.inverse(), _oracle_inverse(ta, a)))
+    else:
+        with pytest.raises(ValueError):
+            a.inverse()
+    for result, expected in results:
+        assert type(result) is type(a)
+        assert dict(result.terms) == expected
+        assert len(result) == len(expected)
+        _assert_lowest_terms(result)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
 
 
 # ---------------------------------------------------------------------------
