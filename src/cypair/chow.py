@@ -18,8 +18,9 @@ confluent.
 Chern classes of tangent bundles are carried along: (1+h)^{n+1} for
 projective space, Whitney products across products, and the relative
 Euler sequence for projective bundles.  `hrr_chi` integrates
-Td(T) * ch(E) by evaluating the universal Todd polynomial from `symcalc`
-at the model's tangent Chern classes.
+Td(T) * ch(E).  Td(T) and every ch Lambda^p T* come from `symcalc`'s genus
+algorithms run on the model's classes c_k(T); the power sums p_k(T) they
+start from, Td and the ch Lambda^p are kept on the model.
 
 A class is a `symcalc` series in the model's generators, graded by total
 degree and truncated at the dimension, that holds coefficients of basis
@@ -30,15 +31,14 @@ maps each distinct raw monomial through a per-model memo once and returns
 the class.  A class product is the truncated series product, whose raw
 monomials go to that reducer instead of becoming coefficients.  `hrr_chi`
 pairs only the terms of Td and ch whose degrees add up to the dimension,
-so the product Td * ch is never formed.  The powers c_k(T)^e that the
-genera are evaluated at are kept on the model too.
+so the product Td * ch is never formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add
 from typing import Mapping
 
@@ -74,11 +74,11 @@ class RingModel:
         self.base = base
         self.fiber_rank = fiber_rank
         self.tangent_chern: CohClass = self.one()  # set once by the constructors
+        self._power_sums: list[CohClass] | None = None  # genera of T, built on first use
         self._todd: CohClass | None = None
+        self._exterior: tuple[CohClass, ...] | None = None
         # raw exponent tuple -> (denominator, ((basis monomial, numerator), ...))
         self._reduced: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
-        # {(k, e): c_k(T)^e}, kept by `evaluate_chern_series`
-        self._tangent_powers: dict[tuple[int, int], CohClass] = {}
 
     # -- class constructors ----------------------------------------------
 
@@ -109,8 +109,9 @@ class RingModel:
 
     # -- monomial reduction ----------------------------------------------
 
-    def reduce_terms(self, raw: Mapping[Monomial, int], den: int) -> "CohClass":
-        """The class sum_m raw[m] * m / den, for integers raw[m] and den > 0."""
+    def reduce_terms(self, raw: Mapping[Monomial, int], den: int, order=None) -> "CohClass":
+        """The class sum_m raw[m] * m / den, for integers raw[m] and den > 0, of order
+        `order` (default: the dimension), which no raw monomial's degree exceeds."""
         vectors = [self._reduced_vector(mono) for mono in raw]
         common = lcm(*(d for d, _ in vectors))
         out: dict[Monomial, int] = {}
@@ -118,7 +119,7 @@ class RingModel:
             scale = n * (common // d)
             for mono, v in vector:
                 out[mono] = out.get(mono, 0) + scale * v
-        return _class(self, *symcalc._lowest(out, den * common))
+        return _class(self, *symcalc._lowest(out, den * common), order)
 
     def _reduced_vector(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
         """The memoized reduction of one raw monomial, as integer numerators."""
@@ -173,15 +174,15 @@ class CohClass(symcalc._Series):
         symcalc._Series.__init__(self, len(model.generators), model.dim, terms)
 
     def _new(self, order: int, num: dict[Monomial, int], den: int) -> "CohClass":
-        return _class(self.model, num, den)
+        return _class(self.model, num, den, order)
 
     def _compatible(self, other: "CohClass") -> int:
         if self.model is not other.model:
             raise ModelError("classes belong to different ring models")
-        return self.order
+        return min(self.order, other.order)
 
     def _settle(self, order: int, raw: dict[Monomial, int], den: int) -> "CohClass":
-        return self.model.reduce_terms(raw, den)
+        return self.model.reduce_terms(raw, den, order)
 
     def _names(self) -> tuple[str, ...]:
         return self.model.generators
@@ -189,7 +190,7 @@ class CohClass(symcalc._Series):
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined")
-        result = self.model.one()
+        result = self._new(self.order, {}, 1) + 1
         for _ in range(k):
             result = result * self
         return result
@@ -201,9 +202,9 @@ class CohClass(symcalc._Series):
     component = symcalc._Series.degree_part
 
 
-def _class(model: RingModel, num: dict[Monomial, int], den: int) -> CohClass:
-    """The class with basis numerators num over den, already in lowest terms."""
-    out = CohClass._make(len(model.generators), model.dim, num, den)
+def _class(model: RingModel, num: dict[Monomial, int], den: int, order=None) -> CohClass:
+    """The class num / den, basis numerators in lowest terms, of order `order` or dim."""
+    out = CohClass._make(len(model.generators), model.dim if order is None else order, num, den)
     out.model = model
     return out
 
@@ -382,38 +383,30 @@ def adiabatic_coefficient(model: RingModel) -> Fraction:
 def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) -> CohClass:
     """Evaluate a universal polynomial in c_1..c_m at actual Chern classes.
 
-    At the model's own `tangent_chern` the components and the powers
-    c_k^e are kept on the model, so every genus evaluated there shares them.
+    No genus is computed this way: the ring genera are checked against it.
     """
     model = total_chern.model
-    powers = model._tangent_powers if total_chern is model.tangent_chern else {}
-
-    def power(k: int, e: int) -> CohClass:
-        key = (k, e)
-        if key not in powers:
-            powers[key] = total_chern.component(k) if e == 1 else power(k, 1) ** e
-        return powers[key]
-
+    power = lru_cache(maxsize=None)(lambda k, e: total_chern.component(k) ** e)
     total = model.zero()
     for expo, n in series._num.items():
-        if symcalc._weighted_degree(expo) > model.dim:
-            continue
-        acc = None
-        for k, e in enumerate(expo, start=1):
-            if e:
-                acc = power(k, e) if acc is None else acc * power(k, e)
-        total = total + (model.one() if acc is None else acc) * n
+        if symcalc._weighted_degree(expo) <= model.dim:
+            acc = prod((power(k, e) for k, e in enumerate(expo, 1) if e), start=model.one())
+            total = total + acc * n
     return total * Fraction(1, series._den)
+
+
+def _tangent_power_sums(model: RingModel) -> list[CohClass]:
+    """p_0 = dim, p_1, ..., p_dim of the Chern roots of T, kept on the model."""
+    if model._power_sums is None:
+        chern = [model.tangent_chern.component(k) for k in range(model.dim + 1)]
+        model._power_sums = symcalc._power_sums(chern, model.dim)
+    return model._power_sums
 
 
 def todd_class(model: RingModel) -> CohClass:
     """Td of the tangent bundle, as a class on the model."""
     if model._todd is None:
-        if model.dim == 0:
-            model._todd = model.one()
-        else:
-            universal = symcalc.todd(model.dim, model.dim)
-            model._todd = evaluate_chern_series(universal, model.tangent_chern)
+        model._todd = symcalc._todd_genus(_tangent_power_sums(model), model.one())
     return model._todd
 
 
@@ -459,10 +452,10 @@ def ch_cotangent_exterior(model: RingModel, p: int) -> CohClass:
     """ch of the p-th exterior power of the cotangent bundle."""
     if not 0 <= p <= model.dim:
         raise ValueError(f"exterior power {p} out of range 0..{model.dim}")
-    if model.dim == 0:
-        return model.one() if p == 0 else model.zero()
-    universal = symcalc.ch_exterior(model.dim, p, model.dim)
-    return evaluate_chern_series(universal, model.tangent_chern)
+    if model._exterior is None:
+        model._exterior = symcalc._exterior_genus(
+            _tangent_power_sums(model), model.one(), model.dim)
+    return model._exterior[p]
 
 
 def chi_twisted_hodge(n: int, p: int, s: int) -> Fraction:

@@ -24,10 +24,11 @@ from . import chow, hodge, sncpair, symcalc
 
 DEFAULT_SEED = 7
 
-#: Largest accepted `hrr cp --n`.  The universal Todd and ch series in n
-#: roots grow with the partitions of n: `hrr cp --n 19 --p 9 --twist 1`
-#: takes 7.1-8.7 s and n = 20 takes 11.9-12.7 s on a 2-CPU Xeon VM.
-MAX_HRR_N = 19
+#: Largest accepted `hrr cp --n`.  Td and every ch Lambda^p are built in
+#: the ring of P^n, in O(n^2) class products: `hrr cp --n 75 --p 37` with a
+#: 39-digit `--twist` takes 2.1-2.9 s and n = 80 takes 2.7-3.7 s on a 2-CPU
+#: Xeon VM; at 75 a machine 3x slower stays under 10 s.
+MAX_HRR_N = 75
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
 #: with s = r hyperplanes has 2^(r+1) - 1 strata.  With `--d` and every

@@ -28,12 +28,13 @@ Generators implemented here:
 `todd`, `todd_prime` and `ch_exterior` build them in the Chern basis,
 where a series of order n has as many terms as there are partitions of
 the degrees up to n.  Newton's identities give the power sums p_k of the
-roots in the c-basis (p_0 = m); Td = exp(sum_k a_k p_k), with a_k the
+roots from c_1..c_m (p_0 = m); Td = exp(sum_k a_k p_k), with a_k the
 coefficients of log(x / (1 - exp(-x))), is a graded exponential.  The
 uniform shift acts on power sums as the derivation p_k -> k p_{k-1}, so
 Td' = Td * sum_k k a_k p_{k-1}.  ch Lambda^r E* = e_r(exp(-x)) comes from
 Newton's identities for z_j = exp(-x_j) - 1 and
-e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  These steps take the Chern
+classes as input: `chow` runs them on a ring model's c_k(T).
 
 `todd_roots`, `todd_prime_roots` (with a nilpotent shift variable,
 t^2 = 0) and `ch_exterior_roots` build the same series in root
@@ -53,7 +54,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add
 
 Exponents = tuple[int, ...]
@@ -493,10 +494,6 @@ def _todd_factor_coeffs(order: int) -> list[Fraction]:
     return h
 
 
-def _derivative_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
-    return [k * coeffs[k] for k in range(1, len(coeffs))]
-
-
 # ---------------------------------------------------------------------------
 # genus generators in root coordinates: the reference oracle
 # ---------------------------------------------------------------------------
@@ -523,7 +520,7 @@ def todd_prime_roots(num_roots: int, order: int) -> RootSeries:
     if num_roots < 1:
         raise ValueError("Todd series needs at least one root")
     base = _todd_factor_coeffs(order + 1)
-    deriv = _derivative_coeffs(base)
+    deriv = [k * q for k, q in enumerate(base)][1:]
     value = RootSeries.constant(num_roots, order, 1)
     slope = RootSeries.zero(num_roots, order)
     for j in range(num_roots):
@@ -577,53 +574,90 @@ def _log_todd_factor_coeffs(order: int) -> list[Fraction]:
     return a
 
 
-def _power_sums(num_roots: int, order: int) -> list[ChernSeries]:
-    """The power sums p_0 = m, p_1, ..., p_order of the roots in the c-basis.
+def _power_sums(chern: list[_Series], order: int) -> list[_Series]:
+    """The power sums p_0 = m, p_1, ..., p_order of m roots with Chern classes
+    [c_0 = 1, c_1, ..., c_m], all `ChernSeries` or all classes of one model.
 
     Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
     + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
     """
-    m = num_roots
-    chern = [ChernSeries.chern_class(m, order, i) for i in range(min(m, order) + 1)]
-    sums = [ChernSeries.constant(m, order, m)]
+    m = len(chern) - 1
+    sums = [chern[0] * m]
     for k in range(1, order + 1):
-        acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else ChernSeries.zero(m, order)
+        acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else chern[0] * 0
         for i in range(1, min(k - 1, m) + 1):
             acc = acc + chern[i] * sums[k - i] * (-1) ** (i - 1)
         sums.append(acc)
     return sums
 
 
-def _graded_exp(parts: list[ChernSeries], num_roots: int, order: int) -> list[ChernSeries]:
+def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:
     """The graded pieces E_0, ..., E_n of exp(X_1 t + ... + X_n t^n).
 
     `parts` holds X_1..X_n.  E_0 = 1 and d E_d = sum_{k=1}^{d} k X_k E_{d-k},
     the recurrence that d/dt exp(X) = X' exp(X) gives degree by degree.
     """
     scaled = [x * k for k, x in enumerate(parts, 1)]
-    pieces = [ChernSeries.constant(num_roots, order, 1)]
+    pieces = [unit]
     for d in range(1, len(parts) + 1):
-        acc = ChernSeries.zero(num_roots, order)
-        for k in range(1, d + 1):
-            acc = acc + scaled[k - 1] * pieces[d - k]
+        acc = sum((scaled[k - 1] * pieces[d - k] for k in range(1, d)), scaled[d - 1])
         pieces.append(acc * Fraction(1, d))
     return pieces
 
 
+def _todd_genus(sums: list[_Series], unit: _Series) -> _Series:
+    """Td = exp(sum_k a_k p_k) from the power sums p_0..p_n of `_power_sums`.
+
+    a_k are the coefficients of log(x / (1 - exp(-x))); a_k p_k has degree
+    k, so the graded exponential yields Td one degree at a time.
+    """
+    a = _log_todd_factor_coeffs(len(sums) - 1)
+    parts = [p * a_k for p, a_k in zip(sums[1:], a[1:])]
+    return sum(_graded_exp(parts, unit)[1:], unit)
+
+
+def _exterior_genus(sums: list[_Series], unit: _Series, m: int) -> tuple[_Series, ...]:
+    """ch Lambda^r E*, r = 0..m, of a rank-m bundle E from its power sums p_0..p_n.
+
+    ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
+    sums of z are P_n = sum_i [x^i](exp(-x) - 1)^n p_i, where
+    [x^i](exp(-x) - 1)^n = (-1)^i n! S(i, n) / i! with S the Stirling
+    numbers of the second kind.  Newton's identities,
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
+    exponential of X_n = (-1)^{n-1} P_n / n, and e_k(z) starts in degree k.
+    Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+    """
+    order = len(sums) - 1
+    zero = unit * 0
+    top = min(m, order)
+    stirling = [1] + [0] * order  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
+    parts = []
+    for n in range(1, top + 1):
+        stirling = list(itertools.accumulate(
+            stirling[:-1], lambda left, up: n * left + up, initial=0))
+        sign = (-1) ** (n - 1) * factorial(n - 1)
+        parts.append(sum(
+            (sums[i] * Fraction((-1) ** i * sign * stirling[i], factorial(i))
+             for i in range(n, order + 1)), zero))
+    elementary = _graded_exp(parts, unit)
+    return tuple(
+        sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
+        for r in range(m + 1)
+    )
+
+
+def _universal_power_sums(num_roots: int, order: int) -> tuple[list[ChernSeries], ChernSeries]:
+    """The power sums of the roots in the c-basis, and the unit series c_0."""
+    chern = [ChernSeries.chern_class(num_roots, order, k) for k in range(num_roots + 1)]
+    return _power_sums(chern, order), chern[0]
+
+
 @lru_cache(maxsize=None)
 def todd(num_roots: int, order: int) -> ChernSeries:
-    """The Todd series prod_j x_j / (1 - exp(-x_j)) in the Chern-class basis.
-
-    Td = exp(sum_k a_k p_k) with a_k the coefficients of
-    log(x / (1 - exp(-x))); the weighted degree of a_k p_k is k, so the
-    graded exponential yields Td one weighted degree at a time.
-    """
+    """The Todd series prod_j x_j / (1 - exp(-x_j)) in the Chern-class basis."""
     if num_roots < 1:
         raise ValueError("Todd series needs at least one root")
-    a = _log_todd_factor_coeffs(order)
-    sums = _power_sums(num_roots, order)
-    parts = [sums[k] * a[k] for k in range(1, order + 1)]
-    return sum(_graded_exp(parts, num_roots, order), ChernSeries.zero(num_roots, order))
+    return _todd_genus(*_universal_power_sums(num_roots, order))
 
 
 @lru_cache(maxsize=None)
@@ -636,43 +670,15 @@ def todd_prime(num_roots: int, order: int) -> ChernSeries:
     if num_roots < 1:
         raise ValueError("Todd series needs at least one root")
     a = _log_todd_factor_coeffs(order + 1)
-    sums = _power_sums(num_roots, order)
-    slope = sum(
-        (sums[k - 1] * (k * a[k]) for k in range(1, order + 2)),
-        ChernSeries.zero(num_roots, order),
-    )
+    sums, unit = _universal_power_sums(num_roots, order)
+    slope = sum((sums[k - 1] * (k * a[k]) for k in range(1, order + 2)), unit * 0)
     return todd(num_roots, order) * slope
 
 
 @lru_cache(maxsize=None)
 def _exterior_chern(num_roots: int, order: int) -> tuple[ChernSeries, ...]:
-    """ch of every exterior power of the dual bundle, r = 0..m, at once.
-
-    ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
-    sums of z are sum_i [x^i](exp(-x) - 1)^n p_i; Newton's identities,
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
-    exponential of X_i = (-1)^{i-1} P_i / i, and e_k(z) starts in degree k.
-    Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
-    """
-    m = num_roots
-    zero = ChernSeries.zero(m, order)
-    sums = _power_sums(m, order)
-    z = _exp_neg_coeffs(order)
-    z[0] = Fraction(0)
-    top = min(m, order)
-    power = [Fraction(1)] + [Fraction(0)] * order  # (exp(-x) - 1)^n
-    parts = []
-    for n in range(1, top + 1):
-        power = [
-            sum(power[j] * z[i - j] for j in range(i + 1)) for i in range(order + 1)
-        ]
-        z_sum = sum((sums[i] * power[i] for i in range(n, order + 1)), zero)
-        parts.append(z_sum * Fraction((-1) ** (n - 1), n))
-    elementary = _graded_exp(parts, m, order)
-    return tuple(
-        sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
-        for r in range(m + 1)
-    )
+    """ch of every exterior power of the dual bundle, r = 0..m, at once."""
+    return _exterior_genus(*_universal_power_sums(num_roots, order), num_roots)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,51 @@
+"""Stratum tables shared by the test modules, as parsed JSON."""
+
+# The plane with the coordinate-triangle divisor 1*H1 + 1*H2 - 5*Hinf at
+# d = 1, carrying the blow-up center H1 * H2 (a point of codimension 2
+# missing Hinf).  chi_d is 0, the exceptional multiplicity is 3, and both
+# induced-pair coefficients are 1.
+TRIANGLE_TABLE = {
+    "d": 1,
+    "components": [
+        {"id": "H1", "mult": 1, "contains_center": True},
+        {"id": "H2", "mult": 1, "contains_center": True},
+        {"id": "Hinf", "mult": -5, "contains_center": False},
+    ],
+    "center": {"codim": 2},
+    "strata": [
+        {"subset": [], "chi": 3, "nonempty": True, "chi_meet_center": 1},
+        {"subset": ["H1"], "chi": 2, "nonempty": True, "chi_meet_center": 1},
+        {"subset": ["H2"], "chi": 2, "nonempty": True, "chi_meet_center": 1},
+        {"subset": ["Hinf"], "chi": 2, "nonempty": True, "chi_meet_center": None},
+        {"subset": ["H1", "H2"], "chi": 1, "nonempty": True, "chi_meet_center": 1},
+        {"subset": ["H1", "Hinf"], "chi": 1, "nonempty": True, "chi_meet_center": None},
+        {"subset": ["H2", "Hinf"], "chi": 1, "nonempty": True, "chi_meet_center": None},
+    ],
+}
+
+# Codimension-2 center inside B and C but not A, at d = 1.  The stratum
+# {B,C} has the Euler number of the center, so the blow-up deletes it,
+# while {A,B,C} (chi 5) survives: the blown-up table is not downward
+# closed, and the transform must reject it.
+NOT_CLOSED_AFTER_BLOWUP_TABLE = {
+    "d": 1,
+    "components": [
+        {"id": "A", "mult": 1},
+        {"id": "B", "mult": 1, "contains_center": True},
+        {"id": "C", "mult": 1, "contains_center": True},
+    ],
+    "center": {"codim": 2},
+    "strata": [
+        {"subset": subset, "chi": chi, "chi_meet_center": 2 if "A" in subset else 1}
+        for subset, chi in [
+            ([], 3), (["A"], 3), (["B"], 3), (["C"], 3), (["A", "B"], 3),
+            (["A", "C"], 3), (["B", "C"], 1), (["A", "B", "C"], 5)]
+    ],
+}
+
+EMPTY_DIVISOR_TABLE = {
+    "d": 2,
+    "components": [],
+    "center": None,
+    "strata": [{"subset": [], "chi": 7, "nonempty": True, "chi_meet_center": None}],
+}

@@ -16,7 +16,7 @@ from math import comb
 from cypair import chow, hodge, sncpair, symcalc
 from cypair.cli import main as cli_main
 
-from conftest import TRIANGLE_TABLE
+from tables import TRIANGLE_TABLE
 
 
 def report(number: int, ok: bool, description: str) -> None:

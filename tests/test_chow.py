@@ -294,7 +294,7 @@ def test_chi_twisted_vanishing_window():
         for p in range(1, n + 1):
             for s in range(1, p + 1):
                 assert chi_twisted_hodge(n, p, s) == 0
-    # Bott vanishing with universal series in 9 roots.
+    # Bott vanishing on P^9.
     assert chi_twisted_hodge(9, 4, 1) == 0
 
 
@@ -413,21 +413,47 @@ def test_hrr_chi_matches_integrated_product():
             assert hrr_chi(model, sheaf) == integrate(todd * sheaf), model
 
 
-def test_cotangent_powers_built_once_per_model(monkeypatch):
-    built = []
-    original = CohClass.__pow__
+def p2_bundle_over_p1_p2():
+    base = product(projective_space(1), projective_space(2))
+    h1, h2 = base.gen_class(0), base.gen_class(1)
+    return projective_bundle(base, (base.one() + h1 - h2) * (base.one() + 2 * h2), 2)
 
-    def counting(self, k):
-        built.append((frozenset(self.terms.items()), k))
-        return original(self, k)
 
-    model = product(projective_space(1), projective_space(2))
-    monkeypatch.setattr(CohClass, "__pow__", counting)
-    for p in range(model.dim + 1):
-        ch_cotangent_exterior(model, p)
-    todd_class(model)
-    assert built
-    assert len(built) == len(set(built))
+def test_genera_built_once_per_model(monkeypatch):
+    calls = []
+    original = CohClass.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    for model in (product(projective_space(1), projective_space(2)),
+                  p2_bundle_over_p1_p2()):
+        first = [todd_class(model)] + [
+            ch_cotangent_exterior(model, p) for p in range(model.dim + 1)]
+        monkeypatch.setattr(CohClass, "__mul__", counting)
+        second = [todd_class(model)] + [
+            ch_cotangent_exterior(model, p) for p in range(model.dim + 1)]
+        monkeypatch.undo()
+        assert second == first
+        assert not calls, model
+
+
+def test_ring_genera_match_universal_series():
+    # The ring path shares the power-sum algorithm with the universal
+    # series, which the root-coordinate oracles in test_symcalc check; here
+    # the series evaluated at c(T) must give the same classes.
+    models = oracle_models() + [projective_space(n) for n in range(13)]
+    for model in models:
+        n, chern = model.dim, model.tangent_chern
+        ring = [todd_class(model)] + [
+            ch_cotangent_exterior(model, p) for p in range(n + 1)]
+        if n == 0:
+            assert ring == [model.one(), model.one()]
+            continue
+        universal = [symcalc.todd(n, n)] + [
+            symcalc.ch_exterior(n, p, n) for p in range(n + 1)]
+        assert ring == [chow.evaluate_chern_series(s, chern) for s in universal], model
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +470,7 @@ def test_total_chern_class_inverse_on_p3():
 
 
 def test_inverse_on_a_bundle_over_p1_p2():
-    base = product(projective_space(1), projective_space(2))
-    h1, h2 = base.gen_class(0), base.gen_class(1)
-    chern = (base.one() + h1 - h2) * (base.one() + 2 * h2)
-    bundle = projective_bundle(base, chern, 2)
+    bundle = p2_bundle_over_p1_p2()
     rng = random.Random(12)
     for cls in (bundle.tangent_chern, random_class(bundle, rng, rank=3)):
         assert cls * cls.inverse() == bundle.one()

@@ -10,7 +10,7 @@ import pytest
 from cypair import chow, cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
-from conftest import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE
+from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE
 
 
 def run_cli(args, capsys):

@@ -36,7 +36,7 @@ from cypair.sncpair import (
     weight,
 )
 
-from conftest import NOT_CLOSED_AFTER_BLOWUP_TABLE
+from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE
 
 
 def triangle_pair(with_center: bool) -> SncPair:

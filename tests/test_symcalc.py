@@ -387,8 +387,10 @@ def series_pairs(draw):
         keys = st.sampled_from(model.basis())
         pairs = []
         for _ in range(2):
+            order = draw(st.integers(0, model.dim))
             terms = draw(st.dictionaries(keys, RATIONALS, max_size=8))
-            pairs.append((chow.CohClass(model, terms), {e: q for e, q in terms.items() if q}))
+            pairs.append((chow.CohClass(model, terms).truncate(order),
+                          {e: q for e, q in terms.items() if q and sum(e) <= order}))
         return pairs
     cls = RootSeries if kind == "roots" else ChernSeries
     m = draw(st.integers(1, 3))
@@ -482,25 +484,29 @@ def test_integer_form_matches_fraction_oracle(pairs, scalar):
 
     for series in (a, b):
         _assert_lowest_terms(series)
+    # (result, expected terms, expected order): a sum or product keeps the
+    # smaller order of its operands.
     results = [
-        (a + b, cut(_oracle_add(ta, tb))),
-        (a - b, cut(_oracle_add(ta, _oracle_scale(tb, -1)))),
-        (a * b, _oracle_mul(ta, tb, a, order)),
-        (a * scalar, _oracle_scale(ta, scalar)),
-        (scalar * b, _oracle_scale(tb, scalar)),
-        (a + scalar, _oracle_add(ta, {(0,) * a.num_roots: scalar})),
-        (-a, _oracle_scale(ta, -1)),
+        (a + b, cut(_oracle_add(ta, tb)), order),
+        (a - b, cut(_oracle_add(ta, _oracle_scale(tb, -1))), order),
+        (a * b, _oracle_mul(ta, tb, a, order), order),
+        (a * scalar, _oracle_scale(ta, scalar), a.order),
+        (scalar * b, _oracle_scale(tb, scalar), b.order),
+        (a + scalar, _oracle_add(ta, {(0,) * a.num_roots: scalar}), a.order),
+        (-a, _oracle_scale(ta, -1), a.order),
     ]
     for k in range(a.order + 1):
-        results.append((a.truncate(k), {e: q for e, q in ta.items() if degree(e) <= k}))
-        results.append((a.degree_part(k), {e: q for e, q in ta.items() if degree(e) == k}))
+        results.append((a.truncate(k), {e: q for e, q in ta.items() if degree(e) <= k}, k))
+        results.append((a.degree_part(k), {e: q for e, q in ta.items() if degree(e) == k},
+                        a.order))
     if ta.get((0,) * a.num_roots):
-        results.append((a.inverse(), _oracle_inverse(ta, a)))
+        results.append((a.inverse(), _oracle_inverse(ta, a), a.order))
     else:
         with pytest.raises(ValueError):
             a.inverse()
-    for result, expected in results:
+    for result, expected, expected_order in results:
         assert type(result) is type(a)
+        assert result.order == expected_order
         assert dict(result.terms) == expected
         assert len(result) == len(expected)
         _assert_lowest_terms(result)
