@@ -18,9 +18,9 @@ confluent.
 Chern classes of tangent bundles are carried along: (1+h)^{n+1} for
 projective space, Whitney products across products, and the relative
 Euler sequence for projective bundles.  `hrr_chi` integrates
-Td(T) * ch(E).  Td(T) and every ch Lambda^p T* come from `symcalc`'s genus
-algorithms run on the model's classes c_k(T); the power sums p_k(T) they
-start from, Td and the ch Lambda^p are kept on the model.
+Td(T) * ch(E).  Td(T) and every ch Lambda^p T* come from `RingModel.genera`,
+the `symcalc.Genera` of the model's classes c_k(T): the same memo, and the
+same algorithms, that build `symcalc`'s universal series.
 
 A class is a `symcalc` series in the model's generators, graded by total
 degree and truncated at the dimension, that holds coefficients of basis
@@ -37,7 +37,7 @@ so the product Td * ch is never formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from operator import add
 from typing import Mapping
@@ -74,11 +74,13 @@ class RingModel:
         self.base = base
         self.fiber_rank = fiber_rank
         self.tangent_chern: CohClass = self.one()  # set once by the constructors
-        self._power_sums: list[CohClass] | None = None  # genera of T, built on first use
-        self._todd: CohClass | None = None
-        self._exterior: tuple[CohClass, ...] | None = None
         # raw exponent tuple -> (denominator, ((basis monomial, numerator), ...))
         self._reduced: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
+
+    @cached_property
+    def genera(self) -> symcalc.Genera:
+        """Td and every ch Lambda^p of the tangent bundle, built on first use."""
+        return symcalc.Genera(map(self.tangent_chern.component, range(self.dim + 1)), self.dim)
 
     # -- class constructors ----------------------------------------------
 
@@ -395,19 +397,9 @@ def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) ->
     return total * Fraction(1, series._den)
 
 
-def _tangent_power_sums(model: RingModel) -> list[CohClass]:
-    """p_0 = dim, p_1, ..., p_dim of the Chern roots of T, kept on the model."""
-    if model._power_sums is None:
-        chern = [model.tangent_chern.component(k) for k in range(model.dim + 1)]
-        model._power_sums = symcalc._power_sums(chern, model.dim)
-    return model._power_sums
-
-
 def todd_class(model: RingModel) -> CohClass:
     """Td of the tangent bundle, as a class on the model."""
-    if model._todd is None:
-        model._todd = symcalc._todd_genus(_tangent_power_sums(model), model.one())
-    return model._todd
+    return model.genera.todd
 
 
 def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
@@ -452,10 +444,7 @@ def ch_cotangent_exterior(model: RingModel, p: int) -> CohClass:
     """ch of the p-th exterior power of the cotangent bundle."""
     if not 0 <= p <= model.dim:
         raise ValueError(f"exterior power {p} out of range 0..{model.dim}")
-    if model._exterior is None:
-        model._exterior = symcalc._exterior_genus(
-            _tangent_power_sums(model), model.one(), model.dim)
-    return model._exterior[p]
+    return model.genera.exterior[p]
 
 
 def chi_twisted_hodge(n: int, p: int, s: int) -> Fraction:

@@ -33,8 +33,9 @@ coefficients of log(x / (1 - exp(-x))), is a graded exponential.  The
 uniform shift acts on power sums as the derivation p_k -> k p_{k-1}, so
 Td' = Td * sum_k k a_k p_{k-1}.  ch Lambda^r E* = e_r(exp(-x)) comes from
 Newton's identities for z_j = exp(-x_j) - 1 and
-e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  These steps take the Chern
-classes as input: `chow` runs them on a ring model's c_k(T).
+e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  One memo, `Genera`, runs these
+steps on given Chern classes and builds each result once: the universal
+series read one per root count and order, and `chow` one per ring model.
 
 `todd_roots`, `todd_prime_roots` (with a nilpotent shift variable,
 t^2 = 0) and `ch_exterior_roots` build the same series in root
@@ -45,7 +46,8 @@ the independent reference the tests compare the Chern-basis series with.
 `verify_total_class_identities` and `verify_shifted_class_identities`
 multiply the Chern-basis generators out and return the residuals of the
 five closed-form identities they satisfy; a residual is an ordinary
-result, so a nonzero residual is reported, not raised.
+result, so a nonzero residual is reported, not raised.  Both read every
+series from the one memo of order m + 2.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import add
 
@@ -63,7 +65,7 @@ Coeffs = Mapping[Exponents, Fraction]
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2: `cypair identities --max-m 15`
-#: takes 3.6-4.9 s and 16 takes 7.1 s on a 2-CPU Xeon VM.
+#: takes 2.7-4.3 s and 16 takes 7.0-7.2 s on a 2-CPU Xeon VM.
 MAX_VERIFY_ROOTS = 15
 
 
@@ -247,8 +249,9 @@ class _Series:
         return not self._num
 
     def truncate(self, order: int) -> "_Series":
+        """The series through degree `order`; its own order if that is smaller."""
         if order >= self.order:
-            return self._new(order, self._num, self._den)
+            return self
         return self._part(order, range(order + 1))
 
     def degree_part(self, p) -> "_Series":
@@ -387,8 +390,8 @@ def elementary_symmetric(num_roots: int, k: int, order: int | None = None) -> Ro
 
 
 @lru_cache(maxsize=None)
-def _elementary_cached(num_roots: int, k: int) -> RootSeries:
-    return elementary_symmetric(num_roots, k, order=k)
+def _elementary_cached(num_roots: int, k: int, order: int) -> RootSeries:
+    return elementary_symmetric(num_roots, k, order)
 
 
 def expand_to_roots(series: ChernSeries, order: int | None = None) -> RootSeries:
@@ -402,7 +405,7 @@ def expand_to_roots(series: ChernSeries, order: int | None = None) -> RootSeries
         for k, e in enumerate(expo, start=1):
             if not e:
                 continue
-            ek = _elementary_cached(m, k).truncate(order)
+            ek = _elementary_cached(m, k, order)
             for _ in range(e):
                 acc = acc * ek
         total = total + acc
@@ -574,23 +577,6 @@ def _log_todd_factor_coeffs(order: int) -> list[Fraction]:
     return a
 
 
-def _power_sums(chern: list[_Series], order: int) -> list[_Series]:
-    """The power sums p_0 = m, p_1, ..., p_order of m roots with Chern classes
-    [c_0 = 1, c_1, ..., c_m], all `ChernSeries` or all classes of one model.
-
-    Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
-    + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
-    """
-    m = len(chern) - 1
-    sums = [chern[0] * m]
-    for k in range(1, order + 1):
-        acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else chern[0] * 0
-        for i in range(1, min(k - 1, m) + 1):
-            acc = acc + chern[i] * sums[k - i] * (-1) ** (i - 1)
-        sums.append(acc)
-    return sums
-
-
 def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:
     """The graded pieces E_0, ..., E_n of exp(X_1 t + ... + X_n t^n).
 
@@ -605,51 +591,80 @@ def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:
     return pieces
 
 
-def _todd_genus(sums: list[_Series], unit: _Series) -> _Series:
-    """Td = exp(sum_k a_k p_k) from the power sums p_0..p_n of `_power_sums`.
+class Genera:
+    """The genera of a bundle with m Chern roots, each built once on first use.
 
-    a_k are the coefficients of log(x / (1 - exp(-x))); a_k p_k has degree
-    k, so the graded exponential yields Td one degree at a time.
+    `chern` holds its Chern classes [c_0 = 1, c_1, ..., c_m], all
+    `ChernSeries` (the universal series) or all classes of one ring model;
+    every genus is computed through degree `order` from them alone.
     """
-    a = _log_todd_factor_coeffs(len(sums) - 1)
-    parts = [p * a_k for p, a_k in zip(sums[1:], a[1:])]
-    return sum(_graded_exp(parts, unit)[1:], unit)
+
+    def __init__(self, chern: Iterable[_Series], order: int):
+        self.chern = tuple(chern)
+        self.order, self.rank = order, len(self.chern) - 1
+
+    @cached_property
+    def power_sums(self) -> tuple[_Series, ...]:
+        """The power sums p_0 = m, p_1, ..., p_order of the roots.
+
+        Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
+        + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
+        """
+        chern, m = self.chern, self.rank
+        sums = [chern[0] * m]
+        for k in range(1, self.order + 1):
+            acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else chern[0] * 0
+            for i in range(1, min(k - 1, m) + 1):
+                acc = acc + chern[i] * sums[k - i] * (-1) ** (i - 1)
+            sums.append(acc)
+        return tuple(sums)
+
+    @cached_property
+    def todd(self) -> _Series:
+        """Td = exp(sum_k a_k p_k), a_k the coefficients of log(x / (1 - exp(-x))).
+
+        a_k p_k has degree k: the graded exponential yields Td degree by degree."""
+        unit = self.chern[0]
+        a = _log_todd_factor_coeffs(self.order)
+        parts = [p * a_k for p, a_k in zip(self.power_sums[1:], a[1:])]
+        return sum(_graded_exp(parts, unit)[1:], unit)
+
+    @cached_property
+    def exterior(self) -> tuple[_Series, ...]:
+        """ch Lambda^r E*, r = 0..m, of the rank-m bundle E.
+
+        ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
+        sums of z are P_n = sum_i [x^i](exp(-x) - 1)^n p_i, where
+        [x^i](exp(-x) - 1)^n = (-1)^i n! S(i, n) / i! with S the Stirling
+        numbers of the second kind.  Newton's identities,
+        k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
+        exponential of X_n = (-1)^{n-1} P_n / n, and e_k(z) starts in degree k.
+        Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+        """
+        sums, order, unit, m = self.power_sums, self.order, self.chern[0], self.rank
+        zero = unit * 0
+        top = min(m, order)
+        stirling = [1] + [0] * order  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
+        parts = []
+        for n in range(1, top + 1):
+            stirling = list(itertools.accumulate(
+                stirling[:-1], lambda left, up: n * left + up, initial=0))
+            sign = (-1) ** (n - 1) * factorial(n - 1)
+            parts.append(sum(
+                (sums[i] * Fraction((-1) ** i * sign * stirling[i], factorial(i))
+                 for i in range(n, order + 1)), zero))
+        elementary = _graded_exp(parts, unit)
+        return tuple(
+            sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
+            for r in range(m + 1)
+        )
 
 
-def _exterior_genus(sums: list[_Series], unit: _Series, m: int) -> tuple[_Series, ...]:
-    """ch Lambda^r E*, r = 0..m, of a rank-m bundle E from its power sums p_0..p_n.
-
-    ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
-    sums of z are P_n = sum_i [x^i](exp(-x) - 1)^n p_i, where
-    [x^i](exp(-x) - 1)^n = (-1)^i n! S(i, n) / i! with S the Stirling
-    numbers of the second kind.  Newton's identities,
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
-    exponential of X_n = (-1)^{n-1} P_n / n, and e_k(z) starts in degree k.
-    Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
-    """
-    order = len(sums) - 1
-    zero = unit * 0
-    top = min(m, order)
-    stirling = [1] + [0] * order  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
-    parts = []
-    for n in range(1, top + 1):
-        stirling = list(itertools.accumulate(
-            stirling[:-1], lambda left, up: n * left + up, initial=0))
-        sign = (-1) ** (n - 1) * factorial(n - 1)
-        parts.append(sum(
-            (sums[i] * Fraction((-1) ** i * sign * stirling[i], factorial(i))
-             for i in range(n, order + 1)), zero))
-    elementary = _graded_exp(parts, unit)
-    return tuple(
-        sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
-        for r in range(m + 1)
-    )
-
-
-def _universal_power_sums(num_roots: int, order: int) -> tuple[list[ChernSeries], ChernSeries]:
-    """The power sums of the roots in the c-basis, and the unit series c_0."""
-    chern = [ChernSeries.chern_class(num_roots, order, k) for k in range(num_roots + 1)]
-    return _power_sums(chern, order), chern[0]
+@lru_cache(maxsize=None)
+def _universal(num_roots: int, order: int) -> Genera:
+    """The genera of m roots in the c-basis, through degree `order`."""
+    return Genera([ChernSeries.chern_class(num_roots, order, k)
+                   for k in range(num_roots + 1)], order)
 
 
 @lru_cache(maxsize=None)
@@ -657,7 +672,7 @@ def todd(num_roots: int, order: int) -> ChernSeries:
     """The Todd series prod_j x_j / (1 - exp(-x_j)) in the Chern-class basis."""
     if num_roots < 1:
         raise ValueError("Todd series needs at least one root")
-    return _todd_genus(*_universal_power_sums(num_roots, order))
+    return _universal(num_roots, order).todd
 
 
 @lru_cache(maxsize=None)
@@ -670,15 +685,10 @@ def todd_prime(num_roots: int, order: int) -> ChernSeries:
     if num_roots < 1:
         raise ValueError("Todd series needs at least one root")
     a = _log_todd_factor_coeffs(order + 1)
-    sums, unit = _universal_power_sums(num_roots, order)
-    slope = sum((sums[k - 1] * (k * a[k]) for k in range(1, order + 2)), unit * 0)
-    return todd(num_roots, order) * slope
-
-
-@lru_cache(maxsize=None)
-def _exterior_chern(num_roots: int, order: int) -> tuple[ChernSeries, ...]:
-    """ch of every exterior power of the dual bundle, r = 0..m, at once."""
-    return _exterior_genus(*_universal_power_sums(num_roots, order), num_roots)
+    genera = _universal(num_roots, order)
+    slope = sum((genera.power_sums[k - 1] * (k * a[k]) for k in range(1, order + 2)),
+                genera.chern[0] * 0)
+    return genera.todd * slope
 
 
 @lru_cache(maxsize=None)
@@ -689,7 +699,7 @@ def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
     """
     if not 0 <= r <= num_roots:
         raise ValueError(f"exterior power {r} out of range 0..{num_roots}")
-    return _exterior_chern(num_roots, order)[r]
+    return _universal(num_roots, order).exterior[r]
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +713,9 @@ def _guard_verify_roots(m: int) -> None:
             f"number of roots must lie in 1..{MAX_VERIFY_ROOTS}, got {m}")
 
 
-def _alternating_sum(num_roots: int, order: int, weight) -> ChernSeries:
+def _alternating_sum(num_roots: int, weight) -> ChernSeries:
+    """sum_r w(r) ch of the r-th exterior dual power, through degree m + 2."""
+    order = num_roots + 2
     total = ChernSeries.zero(num_roots, order)
     for r in range(num_roots + 1):
         w = weight(r)
@@ -713,9 +725,7 @@ def _alternating_sum(num_roots: int, order: int, weight) -> ChernSeries:
     return total
 
 
-def verify_total_class_identities(
-    m: int, *, order: int | None = None
-) -> tuple[ChernSeries, ChernSeries, ChernSeries]:
+def verify_total_class_identities(m: int) -> tuple[ChernSeries, ChernSeries, ChernSeries]:
     """Residuals of the three Todd / exterior-character identities.
 
     With S_w = sum_r (-1)^r w(r) ch of the r-th exterior dual power:
@@ -725,27 +735,27 @@ def verify_total_class_identities(
       (iii) {Td * S_{r(r-1)}}^[m]    =  (1/6) c_1 c_{m-1} + m(3m-5)/12 c_m.
 
     Identity (i) is exact in every degree; it is checked at truncation
-    `order` (default m + 2, so two degrees beyond the interesting window
-    guard against truncation bugs).  Identities (ii) and (iii) are
-    restricted to their stated degree windows.  Returns LHS - RHS for
-    each; all-zero results mean the identities hold.
+    m + 2, two degrees beyond the interesting window, to guard against
+    truncation bugs.  Identities (ii) and (iii) are restricted to their
+    stated degree windows, read off the same series truncated at m.
+    Returns LHS - RHS for each; all-zero results mean the identities hold.
     """
     _guard_verify_roots(m)
-    wide = m + 2 if order is None else max(order, m)
+    wide = m + 2
     td_wide = todd(m, wide)
     td = td_wide.truncate(m)
 
     def c(k: int, truncation: int) -> ChernSeries:
         return ChernSeries.chern_class(m, truncation, k)
 
-    s0 = _alternating_sum(m, wide, lambda r: (-1) ** r)
+    s0 = _alternating_sum(m, lambda r: (-1) ** r)
     res1 = td_wide * s0 - c(m, wide)
 
     # Truncated at order m, the product is its own [<= m] window.
-    s1 = _alternating_sum(m, m, lambda r: (-1) ** r * r)
+    s1 = _alternating_sum(m, lambda r: (-1) ** r * r).truncate(m)
     res2 = td * s1 - (-c(m - 1, m) + c(m, m) * Fraction(m, 2))
 
-    s2 = _alternating_sum(m, m, lambda r: (-1) ** r * r * (r - 1))
+    s2 = _alternating_sum(m, lambda r: (-1) ** r * r * (r - 1)).truncate(m)
     lhs3 = (td * s2).degree_part(m)
     rhs3 = c(1, m) * c(m - 1, m) * Fraction(1, 6) + c(m, m) * Fraction(
         m * (3 * m - 5), 12
@@ -764,15 +774,15 @@ def verify_shifted_class_identities(m: int) -> tuple[ChernSeries, ChernSeries]:
     Returns LHS - RHS in the stated top-degree window for each.
     """
     _guard_verify_roots(m)
-    tdp = todd_prime(m, m)
+    tdp = todd_prime(m, m + 2).truncate(m)
 
     def c(k: int) -> ChernSeries:
         return ChernSeries.chern_class(m, m, k)
 
-    s0 = _alternating_sum(m, m, lambda r: (-1) ** r)
+    s0 = _alternating_sum(m, lambda r: (-1) ** r).truncate(m)
     res1 = (tdp * s0).degree_part(m) - c(m) * Fraction(m, 2)
 
-    s1 = _alternating_sum(m, m, lambda r: (-1) ** r * r)
+    s1 = _alternating_sum(m, lambda r: (-1) ** r * r).truncate(m)
     lhs2 = (tdp * s1).degree_part(m)
     rhs2 = c(1) * c(m - 1) * Fraction(1, 12) + c(m) * Fraction(m * m, 4)
     res2 = lhs2 - rhs2.degree_part(m)

@@ -236,6 +236,18 @@ def test_generating_function_in_t():
 # ---------------------------------------------------------------------------
 
 
+def test_truncate_never_raises_the_order():
+    # Terms above a series' own order are unknown, so a wider truncation
+    # keeps that order and a product stays correct through it.
+    low = todd(1, 1).truncate(3)
+    assert low.order == 1
+    assert repr(low * low) == "1 + 1*c1"
+    assert (todd(1, 3) * todd(1, 3)).truncate(1) == low * low
+    model = chow.projective_space(2)
+    h = model.gen_class(0).truncate(1)
+    assert h.truncate(2).order == 1
+
+
 def test_truncation_coherence():
     for m in (1, 2, 3):
         wide = m + 3
@@ -495,8 +507,9 @@ def test_integer_form_matches_fraction_oracle(pairs, scalar):
         (a + scalar, _oracle_add(ta, {(0,) * a.num_roots: scalar}), a.order),
         (-a, _oracle_scale(ta, -1), a.order),
     ]
-    for k in range(a.order + 1):
-        results.append((a.truncate(k), {e: q for e, q in ta.items() if degree(e) <= k}, k))
+    for k in range(a.order + 3):
+        results.append((a.truncate(k), {e: q for e, q in ta.items() if degree(e) <= k},
+                        min(k, a.order)))
         results.append((a.degree_part(k), {e: q for e, q in ta.items() if degree(e) == k},
                         a.order))
     if ta.get((0,) * a.num_roots):
@@ -549,7 +562,12 @@ def test_verify_guards():
         verify_shifted_class_identities(0)
 
 
-def test_verify_order_override():
-    for wide in (3, 5, 7):
-        for residual in verify_total_class_identities(3, order=wide):
-            assert residual.is_zero()
+def test_verify_builds_the_genera_once_per_root_count():
+    for cache in (symcalc._universal, symcalc.todd, symcalc.todd_prime, symcalc.ch_exterior):
+        cache.cache_clear()
+    for m in range(1, 5):
+        misses = symcalc._universal.cache_info().misses
+        res1, _, _ = verify_total_class_identities(m)
+        verify_shifted_class_identities(m)
+        assert symcalc._universal.cache_info().misses == misses + 1
+        assert res1.order == m + 2
