@@ -161,9 +161,11 @@ class CohClass(symcalc._Series):
 
     A `symcalc` series in the model's generators, graded by total degree
     and truncated at the model's dimension, whose `terms` hold basis
-    monomials (every exponent within its cap) only.  A product's raw
-    monomials go through `RingModel.reduce_terms`, as must any other sum
-    of raw monomials.  Only classes on the same model combine.
+    monomials (every exponent within its cap) only: the constructor drops
+    monomials above the dimension, which are 0, and rejects any other
+    monomial outside the basis.  A product's raw monomials go through
+    `RingModel.reduce_terms`, as must any other sum of raw monomials.
+    Only classes on the same model combine.
     """
 
     __slots__ = ("model",)
@@ -174,6 +176,10 @@ class CohClass(symcalc._Series):
     def __init__(self, model: RingModel, terms: Mapping[Monomial, Fraction]):
         self.model = model
         symcalc._Series.__init__(self, len(model.generators), model.dim, terms)
+        for mono in self._num:
+            if any(e > cap for e, cap in zip(mono, model.caps)):
+                raise ModelError(f"monomial {mono} exceeds the caps {model.caps}: "
+                                 "not a basis monomial (see reduce_terms)")
 
     def _new(self, order: int, num: dict[Monomial, int], den: int) -> "CohClass":
         return _class(self.model, num, den, order)

@@ -37,9 +37,10 @@ MAX_HRR_N = 75
 MAX_CP_R = 18
 
 #: Largest accepted Hodge diamond dimension, for a loaded diamond (builtin
-#: name or file) and for the result of `hodge bundle`.  `hodge ledger
-#: --diamond cp300` takes 0.8 s and cp400 takes 1.1 s on a 2-CPU Xeon VM;
-#: `hodge bundle --base point --fiber-dim 300` takes 3.2 s.
+#: name or file) and for the result of `hodge bundle`.  On a 2-CPU Xeon VM,
+#: `hodge ledger --diamond cp300` takes 0.5-1.0 s and cp400 1.1 s;
+#: `hodge bundle --base point --fiber-dim 300` takes 0.2-0.3 s and `hodge
+#: blowup --x cp300 --y point --codim 300` 0.2-0.4 s.
 MAX_DIAMOND_DIM = 300
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four

@@ -71,8 +71,8 @@ class HodgeDiamond:
 
     @classmethod
     def projective_space(cls, n: int) -> "HodgeDiamond":
-        rows = tuple(
-            tuple(1 if p == q else 0 for q in range(n + 1)) for p in range(n + 1))
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        _add_shifted(rows, cls.point(), range(n + 1))
         return cls(n, rows)
 
     # -- access -----------------------------------------------------------
@@ -126,6 +126,16 @@ class HodgeDiamond:
 # ---------------------------------------------------------------------------
 
 
+def _add_shifted(rows: list[list[int]], diamond: HodgeDiamond, shifts: Iterable[int]) -> None:
+    """Add h^{p,q} of the diamond to rows[p + k][q + k] for every shift k,
+    walking the diamond's nonzero entries only."""
+    nonzero = [(p, q, v) for p, row in enumerate(diamond.rows)
+               for q, v in enumerate(row) if v]
+    for k in shifts:
+        for p, q, v in nonzero:
+            rows[p + k][q + k] += v
+
+
 def projective_bundle_diamond(base: HodgeDiamond, fiber_dim: int) -> HodgeDiamond:
     """Diamond of a projective bundle with the given fiber dimension.
 
@@ -135,13 +145,8 @@ def projective_bundle_diamond(base: HodgeDiamond, fiber_dim: int) -> HodgeDiamon
     if fiber_dim < 0:
         raise DiamondError("fiber dimension must be non-negative")
     n = base.n + fiber_dim
-    rows = [
-        [
-            sum(base.hodge(p - j, q - j) for j in range(fiber_dim + 1))
-            for q in range(n + 1)
-        ]
-        for p in range(n + 1)
-    ]
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    _add_shifted(rows, base, range(fiber_dim + 1))
     return HodgeDiamond(n, rows)
 
 
@@ -157,15 +162,9 @@ def blowup_diamond(x: HodgeDiamond, y: HodgeDiamond, r: int) -> HodgeDiamond:
         raise DiamondError(
             f"dimension mismatch: center of dimension {y.n} plus codimension "
             f"{r} does not give {x.n}")
-    n = x.n
-    rows = [
-        [
-            x.hodge(p, q) + sum(y.hodge(p - k, q - k) for k in range(1, r))
-            for q in range(n + 1)
-        ]
-        for p in range(n + 1)
-    ]
-    return HodgeDiamond(n, rows)
+    rows = [list(row) for row in x.rows]
+    _add_shifted(rows, y, range(1, r))
+    return HodgeDiamond(x.n, rows)
 
 
 def correction_term(diamond: HodgeDiamond) -> int:

@@ -150,15 +150,6 @@ class SncPair:
         return "{" + ",".join(names) + "}"
 
 
-def _bits(mask: int):
-    j = 0
-    while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
-
-
 def _submasks(mask: int):
     """All subsets of a bitmask, the mask itself and 0 included."""
     sub = mask
@@ -282,9 +273,12 @@ def weight(d: int, mults: Iterable[int], subset) -> Fraction:
     if d == 0:
         raise PairValidationError("d must be a non-zero integer")
     mults = tuple(mults)
-    indices = _bits(subset) if isinstance(subset, int) else subset
+    if isinstance(subset, int):
+        if subset < 0:
+            raise ValueError(f"a subset mask is non-negative, got {subset}")
+        subset = [j for j in range(subset.bit_length()) if subset >> j & 1]
     value = Fraction(1)
-    for j in indices:
+    for j in subset:
         m = mults[j]
         if m == -d:
             raise ForbiddenMultiplicityError(
@@ -419,12 +413,12 @@ class CpPairModel:
     f_poly: tuple[Fraction, ...]
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, qa in enumerate(a):
-        for j, qb in enumerate(b):
-            out[i + j] += qa * qb
-    return out
+def _elementary(weights: Iterable[Fraction]) -> list[Fraction]:
+    """e_0, e_1, ... of the weights: the coefficients of prod_j (1 + w_j t)."""
+    elementary = [Fraction(1)]
+    for w in weights:
+        elementary = [a + w * b for a, b in zip(elementary + [0], [0] + elementary)]
+    return elementary
 
 
 def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, SncPair]:
@@ -446,7 +440,6 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
         raise PairValidationError(f"model pairs require d >= 1, got {d}")
 
     m_inf = -sum(mults) - r * d - d
-    all_mults = mults + (m_inf,)
     components = tuple(
         [Component(f"H{j + 1}", m) for j, m in enumerate(mults)]
         + [Component("Hinf", m_inf)]
@@ -459,11 +452,10 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
             strata[mask] = by_size[size]
     pair = SncPair(d=d, components=components, strata=strata)
 
-    poly = [Fraction(0)] * (r - s) + [Fraction(1)]
-    for m in all_mults:
-        poly = _poly_mul(poly, [Fraction(-m, m + d), Fraction(1)])
+    # prod_j (t + w_j) over the s + 1 weights has e_k at t^(s + 1 - k)
+    e = _elementary(Fraction(-m, m + d) for m in mults + (m_inf,))
     model = CpPairModel(r=r, s=s, d=d, mults=mults, m_infinity=m_inf,
-                        f_poly=tuple(poly))
+                        f_poly=(Fraction(0),) * (r - s) + tuple(reversed(e)))
     return model, pair
 
 
@@ -602,12 +594,8 @@ def fibration_check(pair: SncPair) -> bool:
     validation keeps |C| <= r, and the k = r term is 0.
     """
     r = _require_center(pair).codim
-    elementary = [Fraction(1)]  # e_0, e_1, ... of the weights seen so far
-    for comp in pair.components:
-        if comp.contains_center:
-            w = Fraction(-comp.mult, comp.mult + pair.d)
-            elementary = [a + w * b for a, b in
-                          zip(elementary + [0], [0] + elementary)]
+    elementary = _elementary(Fraction(-c.mult, c.mult + pair.d)
+                             for c in pair.components if c.contains_center)
     factor = sum((r - k) * e for k, e in enumerate(elementary))
     center_value, exceptional_value = induced_center_pairs(pair)
     return exceptional_value == factor * center_value

@@ -145,6 +145,20 @@ def test_basis_and_integration_support():
     assert [m for m in monomials if integrate(CohClass(model, {m: 1}))] == [(1, 2)]
 
 
+def test_class_constructor_rejects_non_basis_monomials():
+    base = projective_space(1)
+    bundle = projective_bundle(base, base.one() + 2 * base.gen_class(0), 1)
+    # xi^2 is not a basis monomial: kept raw it would integrate to 0, while
+    # the relation xi^2 = -2 h xi gives -2.
+    with pytest.raises(ModelError, match=r"\(0, 2\)"):
+        CohClass(bundle, {(0, 2): 1})
+    reduced = bundle.reduce_terms({(0, 2): 1}, 1)
+    assert reduced == CohClass(bundle, {(1, 1): -2})
+    assert integrate(reduced) == -2
+    # Above the dimension a monomial is 0 in the ring and is dropped.
+    assert CohClass(bundle, {(0, 3): 1, (1, 1): 1}) == bundle.gen_class(0) * bundle.gen_class(1)
+
+
 def test_trivial_bundle_over_line():
     base = projective_space(1)
     bundle = projective_bundle(base, base.one(), 1)
@@ -280,6 +294,10 @@ def test_chi_twisted_hodge_against_euler_sequence():
     for n in range(1, 5):
         for p in range(0, n + 1):
             for s in range(-2, 4):
+                assert chi_twisted_hodge(n, p, s) == chi_omega_oracle(n, p, s), (n, p, s)
+    for n in (20, 30, 40):
+        for p in (0, 1, n // 2, n - 1, n):
+            for s in (-1, 0, 2):
                 assert chi_twisted_hodge(n, p, s) == chi_omega_oracle(n, p, s), (n, p, s)
 
 

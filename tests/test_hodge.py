@@ -141,6 +141,32 @@ def test_outputs_always_satisfy_symmetries():
         blowup_diamond(ambient, base, r)  # validates on build
 
 
+def _gather(n, shifted):
+    """The table of h^{p,q} = sum over (diamond, k) in shifted of h^{p-k,q-k}."""
+    return HodgeDiamond(n, [
+        [sum(d.hodge(p - k, q - k) for d, k in shifted) for q in range(n + 1)]
+        for p in range(n + 1)
+    ])
+
+
+def test_constructions_match_gather_formulas():
+    point = HodgeDiamond.point()
+    for n in range(6):
+        assert HodgeDiamond.projective_space(n) == _gather(
+            n, [(point, k) for k in range(n + 1)])
+    rng = random.Random(1414)
+    for _ in range(60):
+        base = random_symmetric_diamond(rng, max_n=4)
+        for fiber_dim in range(4):
+            assert projective_bundle_diamond(base, fiber_dim) == _gather(
+                base.n + fiber_dim, [(base, k) for k in range(fiber_dim + 1)])
+        center = rng.choice([base, HodgeDiamond.empty(base.n)])
+        for r in range(2, 5):
+            x = projective_bundle_diamond(base, r)
+            assert blowup_diamond(x, center, r) == _gather(
+                x.n, [(x, 0)] + [(center, k) for k in range(1, r)])
+
+
 # ---------------------------------------------------------------------------
 # correction term
 # ---------------------------------------------------------------------------

@@ -91,6 +91,13 @@ def test_weight_forbidden_multiplicity():
         weight(2, (-2,), 0b1)
 
 
+def test_weight_mask_out_of_range():
+    with pytest.raises(IndexError):
+        weight(1, (2, 3), 0b100)
+    with pytest.raises(ValueError, match="non-negative"):
+        weight(1, (2, 3), -1)
+
+
 def test_weight_multiplicative_over_disjoint_subsets():
     rng = random.Random(5)
     for _ in range(50):
@@ -257,6 +264,20 @@ def test_cp_pair_enumeration_matches_fprime():
         by_enumeration = chi_d(pair)
         by_derivative = chi_d_via_fprime(model)
         assert by_enumeration == by_derivative == 0, (r, s, d, mults)
+
+
+def test_cp_pair_f_poly_is_the_product_of_its_factors():
+    rng = random.Random(1408)
+    for r in range(1, 9):
+        for s in range(r + 1):
+            for d in (1, 2, 3):
+                mults = tuple(rng.randint(1, 12) for _ in range(s))
+                model, _ = cp_pair(r, s, d, mults)
+                poly = [Fraction(0)] * (r - s) + [Fraction(1)]  # t^(r-s)
+                for m in mults + (model.m_infinity,):
+                    w = Fraction(-m, m + d)  # times (t + w)
+                    poly = [w * a + b for a, b in zip(poly + [0], [0] + poly)]
+                assert model.f_poly == tuple(poly), (r, s, d, mults)
 
 
 # ---------------------------------------------------------------------------
