@@ -72,6 +72,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+#: Most components a pair may have.  `blowup_transform` adds the exceptional
+#: component, so it takes pairs with at most MAX_COMPONENTS - 1.
 MAX_COMPONENTS = 30
 
 #: Most decimal digits accepted in every integer of a table document: d,
@@ -509,8 +511,17 @@ def blowup_transform(pair: SncPair) -> SncPair:
     The exceptional component E receives multiplicity m_0 and comes last;
     strict transforms keep theirs.  The new stratum table follows the two
     rules in the module docstring.  The result carries no center metadata.
+    It raises PairValidationError when the input already has
+    MAX_COMPONENTS components, since E would be one more.
     """
     m0 = exceptional_multiplicity(pair)
+    l = len(pair.components)
+    e_id = _unique_id((c.id for c in pair.components), "E")
+    if l >= MAX_COMPONENTS:
+        raise PairValidationError(
+            f"the blow-up adds the exceptional component {e_id!r} to the {l} "
+            f"components of the input, which exceeds the supported maximum "
+            f"of {MAX_COMPONENTS}")
     if m0 == 0:
         raise PairValidationError(
             "exceptional multiplicity would be 0 (codimension-1 center "
@@ -518,7 +529,6 @@ def blowup_transform(pair: SncPair) -> SncPair:
     r = pair.center.codim
     contains = pair.contains_mask
 
-    l = len(pair.components)
     e_bit = 1 << l
     entries: StratumTable = {}
     for mask, stratum in pair.strata.items():
@@ -541,8 +551,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
                 f"ambiguous center containment: stratum "
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                 f"although component {pair.components[orphan].id!r} does not")
-    exceptional = Component(_unique_id((c.id for c in pair.components), "E"), m0)
-    return _restrict(pair, entries, exceptional)
+    return _restrict(pair, entries, Component(e_id, m0))
 
 
 def center_pair(pair: SncPair) -> SncPair:
@@ -568,7 +577,8 @@ def exceptional_pair(pair: SncPair) -> SncPair:
     It is the blown-up pair restricted to E, so the projective-bundle rule
     of the module docstring is written once, in `blowup_transform`.  It
     raises PairValidationError wherever `blowup_transform` does: when the
-    exceptional multiplicity is 0 and when center containment is ambiguous.
+    exceptional multiplicity is 0, when center containment is ambiguous and
+    when E would be one component too many.
     """
     return _on_exceptional(blowup_transform(pair))
 

@@ -49,3 +49,26 @@ EMPTY_DIVISOR_TABLE = {
     "center": None,
     "strata": [{"subset": [], "chi": 7, "nonempty": True, "chi_meet_center": None}],
 }
+
+
+def centered_table(count):
+    """`count` components D0, D1, ... at d = 1, the center inside D0 alone.
+
+    The center has codimension 2 and misses every other D_j, which meets D0
+    in one stratum, so the strata are the ambient space, the singletons and
+    the pairs {D0, Dj}.  The blow-up adds E as component count + 1.
+    """
+    ids = [f"D{j}" for j in range(count)]
+    strata = [{"subset": [], "chi": 3, "chi_meet_center": 1},
+              {"subset": ids[:1], "chi": 2, "chi_meet_center": 1}]
+    for other in ids[1:]:
+        strata.append({"subset": [other], "chi": 2, "chi_meet_center": None})
+        strata.append({"subset": [ids[0], other], "chi": 1,
+                       "chi_meet_center": None})
+    return {
+        "d": 1,
+        "components": [{"id": name, "mult": 1, "contains_center": name == "D0"}
+                       for name in ids],
+        "center": {"codim": 2},
+        "strata": strata,
+    }

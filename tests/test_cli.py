@@ -10,7 +10,7 @@ import pytest
 from cypair import chow, cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
-from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE
+from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table
 
 
 def run_cli(args, capsys):
@@ -145,6 +145,44 @@ def test_blowup_check_random(capsys):
     assert out.count("[PASS]") == 25
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_blowup_check_agrees_with_the_full_check(capsys, seed):
+    # `--random` reads chi_d of each instance and of its blow-up alone; the
+    # full check, which `--file` reports, must give the same two values.
+    code, out, _ = run_cli(
+        ["blowup-check", "--random", "200", "--seed", str(seed), "--json"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    rng = random.Random(seed)
+    for check in checks:
+        result = sncpair.check_blowup_invariance(sncpair.random_blowup_instance(rng))
+        assert (check["expected"], check["actual"]) == (
+            str(result.before), str(result.after))
+    assert len(checks) == 200
+
+
+def test_random_blowup_check_validates_and_weighs_two_pairs_per_instance(
+        capsys, monkeypatch):
+    # Each instance and its blow-up are validated once, at construction, and
+    # weighed once; the induced pairs on the center and on E are not built.
+    calls = {"chi_d": 0, "validate": 0}
+
+    def counting(name):
+        original = getattr(sncpair, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sncpair, name, counting(name))
+    code, out, _ = run_cli(["blowup-check", "--random", "50"], capsys)
+    assert code == 0
+    assert out.count("[PASS]") == 50
+    assert calls == {"chi_d": 100, "validate": 100}
+
+
 # sha256 of the --json stdout of `--random 200 --seed S`.  The benchmark
 # oracle redraws the blowup-check instances from the same seed, so the
 # order in which they are drawn must not change.  Every ledger check reads
@@ -235,6 +273,26 @@ def test_blowup_check_rejects_table_that_loses_downward_closure(capsys, tmp_path
     assert out == ""
     assert err == (f"error: stratum {{A,B,C}} is marked nonempty but its "
                    f"subset {{B,C}} is empty\n")
+
+
+def test_blowup_check_rejects_a_component_too_many(capsys, tmp_path):
+    # A table may have MAX_COMPONENTS components, but its blow-up adds E.
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(centered_table(sncpair.MAX_COMPONENTS)))
+    code, _, _ = run_cli(["chi-d", "table", "--file", str(full)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["blowup-check", "--file", str(full)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: the blow-up adds the exceptional component 'E' to the "
+        f"{sncpair.MAX_COMPONENTS} components of the input, which exceeds the "
+        f"supported maximum of {sncpair.MAX_COMPONENTS}\n")
+    one_fewer = tmp_path / "one_fewer.json"
+    one_fewer.write_text(json.dumps(centered_table(sncpair.MAX_COMPONENTS - 1)))
+    code, out, _ = run_cli(["blowup-check", "--file", str(one_fewer)], capsys)
+    assert code == 0
+    assert "[PASS] invariance" in out
 
 
 def test_superset_of_empty_stratum_rejected(capsys, tmp_path):
@@ -447,6 +505,8 @@ def test_readme_limits_table_matches_the_code():
         "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
+        "`chi-d table --file`, `blowup-check --file` table components "
+        "(count)": sncpair.MAX_COMPONENTS,
         "`chi-d table --file`, `blowup-check --file`, `hodge` diamond files "
         "(bytes)": cli.MAX_INPUT_BYTES,
     }

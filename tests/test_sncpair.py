@@ -36,7 +36,7 @@ from cypair.sncpair import (
     weight,
 )
 
-from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE
+from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, centered_table
 
 
 def triangle_pair(with_center: bool) -> SncPair:
@@ -430,6 +430,20 @@ def test_exceptional_pair_raises_where_blowup_does(build):
     # exist where the blow-up does not.
     with pytest.raises(PairValidationError):
         exceptional_pair(build())
+
+
+@pytest.mark.parametrize("operation", [
+    blowup_transform, exceptional_pair, fibration_check, check_blowup_invariance])
+def test_blowup_rejects_a_component_too_many(operation):
+    # E would be component MAX_COMPONENTS + 1; the error names the input's
+    # own count, not that of the pair the blow-up would have built.
+    pair = pair_from_obj(centered_table(sncpair.MAX_COMPONENTS))
+    with pytest.raises(PairValidationError) as err:
+        operation(pair)
+    assert str(err.value) == (
+        f"the blow-up adds the exceptional component 'E' to the "
+        f"{sncpair.MAX_COMPONENTS} components of the input, which exceeds "
+        f"the supported maximum of {sncpair.MAX_COMPONENTS}")
 
 
 def test_blowup_rejects_table_that_loses_downward_closure():
