@@ -50,8 +50,8 @@ MAX_DIAMOND_DIM = 300
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.25-0.33 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.3-4.4 s and 165 MiB
+#: is linear in its size, about 0.28-0.40 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.7-5.4 s and 165 MiB
 #: on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 
@@ -135,11 +135,16 @@ def _parse_file(path: str, parse):
         return parse(data)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except ValueError as exc:  # also a UnicodeDecodeError
+    except CliInputError:
+        raise
+    # ValueError is also a UnicodeDecodeError; RecursionError is JSON
+    # nested deeper than the decoder's stack
+    except (ValueError, RecursionError) as exc:
         raise CliInputError(f"{path}: {exc}")
 
 
 def _check_diamond_dim(n: int, flag: str) -> None:
+    _check_digits([n], flag)
     if n > MAX_DIAMOND_DIM:
         raise CliInputError(
             f"{flag}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
@@ -154,9 +159,14 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
         n = int(match.group(1))
         _check_diamond_dim(n, flag)
         return hodge.HodgeDiamond.projective_space(n)
-    diamond = _parse_file(source, hodge.diamond_from_json)
-    _check_diamond_dim(diamond.n, flag)
-    return diamond
+
+    def parse(text: str) -> hodge.HodgeDiamond:
+        # bound n before the table is validated, which costs O(n^2)
+        obj = json.loads(text)
+        if isinstance(obj, dict) and isinstance(obj.get("n"), int):
+            _check_diamond_dim(obj["n"], flag)
+        return hodge.diamond_from_obj(obj)
+    return _parse_file(source, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +216,6 @@ def cmd_chi_d_cp(args) -> Report:
     if args.r > MAX_CP_R:
         raise CliInputError(f"--r must be at most {MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
-    _check_digits([args.d], "--d")
     _check_digits(mults, "--mults")
     model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
     by_enumeration = sncpair.chi_d(pair)
@@ -229,8 +238,6 @@ def cmd_chi_d_table(args) -> Report:
 
 
 def cmd_blowup_check(args) -> Report:
-    if (args.file is None) == (args.random is None):
-        raise CliInputError("exactly one of --file or --random is required")
     if args.file is not None:
         pair = _parse_file(args.file, sncpair.pair_from_json)
         result = sncpair.check_blowup_invariance(pair)
@@ -262,7 +269,6 @@ def cmd_hrr_cp(args) -> Report:
         raise CliInputError(f"--n must lie in 0..{MAX_HRR_N}, got {args.n}")
     if not 0 <= args.p <= args.n:
         raise CliInputError(f"--p must lie in 0..{args.n}")
-    _check_digits([args.twist], "--twist")
     value = chow.chi_twisted_hodge(args.n, args.p, args.twist)
     checks = []
     if 1 <= args.twist <= args.p:
@@ -290,7 +296,6 @@ def cmd_hodge_bundle(args) -> Report:
 
 
 def cmd_hodge_blowup(args) -> Report:
-    _check_digits([args.codim], "--codim")
     ambient = _load_diamond(args.x, "--x")
     center = _load_diamond(args.y, "--y")
     blown = hodge.blowup_diamond(ambient, center, args.codim)
@@ -314,8 +319,6 @@ def cmd_hodge_correction(args) -> Report:
 
 
 def cmd_hodge_ledger(args) -> Report:
-    if (args.diamond is None) == (args.random is None):
-        raise CliInputError("exactly one of --diamond or --random is required")
     checks = []
     if args.diamond is not None:
         diamond = _load_diamond(args.diamond, "--diamond")
@@ -379,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup-check",
                        help="check blow-up invariance of chi_d")
-    p.add_argument("--file", help="stratum table with center metadata")
-    p.add_argument("--random", type=int, metavar="COUNT",
-                   help="run COUNT random synthetic tables instead "
-                        f"(at most {MAX_RANDOM})")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--file", help="stratum table with center metadata")
+    mode.add_argument("--random", type=int, metavar="COUNT",
+                      help="run COUNT random synthetic tables instead "
+                           f"(at most {MAX_RANDOM})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"seed for --random (default {DEFAULT_SEED})")
     _add_output_flags(p)
@@ -421,12 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pco)
     pco.set_defaults(func=cmd_hodge_correction)
     ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
-    ple.add_argument("--diamond", help="diamond (name or file)")
-    ple.add_argument("--random", type=int, metavar="COUNT",
-                     help="check COUNT random symmetric diamonds instead "
-                          f"(at most {MAX_RANDOM}); the identities depend on "
-                          "the dimension alone, so every seed gives the same "
-                          "report")
+    mode = ple.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--diamond", help="diamond (name or file)")
+    mode.add_argument("--random", type=int, metavar="COUNT",
+                      help="check COUNT random symmetric diamonds instead "
+                           f"(at most {MAX_RANDOM}); the identities depend on "
+                           "the dimension alone, so every seed gives the same "
+                           "report")
     ple.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"seed for --random (default {DEFAULT_SEED})")
     _add_output_flags(ple)
@@ -439,6 +444,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if type(value) is int:  # the integer flags; --json is a bool
+                _check_digits([value], "--" + name.replace("_", "-"))
         report = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,10 +30,15 @@ Blow-up centers
 A pair may carry center metadata: the codimension r of a connected
 submanifold Y meeting all strata transversally, a flag on each component
 recording whether it contains Y, and, per stratum, chi(Y intersect D_J)
-in the `chi_meet_center` slot (None when Y misses the stratum; the value
-for J equals the value for J minus the containing components, and the
-validator enforces that redundancy).  `blowup_transform` consumes this
-metadata and produces the pair of the blown-up space:
+in the `chi_meet_center` slot (None when Y misses the stratum).  With C
+the containing components, the validator requires the value for J to
+equal the value for J minus C, and checks two rules once, on the
+center's own table of strata K off C that Y meets: (a) the table is
+downward closed, and (b) K union C is a stratum for every K in it.
+Together these close every stratum J that Y meets: dropping j in C keeps
+J's value, dropping j outside C reduces to (J minus C) minus j, and
+J union {c} lies inside (J minus C) union C.  `blowup_transform`
+consumes this metadata and produces the pair of the blown-up space:
 
 * a stratum away from the new exceptional component is the blow-up of
   D_J along Y intersect D_J, whose codimension in D_J is
@@ -78,7 +83,7 @@ MAX_COMPONENTS = 30
 
 #: Most decimal digits accepted in every integer of a table document: d,
 #: the multiplicities, the center's codimension and the Euler numbers (the
-#: CLI bounds `chi-d cp --d` and `--mults` by it too).  The numerators in
+#: CLI bounds every integer flag and `chi-d cp --mults` by it too).  The numerators in
 #: `chi_d` grow with the product of all m_j + d, so the cost of a table
 #: grows with these digits.
 MAX_INT_DIGITS = 40
@@ -242,27 +247,33 @@ def validate(pair: SncPair) -> None:
                 f"{stratum.chi_meet_center} but the center lies inside the "
                 f"containing components, so it must equal the value "
                 f"{expected} recorded for {pair.subset_label(reduced)}")
-        if expected is None:
-            continue
+    # Given that equality, rules (a) and (b) of the module docstring, checked
+    # on the center's own table, hold for every stratum the center meets.
+    on_center = _center_table(pair)
+    for mask in on_center:
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            if strata[mask ^ low].chi_meet_center is None:
+            if mask ^ low not in on_center:
                 raise PairValidationError(
                     f"center meets stratum {pair.subset_label(mask)} but "
                     f"supposedly misses stratum {pair.subset_label(mask ^ low)}, "
                     "which contains it")
-        rest = contains & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if mask | low not in strata:
-                raise PairValidationError(
-                    f"center meets stratum {pair.subset_label(mask)} and is "
-                    f"contained in component "
-                    f"{pair.components[low.bit_length() - 1].id!r}, so "
-                    f"stratum {pair.subset_label(mask | low)} cannot be empty")
+        if mask | contains not in strata:
+            raise PairValidationError(
+                f"center meets stratum {pair.subset_label(mask)} and is "
+                f"contained in components {pair.subset_label(contains)}, so "
+                f"stratum {pair.subset_label(mask | contains)} cannot be empty")
+
+
+def _center_table(pair: SncPair) -> dict[int, int]:
+    """chi(Y intersect D_K) for each stratum K off the containing components
+    that the center Y meets: the Euler numbers of the center's strata."""
+    contains = pair.contains_mask
+    return {mask: stratum.chi_meet_center
+            for mask, stratum in pair.strata.items()
+            if not mask & contains and stratum.chi_meet_center is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +568,8 @@ def blowup_transform(pair: SncPair) -> SncPair:
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
-    contains = pair.contains_mask
-    entries = {
-        mask: Stratum(stratum.chi_meet_center)
-        for mask, stratum in pair.strata.items()
-        if not mask & contains and stratum.chi_meet_center is not None
-    }
-    return _restrict(pair, entries)
+    return _restrict(pair, {mask: Stratum(chi)
+                            for mask, chi in _center_table(pair).items()})
 
 
 def _on_exceptional(blown: SncPair) -> SncPair:

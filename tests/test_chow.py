@@ -117,6 +117,24 @@ def test_random_product_multiplicativity():
         )
 
 
+def test_products_of_models_with_relations():
+    # The Hirzebruch surface F_2 = P(O(2) + O) over P^1 rewrites xi^2 as
+    # -2 h xi, and `product` must carry that rule over to its own indices,
+    # on the left factor and on the right.  Its chi(Omega^p) are 1, -2, 1,
+    # and Kuenneth multiplies them as polynomials in p.
+    base = projective_space(1)
+    f2 = projective_bundle(base, base.one() + 2 * base.gen_class(0), 1)
+    for a, b, euler, chi_p in [
+            (f2, projective_space(1), 8, [1, -3, 3, -1]),
+            (projective_space(2), f2, 12, [1, -3, 4, -3, 1]),
+            (f2, f2, 16, [1, -4, 6, -4, 1])]:
+        model = product(a, b)
+        assert len(model.rewrites) == len(a.rewrites) + len(b.rewrites)
+        assert euler_characteristic(model) == euler
+        assert [hrr_chi(model, ch_cotangent_exterior(model, p))
+                for p in range(model.dim + 1)] == chi_p
+
+
 # ---------------------------------------------------------------------------
 # projective bundles
 # ---------------------------------------------------------------------------

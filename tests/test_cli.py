@@ -10,7 +10,8 @@ import pytest
 from cypair import chow, cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
-from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table
+from tables import (
+    EMPTY_DIVISOR_TABLE, NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table)
 
 
 def run_cli(args, capsys):
@@ -121,6 +122,17 @@ def test_non_utf8_input_file_names_the_path(capsys, tmp_path, command, text):
     assert out == ""
     assert err.startswith(f"error: {path}: ")
     assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("command, text", FILE_INPUTS)
+def test_deeply_nested_input_file_names_the_path(capsys, tmp_path, command, text):
+    # 200,000 open brackets: far below the size limit, far beyond the
+    # decoder's stack
+    path = tmp_path / "input.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(command + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +327,92 @@ def test_forbidden_multiplicity_rejected(capsys, tmp_path):
     assert "-d" in err
 
 
+# A codimension-2 center inside A alone, meeting {B,C} but not {B}.
+CENTER_MISSES_A_SUBSET = {
+    "d": 1,
+    "components": [{"id": "A", "mult": 1, "contains_center": True},
+                   {"id": "B", "mult": 1}, {"id": "C", "mult": 1}],
+    "center": {"codim": 2},
+    "strata": [
+        {"subset": subset, "chi": 1,
+         "chi_meet_center": None if "B" in subset and "C" not in subset else 1}
+        for subset in [[], ["A"], ["B"], ["C"], ["A", "B"], ["A", "C"],
+                       ["B", "C"], ["A", "B", "C"]]
+    ],
+}
+
+#: A change to the triangle table, and the message of the rule it breaks.
+TABLE_FAULTS = {
+    "zero-d": (lambda t: t.update(d=0), "d must be a non-zero integer"),
+    "too-many-components": (
+        lambda t: t.update(centered_table(sncpair.MAX_COMPONENTS + 1)),
+        f"{sncpair.MAX_COMPONENTS + 1} components exceed the supported maximum "
+        f"of {sncpair.MAX_COMPONENTS}"),
+    "zero-multiplicity": (lambda t: t["components"][0].update(mult=0),
+                          "component 'H1' has multiplicity 0"),
+    "empty-singleton": (
+        lambda t: t.update(
+            strata=[s for s in t["strata"] if "Hinf" not in s["subset"]]),
+        "component 'Hinf' has an empty singleton stratum; divisor components "
+        "must be nonempty"),
+    "flags-without-center": (
+        lambda t: t.update(center=None),
+        "components are flagged contains_center but no center is declared"),
+    "meet-without-center": (
+        lambda t: t.update(EMPTY_DIVISOR_TABLE, strata=[
+            {"subset": [], "chi": 7, "chi_meet_center": 1}]),
+        "stratum {} carries chi_meet_center but no center is declared"),
+    "codim-zero": (lambda t: t["center"].update(codim=0),
+                   "center codimension must be >= 1, got 0"),
+    "no-meet-on-empty-set": (
+        lambda t: t["strata"][0].update(chi_meet_center=None),
+        "chi_meet_center of the empty subset (the Euler number of the center "
+        "itself) is required when a center is declared"),
+    "center-table-not-closed": (
+        lambda t: t.update(CENTER_MISSES_A_SUBSET),
+        "center meets stratum {B,C} but supposedly misses stratum {B}, which "
+        "contains it"),
+    "center-table-not-closed-under-C": (
+        lambda t: t["strata"].pop(4),  # {H1,H2}, the center itself
+        "center meets stratum {} and is contained in components {H1,H2}, so "
+        "stratum {H1,H2} cannot be empty"),
+    "duplicate-ids": (lambda t: t["components"][1].update(id="H1"),
+                      "components: duplicate ids"),
+    "stratum-not-an-object": (lambda t: t["strata"].__setitem__(1, 5),
+                              "strata[1]: expected an object"),
+    "repeated-id-in-subset": (
+        lambda t: t["strata"][4].update(subset=["H1", "H1"]),
+        "strata[4].subset: repeated component id 'H1'"),
+    "duplicate-subset": (
+        lambda t: t["strata"].append(dict(t["strata"][4], subset=["H2", "H1"])),
+        "strata[7]: duplicate subset ['H1', 'H2']"),
+}
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_table_rule_message(capsys, tmp_path, fault):
+    change, message = TABLE_FAULTS[fault]
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    change(table)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(["chi-d", "table", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_table_entry_marked_empty_counts_as_omitted(capsys, tmp_path, triangle_table_path):
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    table["strata"].append({"subset": ["H1", "H2", "Hinf"], "chi": 0,
+                            "nonempty": False})
+    path = tmp_path / "marked_empty.json"
+    path.write_text(json.dumps(table))
+    for command in (["chi-d", "table"], ["blowup-check"]):
+        marked = run_cli(command + ["--file", str(path), "--json"], capsys)
+        omitted = run_cli(command + ["--file", triangle_table_path, "--json"], capsys)
+        assert marked == omitted
+        assert marked[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # hrr and hodge
 # ---------------------------------------------------------------------------
@@ -476,6 +574,53 @@ def test_hodge_rejects_oversize_diamond_file(capsys, monkeypatch, tmp_path):
     assert f"--diamond: diamond dimension {n} exceeds" in err
 
 
+def test_diamond_file_dimension_is_bounded_before_the_table(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(hodge.HodgeDiamond, "__init__", _refuse)
+    n = MAX_DIAMOND_DIM + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"n": n, "h": [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]}))
+    code, out, err = run_cli(["hodge", "correction", "--diamond", str(path)], capsys)
+    assert (code, out, err) == (2, "", (
+        f"error: --diamond: diamond dimension {n} exceeds the limit of "
+        f"{MAX_DIAMOND_DIM}\n"))
+
+
+LONG = "9" * 4000
+
+#: Commands with a 4,000-digit integer input, and the flag their message
+#: names.  "{file}" stands for a diamond file whose "n" is that long.
+LONG_INTEGER_INPUTS = {
+    "identities --max-m": ("--max-m", ["identities", "--max-m", LONG]),
+    "hrr cp --n": ("--n", ["hrr", "cp", "--n", LONG, "--p", "0"]),
+    "chi-d cp --r": ("--r", ["chi-d", "cp", "--r", LONG, "--s", "1", "--d", "1"]),
+    "chi-d cp --r negative": (
+        "--r", ["chi-d", "cp", "--r", "-" + LONG, "--s", "1", "--d", "1"]),
+    "chi-d cp --s": ("--s", ["chi-d", "cp", "--r", "2", "--s", LONG, "--d", "1"]),
+    "blowup-check --random": ("--random", ["blowup-check", "--random", LONG]),
+    "hodge ledger --random": ("--random", ["hodge", "ledger", "--random", LONG]),
+    "blowup-check --seed": (
+        "--seed", ["blowup-check", "--random", "1", "--seed", LONG]),
+    "hodge ledger --seed": (
+        "--seed", ["hodge", "ledger", "--random", "1", "--seed", LONG]),
+    "hodge bundle --fiber-dim": (
+        "--fiber-dim", ["hodge", "bundle", "--base", "cp1", "--fiber-dim", LONG]),
+    "diamond name": ("--diamond", ["hodge", "correction", "--diamond", "cp" + LONG]),
+    "diamond file n": ("--diamond", ["hodge", "correction", "--diamond", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INTEGER_INPUTS)
+def test_messages_do_not_repeat_long_integers(capsys, tmp_path, name):
+    flag, command = LONG_INTEGER_INPUTS[name]
+    path = tmp_path / "diamond.json"
+    path.write_text(f'{{"n": {LONG}, "h": []}}')
+    code, out, err = run_cli([a.format(file=path) for a in command], capsys)
+    limit = sncpair.MAX_INT_DIGITS
+    assert (code, out, err) == (
+        2, "", f"error: {flag}: {len(LONG)} digits exceed the limit of {limit}\n")
+
+
 def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
     monkeypatch.setattr(hodge, "projective_bundle_diamond", _refuse)
     code, _, err = run_cli(
@@ -499,7 +644,9 @@ def test_readme_limits_table_matches_the_code():
         "`hrr cp --n`": MAX_HRR_N,
         "`blowup-check --random`, `hodge ledger --random`": MAX_RANDOM,
         "`chi-d cp --r`": MAX_CP_R,
-        "`chi-d cp --d`, `--mults`; `hrr cp --twist`; `hodge blowup --codim`; "
+        "`--max-m`, `--n`, `--p`, `--twist`, `--r`, `--s`, `--d`, `--random`, "
+        "`--seed`, `--fiber-dim`, `--codim` (every integer flag); "
+        "`chi-d cp --mults`; a `cp<N>` diamond name; a diamond file's `n`; "
         "table `d`, "
         "`components[i].mult`, `center.codim`, `strata[i].chi`, "
         "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
@@ -585,6 +732,16 @@ def test_hodge_ledger(capsys):
     code, out, _ = run_cli(["hodge", "ledger", "--diamond", "cp5"], capsys)
     assert code == 0
     assert "[PASS] ledger-identities: expected True, actual True" in out
+
+
+def test_hodge_ledger_requires_one_mode(capsys):
+    code, out, err = run_cli(["hodge", "ledger"], capsys)
+    assert (code, out) == (2, "")
+    assert "one of the arguments --diamond --random is required" in err
+    code, out, err = run_cli(
+        ["hodge", "ledger", "--diamond", "cp1", "--random", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --random: not allowed with argument --diamond" in err
 
 
 # ---------------------------------------------------------------------------

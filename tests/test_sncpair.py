@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -707,6 +708,108 @@ def test_validate_center_consistency():
             },
             center=Center(codim=2),
         )
+
+
+@pytest.mark.parametrize("components, strata, message", [
+    ((Component("", 1),), {0: Stratum(3), 0b1: Stratum(2)},
+     "component 0 must have a non-empty string id"),
+    ((Component("A", 1), Component("A", 2)),
+     {0: Stratum(3), 0b01: Stratum(2), 0b10: Stratum(2)},
+     "duplicate component id 'A'"),
+    ((Component("A", 1),), {0: Stratum(3), 0b1: Stratum(2), 0b10: Stratum(2)},
+     "stratum mask 2 references unknown components"),
+])
+def test_validate_rules_the_parser_catches_first(components, strata, message):
+    # A table document cannot reach these rules: its parser rejects an
+    # empty or repeated id and a subset naming an unknown component.
+    with pytest.raises(PairValidationError) as err:
+        SncPair(d=1, components=components, strata=strata)
+    assert str(err.value) == message
+
+
+def per_stratum_center_rules(d, components, strata, center):
+    """The center rules stated for every stratum J the center meets, each
+    one walked on its own: J minus any element is met too, and J plus any
+    containing component is a stratum.  Raises PairValidationError."""
+    # the rules that do not involve the center
+    SncPair(d, tuple(Component(c.id, c.mult) for c in components),
+            {mask: Stratum(s.chi) for mask, s in strata.items()})
+    contains = sum(1 << j for j, c in enumerate(components) if c.contains_center)
+    if contains.bit_count() > center.codim or strata[0].chi_meet_center is None:
+        raise PairValidationError("center header")
+    for mask, stratum in strata.items():
+        expected = strata[mask & ~contains].chi_meet_center
+        if stratum.chi_meet_center != expected:
+            raise PairValidationError("chi_meet_center differs off the center")
+        if expected is None:
+            continue
+        for j in range(len(components)):
+            bit = 1 << j
+            if mask & bit and strata[mask ^ bit].chi_meet_center is None:
+                raise PairValidationError("center misses a subset")
+            if contains & bit and not mask & bit and mask | bit not in strata:
+                raise PairValidationError("a superset inside C is empty")
+
+
+def mutated_tables(rng, pair):
+    """Four tables one change away from a valid centered pair: a cleared
+    or changed chi_meet_center (on one stratum, or on every stratum with
+    the same part off the center's components), a deleted stratum, a
+    flipped contains_center flag, and an added stratum."""
+    l = len(pair.components)
+    contains = pair.contains_mask
+    masks = sorted(pair.strata)
+
+    strata = dict(pair.strata)
+    target = rng.choice(masks)
+    value = rng.choice([None, rng.randint(-9, 9)])
+    same_class = [m for m in masks if m & ~contains == target & ~contains]
+    for mask in same_class if rng.random() < 0.5 else [target]:
+        strata[mask] = Stratum(strata[mask].chi, value)
+    yield pair.components, strata
+
+    strata = dict(pair.strata)
+    del strata[rng.choice(masks[1:] or masks)]
+    yield pair.components, strata
+
+    components = list(pair.components)
+    if components:
+        j = rng.randrange(l)
+        components[j] = replace(components[j],
+                                contains_center=not components[j].contains_center)
+    yield tuple(components), pair.strata
+
+    strata = dict(pair.strata)
+    absent = [m for m in range(1 << l) if m not in strata]
+    if absent:
+        mask = rng.choice(absent)
+        reduced = strata.get(mask & ~contains)
+        meet = reduced.chi_meet_center if reduced and rng.random() < 0.8 else None
+        strata[mask] = Stratum(rng.randint(-9, 9), meet)
+    yield pair.components, strata
+
+
+def test_center_rules_on_the_center_table_match_the_per_stratum_rules():
+    rng = random.Random(1616)
+    outcomes = {"accepted": 0, "rejected": 0, "misses": 0, "cannot be empty": 0}
+    for _ in range(5000):
+        pair = random_blowup_instance(rng)
+        for components, strata in mutated_tables(rng, pair):
+            try:
+                SncPair(pair.d, components, strata, pair.center)
+                accepted, message = True, ""
+            except PairValidationError as exc:
+                accepted, message = False, str(exc)
+            try:
+                per_stratum_center_rules(pair.d, components, strata, pair.center)
+                assert accepted, (message, components, strata)
+            except PairValidationError:
+                assert not accepted, (components, strata)
+            outcomes["accepted" if accepted else "rejected"] += 1
+            for key in ("misses", "cannot be empty"):
+                outcomes[key] += key in message
+    assert outcomes["accepted"] + outcomes["rejected"] == 20000
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # ---------------------------------------------------------------------------
