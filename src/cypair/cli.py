@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import chow, hodge, sncpair, symcalc
 
@@ -50,8 +51,8 @@ MAX_DIAMOND_DIM = 300
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.28-0.40 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.7-5.4 s and 165 MiB
+#: is linear in its size, about 0.24-0.29 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.3-3.8 s and 165 MiB
 #: on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 
@@ -196,17 +197,47 @@ def _random_generator(args) -> random.Random:
     return random.Random(args.seed)
 
 
+class _LongDecimal(NamedTuple):
+    """A decimal flag value over `sncpair.MAX_INT_DIGITS` digits, unconverted."""
+    digits: int
+
+
+#: A decimal as int() reads it: digits, single underscores between them.
+_DECIMAL = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
+
+
+def _integer(text: str):
+    """int(text), or the digit count of a decimal over the digit limit.
+
+    Such a decimal is counted, not converted: past Python's 4,300-digit
+    limit int() refuses it with a message that repeats it in full.
+    """
+    match = _DECIMAL.fullmatch(text)
+    if match:
+        digits = len(match.group(1).replace("_", "").lstrip("0"))
+        if digits > sncpair.MAX_INT_DIGITS:
+            return _LongDecimal(digits)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse's message for a malformed value names the type
+
+
 def _parse_mults(raw: str | None) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        return tuple(int(chunk) for chunk in raw.split(","))
+        return tuple(_integer(chunk) for chunk in raw.split(","))
     except ValueError:
         raise CliInputError(f"--mults must be a comma-separated integer list, got {raw!r}")
 
 
 def _check_digits(values, flag: str) -> None:
     for value in values:
+        if isinstance(value, _LongDecimal):
+            raise CliInputError(
+                f"{flag}: {value.digits} digits exceed the limit of "
+                f"{sncpair.MAX_INT_DIGITS}")
         message = sncpair.digits_error(value, flag)
         if message is not None:
             raise CliInputError(message)
@@ -354,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities",
                        help="verify the Todd / exterior-character identities")
-    p.add_argument("--max-m", type=int, default=6,
+    p.add_argument("--max-m", type=_integer, default=6,
                    help="verify for every root count up to this bound "
                         f"(at most {symcalc.MAX_VERIFY_ROOTS})")
     _add_output_flags(p)
@@ -363,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi-d", help="weighted Euler characteristics")
     chi_sub = p.add_subparsers(dest="mode", required=True)
     pc = chi_sub.add_parser("cp", help="model pair on projective r-space")
-    pc.add_argument("--r", type=int, required=True,
+    pc.add_argument("--r", type=_integer, required=True,
                     help=f"ambient dimension (at most {MAX_CP_R})")
-    pc.add_argument("--s", type=int, required=True,
+    pc.add_argument("--s", type=_integer, required=True,
                     help="number of coordinate hyperplanes")
-    pc.add_argument("--d", type=int, required=True,
+    pc.add_argument("--d", type=_integer, required=True,
                     help="pluricanonical degree (at most "
                          f"{sncpair.MAX_INT_DIGITS} digits)")
     pc.add_argument("--mults", default="",
@@ -384,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check blow-up invariance of chi_d")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--file", help="stratum table with center metadata")
-    mode.add_argument("--random", type=int, metavar="COUNT",
+    mode.add_argument("--random", type=_integer, metavar="COUNT",
                       help="run COUNT random synthetic tables instead "
                            f"(at most {MAX_RANDOM})")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                    help=f"seed for --random (default {DEFAULT_SEED})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_blowup_check)
@@ -395,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hrr", help="Riemann-Roch Euler characteristics")
     hrr_sub = p.add_subparsers(dest="mode", required=True)
     ph = hrr_sub.add_parser("cp", help="twisted Hodge sheaves on projective space")
-    ph.add_argument("--n", type=int, required=True,
+    ph.add_argument("--n", type=_integer, required=True,
                     help=f"ambient dimension (at most {MAX_HRR_N})")
-    ph.add_argument("--p", type=int, required=True, help="form degree")
-    ph.add_argument("--twist", type=int, default=0, help="line-bundle twist")
+    ph.add_argument("--p", type=_integer, required=True, help="form degree")
+    ph.add_argument("--twist", type=_integer, default=0, help="line-bundle twist")
     _add_output_flags(ph)
     ph.set_defaults(func=cmd_hrr_cp)
 
@@ -407,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = hodge_sub.add_parser("bundle", help="projective bundle diamond")
     pb.add_argument("--base", required=True,
                     help="builtin name (point, cpN) or diamond JSON file")
-    pb.add_argument("--fiber-dim", type=int, required=True,
+    pb.add_argument("--fiber-dim", type=_integer, required=True,
                     help="fiber dimension (base plus fiber at most "
                          f"{MAX_DIAMOND_DIM})")
     _add_output_flags(pb)
@@ -415,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = hodge_sub.add_parser("blowup", help="blow-up diamond")
     pl.add_argument("--x", required=True, help="ambient diamond (name or file)")
     pl.add_argument("--y", required=True, help="center diamond (name or file)")
-    pl.add_argument("--codim", type=int, required=True,
+    pl.add_argument("--codim", type=_integer, required=True,
                     help="codimension of the center (at most "
                          f"{sncpair.MAX_INT_DIGITS} digits)")
     _add_output_flags(pl)
@@ -427,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
     mode = ple.add_mutually_exclusive_group(required=True)
     mode.add_argument("--diamond", help="diamond (name or file)")
-    mode.add_argument("--random", type=int, metavar="COUNT",
+    mode.add_argument("--random", type=_integer, metavar="COUNT",
                       help="check COUNT random symmetric diamonds instead "
                            f"(at most {MAX_RANDOM}); the identities depend on "
                            "the dimension alone, so every seed gives the same "
                            "report")
-    ple.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    ple.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                      help=f"seed for --random (default {DEFAULT_SEED})")
     _add_output_flags(ple)
     ple.set_defaults(func=cmd_hodge_ledger)
@@ -445,7 +476,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, value in vars(args).items():
-            if type(value) is int:  # the integer flags; --json is a bool
+            # the integer flags; --json is a bool
+            if type(value) is int or isinstance(value, _LongDecimal):
                 _check_digits([value], "--" + name.replace("_", "-"))
         report = args.func(args)
     except ValueError as exc:

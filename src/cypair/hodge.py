@@ -26,6 +26,8 @@ import json
 import random
 from typing import Iterable, Mapping
 
+from .sncpair import digits_error
+
 
 class DiamondError(ValueError):
     """Raised for tables violating the Hodge symmetries or the file format."""
@@ -330,6 +332,9 @@ def diamond_from_obj(obj) -> HodgeDiamond:
         for q, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise DiamondError(f"h[{p}][{q}]: expected an integer")
+            message = digits_error(v, f"h[{p}][{q}]")
+            if message is not None:
+                raise DiamondError(message)
     return HodgeDiamond(n, rows)
 
 

@@ -83,10 +83,15 @@ MAX_COMPONENTS = 30
 
 #: Most decimal digits accepted in every integer of a table document: d,
 #: the multiplicities, the center's codimension and the Euler numbers (the
-#: CLI bounds every integer flag and `chi-d cp --mults` by it too).  The numerators in
+#: CLI bounds every integer flag and `chi-d cp --mults` by it too, and
+#: `hodge.diamond_from_obj` every Hodge number).  The numerators in
 #: `chi_d` grow with the product of all m_j + d, so the cost of a table
 #: grows with these digits.
 MAX_INT_DIGITS = 40
+
+#: The integers of at most MAX_INT_DIGITS digits are those of absolute
+#: value below this.
+_INT_LIMIT = 10 ** MAX_INT_DIGITS
 
 
 class PairValidationError(ValueError):
@@ -359,7 +364,11 @@ def _restrict(pair: SncPair, entries: StratumTable,
 
     The components kept, in order, are those whose singleton stratum is
     in `entries`; bit len(pair.components) stands for `extra`, appended
-    as the last component.  The result carries no center metadata.
+    as the last component.  The result carries no center metadata.  When
+    every kept component keeps its bit (no component is dropped, or only
+    the last ones and there is no `extra`), no mask is remapped and
+    `entries` itself becomes the new pair's table, so callers pass a dict
+    that nothing else holds.
     """
     new_bit: dict[int, int] = {}  # old bit -> new bit
     components = []
@@ -370,6 +379,8 @@ def _restrict(pair: SncPair, entries: StratumTable,
     if extra is not None:
         new_bit[1 << len(pair.components)] = 1 << len(components)
         components.append(extra)
+    if all(old == new for old, new in new_bit.items()):
+        return SncPair(d=pair.d, components=tuple(components), strata=entries)
     strata: StratumTable = {}
     for mask, stratum in entries.items():
         new = 0
@@ -392,7 +403,8 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
         raise PairValidationError(
             f"stratum {pair.subset_label(subset)} is empty; no induced pair")
     entries = {
-        mask & ~subset: Stratum(stratum.chi)
+        mask & ~subset:
+            stratum if stratum.chi_meet_center is None else Stratum(stratum.chi)
         for mask, stratum in pair.strata.items()
         if mask & subset == subset
     }
@@ -546,7 +558,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
         fiber = r - (mask & contains).bit_count()
         meets = stratum.chi_meet_center
         if meets is None:
-            entries[mask] = Stratum(stratum.chi)
+            entries[mask] = stratum  # already a record without center data
             continue
         if not (fiber == 0 and stratum.chi == meets):
             entries[mask] = Stratum(stratum.chi + meets * (fiber - 1))
@@ -763,7 +775,7 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
 
 def digits_error(value: int, where: str) -> str | None:
     """The message for an integer over `MAX_INT_DIGITS` digits, else None."""
-    if abs(value) < 10 ** MAX_INT_DIGITS:
+    if -_INT_LIMIT < value < _INT_LIMIT:
         return None
     return (f"{where}: {len(str(abs(value)))} digits exceed the limit of "
             f"{MAX_INT_DIGITS}")
@@ -778,8 +790,33 @@ def _expect_bounded_int(value, where: str) -> int:
     return value
 
 
+#: The fields a stratum entry may have.
+_STRATUM_FIELDS = frozenset({"subset", "chi", "nonempty", "chi_meet_center"})
+
+
+def _subset_mask(subset, bits: dict[str, int]) -> int | None:
+    """The mask of a list of distinct known component ids, else None."""
+    if type(subset) is not list:
+        return None
+    try:
+        mask = sum(map(bits.__getitem__, subset))
+    except (KeyError, TypeError):
+        return None
+    # a repeated id carries into another bit, so fewer bits are set
+    return mask if mask.bit_count() == len(subset) else None
+
+
 def pair_from_obj(obj) -> SncPair:
-    """Build and validate a pair from a decoded stratum-table document."""
+    """Build and validate a pair from a decoded stratum-table document.
+
+    Each stratum entry first meets one accept test, which passes only an
+    entry that every named check would accept as a nonempty stratum: an
+    object of known fields whose subset lists distinct known ids and is
+    new to the table, whose `chi` and `chi_meet_center` (or null) are
+    integers within `MAX_INT_DIGITS` digits, and whose `nonempty` is true
+    or omitted.  Any other entry goes through the named checks, which
+    raise with a message that says where, or skip an entry marked empty.
+    """
     if not isinstance(obj, dict):
         raise TableFormatError("top level: expected an object")
     _expect_keys(obj, "top level", {"d", "components", "strata"}, {"center"})
@@ -817,8 +854,22 @@ def pair_from_obj(obj) -> SncPair:
     raw_strata = obj["strata"]
     if not isinstance(raw_strata, list):
         raise TableFormatError("strata: expected a list")
+    bits = {c.id: 1 << j for j, c in enumerate(components)}
     strata: StratumTable = {}
     for i, entry in enumerate(raw_strata):
+        # the accept test; an entry that fails it takes the named checks
+        if type(entry) is dict and entry.keys() <= _STRATUM_FIELDS:
+            mask = _subset_mask(entry.get("subset"), bits)
+            chi_value = entry.get("chi")
+            meet = entry.get("chi_meet_center")
+            if (mask is not None and mask not in strata
+                    and type(chi_value) is int
+                    and -_INT_LIMIT < chi_value < _INT_LIMIT
+                    and (meet is None or type(meet) is int
+                         and -_INT_LIMIT < meet < _INT_LIMIT)
+                    and entry.get("nonempty", True) is True):
+                strata[mask] = Stratum(chi_value, meet)
+                continue
         where = f"strata[{i}]"
         if not isinstance(entry, dict):
             raise TableFormatError(f"{where}: expected an object")

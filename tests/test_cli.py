@@ -621,6 +621,78 @@ def test_messages_do_not_repeat_long_integers(capsys, tmp_path, name):
         2, "", f"error: {flag}: {len(LONG)} digits exceed the limit of {limit}\n")
 
 
+LONGER = "9" * 5000
+
+#: Flags given a value past Python's 4,300-digit conversion limit, with the
+#: flag their message names and the digit count it reports.
+LONGER_INTEGER_INPUTS = {
+    "identities --max-m": ("--max-m", 5000, ["identities", "--max-m", LONGER]),
+    "chi-d cp --r": ("--r", 5000, ["chi-d", "cp", "--r", LONGER, "--s", "1", "--d", "1"]),
+    "chi-d cp --r negative": (
+        "--r", 5000, ["chi-d", "cp", "--r", "-" + LONGER, "--s", "1", "--d", "1"]),
+    "chi-d cp --s": ("--s", 5000, ["chi-d", "cp", "--r", "2", "--s", LONGER, "--d", "1"]),
+    "chi-d cp --d": ("--d", 5000, ["chi-d", "cp", "--r", "2", "--s", "1", "--d", LONGER]),
+    "chi-d cp --mults": (
+        "--mults", 5000,
+        ["chi-d", "cp", "--r", "2", "--s", "1", "--d", "1", "--mults", LONGER]),
+    "chi-d cp --mults second": (
+        "--mults", 5000,
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", "1", "--mults", "1," + LONGER]),
+    "chi-d cp --mults underscores and zeros": (
+        "--mults", 5000,
+        ["chi-d", "cp", "--r", "2", "--s", "1", "--d", "1",
+         "--mults", "000" + "_".join(LONGER)]),
+    "hrr cp --n": ("--n", 5000, ["hrr", "cp", "--n", LONGER, "--p", "0"]),
+    "hrr cp --p": ("--p", 5000, ["hrr", "cp", "--n", "1", "--p", LONGER]),
+    "hrr cp --twist": ("--twist", 5000, ["hrr", "cp", "--n", "1", "--p", "0",
+                                         "--twist", "+" + LONGER]),
+    "blowup-check --random": ("--random", 5000, ["blowup-check", "--random", LONGER]),
+    "blowup-check --seed": (
+        "--seed", 5000, ["blowup-check", "--random", "1", "--seed", LONGER]),
+    "hodge bundle --fiber-dim": (
+        "--fiber-dim", 5000, ["hodge", "bundle", "--base", "cp1", "--fiber-dim", LONGER]),
+    "hodge blowup --codim": (
+        "--codim", 5000, ["hodge", "blowup", "--x", "cp2", "--y", "point",
+                          "--codim", LONGER]),
+    "hodge ledger --random": ("--random", 5000, ["hodge", "ledger", "--random", LONGER]),
+    "hodge ledger --seed": (
+        "--seed", 5000, ["hodge", "ledger", "--random", "1", "--seed", LONGER]),
+}
+
+
+@pytest.mark.parametrize("name", LONGER_INTEGER_INPUTS)
+def test_flags_past_the_conversion_limit_are_not_repeated(capsys, name):
+    flag, digits, command = LONGER_INTEGER_INPUTS[name]
+    code, out, err = run_cli(command, capsys)
+    limit = sncpair.MAX_INT_DIGITS
+    assert (code, out, err) == (
+        2, "", f"error: {flag}: {digits} digits exceed the limit of {limit}\n")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "9" * 30 + "x"])
+def test_malformed_integer_flag_keeps_argparse_message(capsys, value):
+    code, out, err = run_cli(["identities", "--max-m", value], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"cypair identities: error: argument --max-m: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_diamond_file_hodge_numbers_are_bounded(capsys, tmp_path, symmetric):
+    # a symmetric table would be summed into the Betti numbers, an
+    # asymmetric one repeated in the conjugation-symmetry message
+    big = int(LONG)
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps({"n": 1, "h": [[1, big], [big if symmetric else 0, 1]]}))
+    code, out, err = run_cli(["hodge", "correction", "--diamond", str(path)], capsys)
+    limit = sncpair.MAX_INT_DIGITS
+    assert (code, out, err) == (
+        2, "", f"error: {path}: h[0][1]: {len(LONG)} digits exceed the limit of "
+               f"{limit}\n")
+    assert len(err.encode()) < 300
+
+
 def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
     monkeypatch.setattr(hodge, "projective_bundle_diamond", _refuse)
     code, _, err = run_cli(
@@ -649,7 +721,8 @@ def test_readme_limits_table_matches_the_code():
         "`chi-d cp --mults`; a `cp<N>` diamond name; a diamond file's `n`; "
         "table `d`, "
         "`components[i].mult`, `center.codim`, `strata[i].chi`, "
-        "`strata[i].chi_meet_center` (decimal digits)": sncpair.MAX_INT_DIGITS,
+        "`strata[i].chi_meet_center`; diamond file `h[p][q]` (decimal "
+        "digits)": sncpair.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
         "`chi-d table --file`, `blowup-check --file` table components "

@@ -569,6 +569,90 @@ def test_induced_pairs_match_docstring_rules():
                 == exceptional_multiplicity(pair))
 
 
+def _remapped(pair: SncPair, entries: dict, extra=None) -> SncPair:
+    """An induced pair built as `_restrict` did before its identity
+    shortcut: new components and records, every mask remapped bit by bit."""
+    l = len(pair.components)
+    kept = [j for j in range(l) if 1 << j in entries] + ([l] if extra else [])
+    position = {j: i for i, j in enumerate(kept)}
+    components = [Component(pair.components[j].id, pair.components[j].mult)
+                  for j in kept if j < l] + ([extra] if extra else [])
+    strata = {}
+    for mask, stratum in entries.items():
+        new = 0
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                new |= 1 << position[j]
+        strata[new] = Stratum(stratum.chi)
+    return SncPair(d=pair.d, components=tuple(components), strata=strata)
+
+
+def _remapped_blowup(pair: SncPair) -> SncPair:
+    """The blow-up by the module-docstring rules, through `_remapped`."""
+    r = pair.center.codim
+    contains = pair.contains_mask
+    e_bit = 1 << len(pair.components)
+    entries = {}
+    for mask, stratum in pair.strata.items():
+        fiber = r - (mask & contains).bit_count()
+        meets = stratum.chi_meet_center
+        if meets is None:
+            entries[mask] = stratum
+            continue
+        if not (fiber == 0 and stratum.chi == meets):
+            entries[mask] = Stratum(stratum.chi + meets * (fiber - 1))
+        if fiber >= 1:
+            entries[mask | e_bit] = Stratum(meets * fiber)
+    e_id = sncpair._unique_id((c.id for c in pair.components), "E")
+    return _remapped(pair, entries, Component(e_id, exceptional_multiplicity(pair)))
+
+
+def _remapped_on_stratum(pair: SncPair, subset: int) -> SncPair:
+    return _remapped(pair, {mask & ~subset: stratum
+                            for mask, stratum in pair.strata.items()
+                            if mask & subset == subset})
+
+
+def test_identity_restriction_and_reused_records_change_no_table():
+    rng = random.Random(1717)
+    dropped_by_blowup = missing_center = in_place = moved = 0
+    for _ in range(2000):
+        pair = random_blowup_instance(rng)
+        ids = [c.id for c in pair.components]
+        l = len(ids)
+        blown = blowup_transform(pair)
+        expected_blown = _remapped_blowup(pair)
+        on_center = {mask: Stratum(s.chi_meet_center)
+                     for mask, s in pair.strata.items()
+                     if s.chi_meet_center is not None
+                     and not mask & pair.contains_mask}
+        e_mask = 1 << (len(expected_blown.components) - 1)
+        derived = [
+            (blown, expected_blown),
+            (center_pair(pair), _remapped(pair, on_center)),
+            (exceptional_pair(pair), _remapped_on_stratum(expected_blown, e_mask)),
+        ] + [(divisor_on_stratum(pair, mask), _remapped_on_stratum(pair, mask))
+             for mask in pair.strata]
+        for got, expected in derived:
+            assert got == expected, pair_to_json(pair)
+            assert all(s.chi_meet_center is None for s in got.strata.values())
+            # every mask keeps its bits when the kept components are the
+            # first ones, all of them when E follows
+            kept = [c.id for c in got.components if c.id in ids]
+            if kept == ids[:len(kept)] and (got is not blown or len(kept) == l):
+                in_place += 1
+            else:
+                moved += 1
+        dropped_by_blowup += len(blown.components) < l + 1
+        missing_center += any(pair.strata[1 << j].chi_meet_center is None
+                              for j in range(l))
+    # both paths of `_restrict` run, with components dropped by the c_J = 0
+    # rule and components that miss the center
+    assert dropped_by_blowup >= 50
+    assert missing_center >= 500
+    assert in_place >= 1000 and moved >= 1000
+
+
 def oracle_chi_d(pair: SncPair) -> Fraction:
     """sum_J chi(D_J) prod_{j in J} (-m_j)/(m_j + d), one factor at a time."""
     total = Fraction(0)
@@ -867,6 +951,118 @@ def test_json_nonempty_false_means_omitted():
         pair_from_json(
             '{"d": 1, "components": [{"id": "A", "mult": 1}], "strata": ['
             '{"subset": [], "chi": 3}, {"subset": ["A"], "chi": 2, "nonempty": false}]}')
+
+
+def _document_with(entry) -> dict:
+    """Three components and five well-formed strata, then `entry` at strata[5]."""
+    return {
+        "d": 1,
+        "components": [{"id": "A", "mult": 1}, {"id": "B", "mult": 2},
+                       {"id": "C", "mult": 3}],
+        "strata": [
+            {"subset": [], "chi": 4, "nonempty": True, "chi_meet_center": None},
+            {"subset": ["A"], "chi": 2},
+            {"subset": ["B"], "chi": 2, "nonempty": True},
+            {"subset": ["C"], "chi": 2, "chi_meet_center": None},
+            {"subset": ["C", "A"], "chi": 1},
+            entry,
+            {"subset": ["B", "C"], "chi": 1},
+        ],
+    }
+
+
+LONG_CHI = 10 ** sncpair.MAX_INT_DIGITS
+
+#: One faulty entry per named check of a stratum entry, with its message.
+ENTRY_FAULTS = {
+    "not an object": (["A", "B"], "strata[5]: expected an object"),
+    "unknown field": ({"subset": ["A", "B"], "chi": 1, "weight": 1},
+                      "strata[5]: unknown field(s) ['weight']"),
+    "missing subset": ({"chi": 1}, "strata[5]: missing field(s) ['subset']"),
+    "missing chi": ({"subset": ["A", "B"]}, "strata[5]: missing field(s) ['chi']"),
+    "subset not a list": ({"subset": "AB", "chi": 1},
+                          "strata[5].subset: expected a list of component ids"),
+    "subset holds a number": ({"subset": ["A", 2], "chi": 1},
+                              "strata[5].subset: expected a list of component ids"),
+    "subset holds a list": ({"subset": ["A", ["B"]], "chi": 1},
+                            "strata[5].subset: expected a list of component ids"),
+    "unknown id": ({"subset": ["A", "Z"], "chi": 1},
+                   "strata[5].subset: unknown component id 'Z'"),
+    "repeated id": ({"subset": ["A", "A"], "chi": 1},
+                    "strata[5].subset: repeated component id 'A'"),
+    # A + A + C as bits is {B, C}, a subset not yet in the table
+    "repeated id, bits carried": ({"subset": ["A", "A", "C"], "chi": 1},
+                                  "strata[5].subset: repeated component id 'A'"),
+    "duplicate subset": ({"subset": ["C"], "chi": 2},
+                         "strata[5]: duplicate subset ['C']"),
+    "duplicate subset reordered": ({"subset": ["A", "C"], "chi": 2},
+                                   "strata[5]: duplicate subset ['A', 'C']"),
+    "chi a bool": ({"subset": ["A", "B"], "chi": True},
+                   "strata[5].chi: expected an integer, got True"),
+    "chi a float": ({"subset": ["A", "B"], "chi": 1.0},
+                    "strata[5].chi: expected an integer, got 1.0"),
+    "chi too long": ({"subset": ["A", "B"], "chi": LONG_CHI},
+                     "strata[5].chi: 41 digits exceed the limit of 40"),
+    "chi too long, negative": ({"subset": ["A", "B"], "chi": -LONG_CHI},
+                               "strata[5].chi: 41 digits exceed the limit of 40"),
+    "nonempty a number": ({"subset": ["A", "B"], "chi": 1, "nonempty": 1},
+                          "strata[5].nonempty: expected a boolean"),
+    "nonempty null": ({"subset": ["A", "B"], "chi": 1, "nonempty": None},
+                      "strata[5].nonempty: expected a boolean"),
+    "empty with chi": ({"subset": ["A", "B"], "chi": 1, "nonempty": False},
+                       "strata[5]: an empty stratum must have chi 0 and no "
+                       "chi_meet_center; omit the entry instead"),
+    "empty with a meet": ({"subset": ["A", "B"], "chi": 0, "nonempty": False,
+                           "chi_meet_center": 0},
+                          "strata[5]: an empty stratum must have chi 0 and no "
+                          "chi_meet_center; omit the entry instead"),
+    "meet a bool": ({"subset": ["A", "B"], "chi": 1, "chi_meet_center": False},
+                    "strata[5].chi_meet_center: expected an integer, got False"),
+    "meet a string": ({"subset": ["A", "B"], "chi": 1, "chi_meet_center": "1"},
+                      "strata[5].chi_meet_center: expected an integer, got '1'"),
+    "meet too long": ({"subset": ["A", "B"], "chi": 1, "chi_meet_center": LONG_CHI},
+                      "strata[5].chi_meet_center: 41 digits exceed the limit of 40"),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_FAULTS)
+def test_entry_fault_after_accepted_entries_keeps_its_message(name):
+    entry, message = ENTRY_FAULTS[name]
+    with pytest.raises(TableFormatError) as err:
+        pair_from_obj(_document_with(entry))
+    assert str(err.value) == message
+
+
+def test_entries_at_the_digit_limit_are_accepted():
+    edge = LONG_CHI - 1
+    pair = pair_from_obj(_document_with(
+        {"subset": ["B", "A"], "chi": -edge, "chi_meet_center": None}))
+    assert pair.strata[0b011] == Stratum(-edge)
+    assert pair.strata[0b110] == Stratum(1)
+
+
+def test_nonempty_true_omitted_and_false_entries_parse_alike():
+    rng = random.Random(17)
+    marked_empty = 0
+    for _ in range(300):
+        pair = random_blowup_instance(rng)
+        obj = sncpair.pair_to_obj(pair)
+        for entry in obj["strata"]:
+            if rng.random() < 0.5:
+                del entry["nonempty"]
+            if entry["chi_meet_center"] is None and rng.random() < 0.5:
+                del entry["chi_meet_center"]
+        ids = [c.id for c in pair.components]
+        for mask in range(1 << len(ids)):
+            if mask not in pair.strata and rng.random() < 0.5:
+                empty = {"subset": [ids[j] for j in range(len(ids)) if mask >> j & 1],
+                         "chi": 0, "nonempty": False}
+                if rng.random() < 0.5:
+                    empty["chi_meet_center"] = None
+                obj["strata"].insert(rng.randrange(len(obj["strata"]) + 1), empty)
+                marked_empty += 1
+        assert pair_from_obj(obj) == pair
+    assert marked_empty >= 1000
 
 
 def test_json_validation_still_applies():
