@@ -838,8 +838,8 @@ def pair_from_obj(obj) -> SncPair:
         if not isinstance(flag, bool):
             raise TableFormatError(f"{where}.contains_center: expected a boolean")
         components.append(Component(entry["id"], mult, flag))
-    index = {c.id: j for j, c in enumerate(components)}
-    if len(index) != len(components):
+    bits = {c.id: 1 << j for j, c in enumerate(components)}
+    if len(bits) != len(components):
         raise TableFormatError("components: duplicate ids")
 
     raw_center = obj.get("center")
@@ -854,7 +854,6 @@ def pair_from_obj(obj) -> SncPair:
     raw_strata = obj["strata"]
     if not isinstance(raw_strata, list):
         raise TableFormatError("strata: expected a list")
-    bits = {c.id: 1 << j for j, c in enumerate(components)}
     strata: StratumTable = {}
     for i, entry in enumerate(raw_strata):
         # the accept test; an entry that fails it takes the named checks
@@ -880,9 +879,9 @@ def pair_from_obj(obj) -> SncPair:
             raise TableFormatError(f"{where}.subset: expected a list of component ids")
         mask = 0
         for name in subset:
-            if name not in index:
+            if name not in bits:
                 raise TableFormatError(f"{where}.subset: unknown component id {name!r}")
-            bit = 1 << index[name]
+            bit = bits[name]
             if mask & bit:
                 raise TableFormatError(f"{where}.subset: repeated component id {name!r}")
             mask |= bit
