@@ -17,7 +17,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -61,16 +60,14 @@ class CliInputError(ValueError):
     pass
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # "pass" | "fail"
     expected: str
     actual: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     checks: list[Check]
     notes: list[str]
@@ -111,8 +108,13 @@ def _emit(report: Report, args) -> int:
         lines.append(f"overall: {report.overall}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            # an unwritable PATH is bad input (2), not a failed check (1)
+            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.overall == "pass" else 1
@@ -210,14 +212,22 @@ def _integer(text: str):
     """int(text), or the digit count of a decimal over the digit limit.
 
     Such a decimal is counted, not converted: past Python's 4,300-digit
-    limit int() refuses it with a message that repeats it in full.
+    limit int() refuses it with a message that repeats it in full.  Any
+    other malformed text over `sncpair.MAX_SHOWN_CHARS` characters is
+    refused with argparse's message, the text cut by `sncpair.shown`.
     """
     match = _DECIMAL.fullmatch(text)
     if match:
         digits = len(match.group(1).replace("_", "").lstrip("0"))
         if digits > sncpair.MAX_INT_DIGITS:
             return _LongDecimal(digits)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= sncpair.MAX_SHOWN_CHARS:
+            raise  # argparse repeats the text itself
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {sncpair.shown(text)}") from None
 
 
 _integer.__name__ = "int"  # argparse's message for a malformed value names the type
@@ -228,8 +238,9 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
         return ()
     try:
         return tuple(_integer(chunk) for chunk in raw.split(","))
-    except ValueError:
-        raise CliInputError(f"--mults must be a comma-separated integer list, got {raw!r}")
+    except (ValueError, argparse.ArgumentTypeError):
+        raise CliInputError("--mults must be a comma-separated integer list, "
+                            f"got {sncpair.shown(raw)}")
 
 
 def _check_digits(values, flag: str) -> None:

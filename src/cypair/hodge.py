@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .sncpair import digits_error
+from .sncpair import digits_error, shown_names
 
 
 class DiamondError(ValueError):
@@ -319,7 +319,7 @@ def diamond_from_obj(obj) -> HodgeDiamond:
         raise DiamondError("top level: expected an object")
     unknown = set(obj) - {"n", "h"}
     if unknown:
-        raise DiamondError(f"unknown field(s) {sorted(unknown)}")
+        raise DiamondError(f"unknown field(s) {shown_names(sorted(unknown))}")
     if "n" not in obj or "h" not in obj:
         raise DiamondError('both "n" and "h" are required')
     n = obj["n"]

@@ -21,9 +21,11 @@ mandatory, singleton masks are mandatory (components are nonempty), and
 presence is downward closed: a superset of an empty stratum must be empty.
 
 A pair is validated once, when it is constructed: `SncPair` runs
-`validate` on itself, so an inconsistent table never becomes a pair.
-Functions that take a pair assume it is valid; pairs they derive are
-validated by their own construction.
+`validate` on itself, so an inconsistent table never becomes a pair.  A
+pair is immutable: its fields cannot be assigned or deleted, and no
+function here changes a pair's stratum table in place.  Functions that
+take a pair assume it is valid; pairs they derive are validated by their
+own construction.
 
 Blow-up centers
 ---------------
@@ -73,7 +75,6 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -93,6 +94,10 @@ MAX_INT_DIGITS = 40
 #: value below this.
 _INT_LIMIT = 10 ** MAX_INT_DIGITS
 
+#: Most characters of a user-supplied value that an error message repeats
+#: (see `shown`); the CLI cuts its flag values the same way.
+MAX_SHOWN_CHARS = 40
+
 
 class PairValidationError(ValueError):
     """Raised when pair data is internally inconsistent."""
@@ -106,15 +111,13 @@ class TableFormatError(ValueError):
     """Raised when a stratum-table document cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     mult: int
     contains_center: bool = False
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(NamedTuple):
     codim: int
 
 
@@ -128,22 +131,58 @@ class Stratum(NamedTuple):
 StratumTable = dict[int, Stratum]
 
 
-@dataclass(frozen=True)
+#: Sets a field of a new `SncPair`, whose own __setattr__ refuses.
+_set_field = object.__setattr__
+
+
 class SncPair:
     """The combinatorial skeleton of a pair (X, sum m_j D_j) of degree d.
 
     Construction validates the pair once (see `validate`) and raises
     PairValidationError if it is inconsistent; every function taking a
-    pair assumes it is valid.
+    pair assumes it is valid.  Its four fields cannot be assigned or
+    deleted; pairs compare by them and, since the stratum table is a dict,
+    are not hashable.
     """
+
+    __slots__ = ("d", "components", "strata", "center")
 
     d: int
     components: tuple[Component, ...]
     strata: StratumTable
-    center: Center | None = None
+    center: Center | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, components: tuple[Component, ...],
+                 strata: StratumTable, center: Center | None = None) -> None:
+        _set_field(self, "d", d)
+        _set_field(self, "components", components)
+        _set_field(self, "strata", strata)
+        _set_field(self, "center", center)
         validate(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return self.d, self.components, self.strata, self.center
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"SncPair(d={self.d!r}, components={self.components!r}, "
+                f"strata={self.strata!r}, center={self.center!r})")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the pair, validating it again
+        return SncPair, self._values()
 
     @property
     def mults(self) -> tuple[int, ...]:
@@ -158,8 +197,35 @@ class SncPair:
         return mask
 
     def subset_label(self, mask: int) -> str:
-        names = [c.id for j, c in enumerate(self.components) if (mask >> j) & 1]
+        names = [_cut(c.id)
+                 for j, c in enumerate(self.components) if (mask >> j) & 1]
         return "{" + ",".join(names) + "}"
+
+
+def _cut(text: str) -> str:
+    """`text`, or its first MAX_SHOWN_CHARS characters and its length."""
+    if len(text) <= MAX_SHOWN_CHARS:
+        return text
+    return f"{text[:MAX_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut when long.
+
+    A string over MAX_SHOWN_CHARS characters is shown as the repr of its
+    first MAX_SHOWN_CHARS and its length; any other value's repr is cut
+    the same way.  A shorter string is its repr, unchanged.
+    """
+    if isinstance(value, str):
+        if len(value) <= MAX_SHOWN_CHARS:
+            return repr(value)
+        return f"{value[:MAX_SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return _cut(repr(value))
+
+
+def shown_names(names: Iterable[str]) -> str:
+    """A list of names as its repr shows it, each name cut by `shown`."""
+    return "[" + ", ".join(map(shown, names)) + "]"
 
 
 def _submasks(mask: int):
@@ -190,13 +256,14 @@ def validate(pair: SncPair) -> None:
         if not comp.id or not isinstance(comp.id, str):
             raise PairValidationError(f"component {i} must have a non-empty string id")
         if comp.id in seen:
-            raise PairValidationError(f"duplicate component id {comp.id!r}")
+            raise PairValidationError(f"duplicate component id {shown(comp.id)}")
         seen.add(comp.id)
         if comp.mult == 0:
-            raise PairValidationError(f"component {comp.id!r} has multiplicity 0")
+            raise PairValidationError(f"component {shown(comp.id)} has multiplicity 0")
         if comp.mult == -pair.d:
             raise ForbiddenMultiplicityError(
-                f"component {comp.id!r} has forbidden multiplicity {comp.mult} = -d")
+                f"component {shown(comp.id)} has forbidden multiplicity "
+                f"{comp.mult} = -d")
 
     full = (1 << l) - 1
     strata = pair.strata
@@ -217,7 +284,7 @@ def validate(pair: SncPair) -> None:
     for j, comp in enumerate(pair.components):
         if (1 << j) not in strata:
             raise PairValidationError(
-                f"component {comp.id!r} has an empty singleton stratum; "
+                f"component {shown(comp.id)} has an empty singleton stratum; "
                 "divisor components must be nonempty")
 
     contains = pair.contains_mask
@@ -351,7 +418,7 @@ def scale_check(pair: SncPair, k: int) -> bool:
         raise ValueError("scale factor must be a positive integer")
     scaled = SncPair(
         d=pair.d * k,
-        components=tuple(replace(c, mult=c.mult * k) for c in pair.components),
+        components=tuple(c._replace(mult=c.mult * k) for c in pair.components),
         strata=pair.strata,
         center=pair.center,
     )
@@ -416,8 +483,7 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CpPairModel:
+class CpPairModel(NamedTuple):
     """The coordinate-hyperplane pair on projective r-space.
 
     The divisor is m_1 H_1 + ... + m_s H_s + m_inf H_inf with coordinate
@@ -504,7 +570,7 @@ def _require_center(pair: SncPair) -> Center:
     for comp in pair.components:
         if comp.contains_center and comp.mult < 0:
             raise PairValidationError(
-                f"center lies inside component {comp.id!r} of negative "
+                f"center lies inside component {shown(comp.id)} of negative "
                 f"multiplicity {comp.mult}; blow-up requires positive "
                 "multiplicities on containing components")
     return pair.center
@@ -573,7 +639,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
             raise PairValidationError(
                 f"ambiguous center containment: stratum "
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
-                f"although component {pair.components[orphan].id!r} does not")
+                f"although component {shown(pair.components[orphan].id)} does not")
     return _restrict(pair, entries, Component(e_id, m0))
 
 
@@ -629,8 +695,7 @@ def fibration_check(pair: SncPair) -> bool:
     return exceptional_value == factor * center_value
 
 
-@dataclass(frozen=True)
-class BlowupCheck:
+class BlowupCheck(NamedTuple):
     exceptional_multiplicity: int
     before: Fraction
     after: Fraction
@@ -767,7 +832,7 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
     unknown = set(obj) - required - optional
     if unknown:
         raise TableFormatError(
-            f"{where}: unknown field(s) {sorted(unknown)}")
+            f"{where}: unknown field(s) {shown_names(sorted(unknown))}")
     missing = required - set(obj)
     if missing:
         raise TableFormatError(f"{where}: missing field(s) {sorted(missing)}")
@@ -783,7 +848,7 @@ def digits_error(value: int, where: str) -> str | None:
 
 def _expect_bounded_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TableFormatError(f"{where}: expected an integer, got {value!r}")
+        raise TableFormatError(f"{where}: expected an integer, got {shown(value)}")
     message = digits_error(value, where)
     if message is not None:
         raise TableFormatError(message)
@@ -880,13 +945,16 @@ def pair_from_obj(obj) -> SncPair:
         mask = 0
         for name in subset:
             if name not in bits:
-                raise TableFormatError(f"{where}.subset: unknown component id {name!r}")
+                raise TableFormatError(
+                    f"{where}.subset: unknown component id {shown(name)}")
             bit = bits[name]
             if mask & bit:
-                raise TableFormatError(f"{where}.subset: repeated component id {name!r}")
+                raise TableFormatError(
+                    f"{where}.subset: repeated component id {shown(name)}")
             mask |= bit
         if mask in strata:
-            raise TableFormatError(f"{where}: duplicate subset {sorted(subset)}")
+            raise TableFormatError(
+                f"{where}: duplicate subset {shown_names(sorted(subset))}")
         chi_value = _expect_bounded_int(entry["chi"], f"{where}.chi")
         nonempty = entry.get("nonempty", True)
         if not isinstance(nonempty, bool):

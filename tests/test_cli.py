@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -678,6 +681,91 @@ def test_malformed_integer_flag_keeps_argparse_message(capsys, value):
         f"cypair identities: error: argument --max-m: invalid int value: {value!r}\n")
 
 
+X5000 = "x" * 5000
+CUT = f"{'x' * sncpair.MAX_SHOWN_CHARS!r}... (5000 characters)"
+
+
+def test_long_malformed_integer_flag_is_cut(capsys):
+    _, _, short = run_cli(["identities", "--max-m", "abc"], capsys)
+    code, out, err = run_cli(["identities", "--max-m", X5000], capsys)
+    assert (code, out, err) == (2, "", short.replace("'abc'", CUT))
+    assert err.endswith(
+        f"cypair identities: error: argument --max-m: invalid int value: {CUT}\n")
+    assert len(err.encode()) < 300
+
+
+def test_malformed_integer_flag_at_the_cut_is_repeated(capsys):
+    value = "x" * sncpair.MAX_SHOWN_CHARS
+    code, out, err = run_cli(["identities", "--max-m", value], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("mults, shown", [
+    ("1," + X5000, f"{'1,' + 'x' * 38!r}... (5002 characters)"),
+    ("1,a", "'1,a'"),
+], ids=["long", "short"])
+def test_malformed_mults_are_cut_when_long(capsys, mults, shown):
+    code, out, err = run_cli(
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", "1", "--mults", mults], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: --mults must be a comma-separated integer list, got {shown}\n")
+    assert len(err.encode()) < 300
+
+
+def _long_id(table):
+    table["components"][0]["id"] = X5000
+    for stratum in table["strata"]:
+        stratum["subset"] = [X5000 if c == "H1" else c for c in stratum["subset"]]
+
+
+#: Table faults whose message names a 5,000-character value, with the
+#: message, in which the value is cut.
+LONG_VALUE_FAULTS = {
+    "unknown id in a subset": (
+        lambda t: t["strata"][4].update(subset=["H1", X5000]),
+        f"strata[4].subset: unknown component id {CUT}"),
+    "repeated long id": (
+        lambda t: (_long_id(t), t["strata"][4].update(subset=[X5000, X5000])),
+        f"strata[4].subset: repeated component id {CUT}"),
+    "duplicate subset": (
+        lambda t: (_long_id(t), t["strata"].append(dict(t["strata"][1]))),
+        f"strata[7]: duplicate subset [{CUT}]"),
+    "unknown field": (lambda t: t.update({X5000: 1}),
+                      f"top level: unknown field(s) [{CUT}]"),
+    "string for an integer": (lambda t: t["strata"][1].update(chi=X5000),
+                              f"strata[1].chi: expected an integer, got {CUT}"),
+    "list for an integer": (
+        lambda t: t["strata"][1].update(chi=[1] * 2000),
+        f"strata[1].chi: expected an integer, got {'[' + '1, ' * 13}... "
+        "(6000 characters)"),
+    "validate names the id": (
+        lambda t: (_long_id(t), t["components"][0].update(mult=0)),
+        f"component {CUT} has multiplicity 0"),
+    "validate names a stratum": (
+        lambda t: (_long_id(t), t["strata"].pop(1)),
+        f"stratum {{{'x' * 40}... (5000 characters),H2}} is marked nonempty "
+        f"but its subset {{{'x' * 40}... (5000 characters)}} is empty"),
+    "blow-up names a stratum": (
+        lambda t: (_long_id(t), t["strata"].pop(4)),
+        f"center meets stratum {{}} and is contained in components "
+        f"{{{'x' * 40}... (5000 characters),H2}}, so stratum "
+        f"{{{'x' * 40}... (5000 characters),H2}} cannot be empty"),
+}
+
+
+@pytest.mark.parametrize("fault", LONG_VALUE_FAULTS)
+def test_table_messages_cut_long_values(capsys, tmp_path, fault):
+    change, message = LONG_VALUE_FAULTS[fault]
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    change(table)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(["blowup-check", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    assert len(err.encode()) < 300 + len(str(path))
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_diamond_file_hodge_numbers_are_bounded(capsys, tmp_path, symmetric):
     # a symmetric table would be summed into the Betti numbers, an
@@ -848,6 +936,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["overall"] == "pass"
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("missing directory", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_out_flag_unwritable_path_is_input_error(capsys, tmp_path, kind, reason):
+    target = tmp_path / "missing" / "x.json" if kind == "missing directory" else tmp_path
+    code, out, err = run_cli(
+        ["blowup-check", "--random", "5", "--out", str(target)], capsys)
+    assert (code, out, err) == (2, "", f"error: {target}: {reason}\n")
+
+
 def test_failed_check_exits_one(capsys):
     # No honest input makes a mathematical check fail (that is the point),
     # so exercise the exit-code plumbing on a fabricated report.
@@ -860,6 +959,27 @@ def test_failed_check_exits_one(capsys):
     assert _emit(report, args) == 1
     out, _ = capsys.readouterr()
     assert "overall: fail" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+#: Modules a `cypair` command does not import: `dataclasses` and the modules
+#: it pulls in cost about a fifth of each command's start.
+NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # -S: no site module, whose own imports vary with the installation
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import cypair.cli, sys; "
+            "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *NOT_IMPORTED],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -488,6 +487,78 @@ def test_random_instances_match_recorded_digests(seed):
     assert digest.hexdigest() == RANDOM_INSTANCE_DIGESTS[seed]
 
 
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+def test_record_reprs_are_pinned():
+    pair = random_blowup_instance(random.Random(5), max_components=2)
+    assert repr(pair) == (
+        "SncPair(d=3, components=(Component(id='D1', mult=2, contains_center=True), "
+        "Component(id='D2', mult=7, contains_center=False)), "
+        "strata={0: Stratum(chi=-8, chi_meet_center=-4), "
+        "1: Stratum(chi=-4, chi_meet_center=-4), "
+        "2: Stratum(chi=-6, chi_meet_center=-2), "
+        "3: Stratum(chi=-2, chi_meet_center=-2)}, center=Center(codim=1))")
+    assert repr(check_blowup_invariance(pair)) == (
+        "BlowupCheck(exceptional_multiplicity=2, before=Fraction(-69, 25), "
+        "after=Fraction(-69, 25), equal=True, center_chi_d=Fraction(-13, 5), "
+        "exceptional_chi_d=Fraction(-13, 5))")
+    model, _ = cp_pair(2, 2, 1, (1, 1))
+    assert repr(model) == (
+        "CpPairModel(r=2, s=2, d=1, mults=(1, 1), m_infinity=-5, "
+        "f_poly=(Fraction(-5, 16), Fraction(3, 2), Fraction(-9, 4), Fraction(1, 1)))")
+
+
+@pytest.mark.parametrize("field", ["d", "components", "strata", "center"])
+def test_pair_fields_cannot_be_assigned_or_deleted(field):
+    pair = random_blowup_instance(random.Random(5), max_components=2)
+    before = repr(pair)
+    with pytest.raises(AttributeError):
+        setattr(pair, field, None)
+    with pytest.raises(AttributeError):
+        delattr(pair, field)
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    assert repr(pair) == before
+
+
+def test_pair_is_unhashable():
+    _, pair = cp_pair(2, 2, 1, (1, 1))
+    with pytest.raises(TypeError):
+        hash(pair)
+
+
+def test_pairs_compare_by_their_fields():
+    _, pair = cp_pair(2, 2, 1, (1, 1))
+    _, same = cp_pair(2, 2, 1, (1, 1))
+    assert pair is not same and pair == same
+    assert not pair != same
+    other_d = SncPair(d=2, components=pair.components, strata=pair.strata)
+    assert pair != other_d
+    assert pair != (pair.d, pair.components, pair.strata, pair.center)
+
+
+def test_pair_copies_equal_the_pair():
+    import copy
+    import pickle
+    pair = random_blowup_instance(random.Random(5), max_components=2)
+    assert copy.copy(pair) == pair
+    assert pickle.loads(pickle.dumps(pair)) == pair
+
+
+def test_component_and_center_are_hashable_records():
+    assert Component("A", 1) == Component("A", 1, False)
+    assert Component("A", 1) != Component("A", 2)
+    assert hash(Component("A", 1, True)) == hash(Component("A", 1, True))
+    assert len({Component("A", 1), Component("A", 1), Component("B", 1)}) == 2
+    assert Center(2) == Center(codim=2) != Center(3)
+    assert hash(Center(2)) == hash(Center(codim=2))
+    # NamedTuple records equal the plain tuple of their fields
+    assert Component("A", 1) == ("A", 1, False)
+
+
 def test_fibration_law_random_instances():
     for seed in (0, 1):
         rng = random.Random(seed)
@@ -859,8 +930,8 @@ def mutated_tables(rng, pair):
     components = list(pair.components)
     if components:
         j = rng.randrange(l)
-        components[j] = replace(components[j],
-                                contains_center=not components[j].contains_center)
+        components[j] = components[j]._replace(
+            contains_center=not components[j].contains_center)
     yield tuple(components), pair.strata
 
     strata = dict(pair.strata)
