@@ -683,6 +683,8 @@ def test_malformed_integer_flag_keeps_argparse_message(capsys, value):
 
 X5000 = "x" * 5000
 CUT = f"{'x' * sncpair.MAX_SHOWN_CHARS!r}... (5000 characters)"
+#: X5000 as a stratum label shows it, without quotes.
+LABEL_CUT = f"{'x' * sncpair.MAX_SHOWN_CHARS}... (5000 characters)"
 
 
 def test_long_malformed_integer_flag_is_cut(capsys):
@@ -744,13 +746,12 @@ LONG_VALUE_FAULTS = {
         f"component {CUT} has multiplicity 0"),
     "validate names a stratum": (
         lambda t: (_long_id(t), t["strata"].pop(1)),
-        f"stratum {{{'x' * 40}... (5000 characters),H2}} is marked nonempty "
-        f"but its subset {{{'x' * 40}... (5000 characters)}} is empty"),
+        f"stratum {{{LABEL_CUT},H2}} is marked nonempty but its subset "
+        f"{{{LABEL_CUT}}} is empty"),
     "blow-up names a stratum": (
         lambda t: (_long_id(t), t["strata"].pop(4)),
         f"center meets stratum {{}} and is contained in components "
-        f"{{{'x' * 40}... (5000 characters),H2}}, so stratum "
-        f"{{{'x' * 40}... (5000 characters),H2}} cannot be empty"),
+        f"{{{LABEL_CUT},H2}}, so stratum {{{LABEL_CUT},H2}} cannot be empty"),
 }
 
 
@@ -966,7 +967,7 @@ def test_failed_check_exits_one(capsys):
 # ---------------------------------------------------------------------------
 
 #: Modules a `cypair` command does not import: `dataclasses` and the modules
-#: it pulls in cost about a fifth of each command's start.
+#: it pulls in cost about a tenth of each command's start.
 NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
