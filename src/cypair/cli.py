@@ -159,7 +159,7 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
         return hodge.HodgeDiamond.point()
     match = re.fullmatch(r"cp(\d+)", source)
     if match:
-        n = int(match.group(1))
+        n = _integer(match.group(1))
         _check_diamond_dim(n, flag)
         return hodge.HodgeDiamond.projective_space(n)
 
@@ -200,37 +200,33 @@ def _random_generator(args) -> random.Random:
 
 
 class _LongDecimal(NamedTuple):
-    """A decimal flag value over `sncpair.MAX_INT_DIGITS` digits, unconverted."""
+    """A command-line decimal over `sncpair.MAX_INT_DIGITS` digits, unconverted."""
     digits: int
 
 
-#: A decimal as int() reads it: digits, single underscores between them.
-_DECIMAL = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
+#: A decimal as int() reads it: a sign, digits, single underscores between them.
+_DECIMAL = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
 
 
 def _integer(text: str):
-    """int(text), or the digit count of a decimal over the digit limit.
+    """The value of a decimal, or its significant digit count over the limit.
 
-    Such a decimal is counted, not converted: past Python's 4,300-digit
-    limit int() refuses it with a message that repeats it in full.  Any
-    other malformed text over `sncpair.MAX_SHOWN_CHARS` characters is
-    refused with argparse's message, the text cut by `sncpair.shown`.
+    Every integer of the command line is read here: the integer flags, the
+    `--mults` entries and the N of a `cpN` diamond name.  Only the sign and
+    the significant digits are converted, and not over
+    `sncpair.MAX_INT_DIGITS` of them, so int() never meets its 4,300-digit
+    limit.  Malformed text is refused with argparse's message, the text
+    cut by `sncpair.shown`.
     """
     match = _DECIMAL.fullmatch(text)
-    if match:
-        digits = len(match.group(1).replace("_", "").lstrip("0"))
-        if digits > sncpair.MAX_INT_DIGITS:
-            return _LongDecimal(digits)
-    try:
-        return int(text)
-    except ValueError:
-        if len(text) <= sncpair.MAX_SHOWN_CHARS:
-            raise  # argparse repeats the text itself
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {sncpair.shown(text)}") from None
-
-
-_integer.__name__ = "int"  # argparse's message for a malformed value names the type
+    if match is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {sncpair.shown(text)}")
+    sign, digits = match.groups()
+    digits = digits.replace("_", "").lstrip("0")
+    if len(digits) > sncpair.MAX_INT_DIGITS:
+        return _LongDecimal(len(digits))
+    value = int(digits or "0")
+    return -value if sign == "-" else value
 
 
 def _parse_mults(raw: str | None) -> tuple[int, ...]:
@@ -238,7 +234,7 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
         return ()
     try:
         return tuple(_integer(chunk) for chunk in raw.split(","))
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise CliInputError("--mults must be a comma-separated integer list, "
                             f"got {sncpair.shown(raw)}")
 
@@ -380,11 +376,13 @@ def cmd_hodge_ledger(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _command(parser: argparse.ArgumentParser, func) -> None:
+    """End a subcommand's parser: the output flags after its own, then its handler."""
     parser.add_argument("--json", action="store_true",
                         help="emit the report as a single JSON document")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report to a file instead of stdout")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=_integer, default=6,
                    help="verify for every root count up to this bound "
                         f"(at most {symcalc.MAX_VERIFY_ROOTS})")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_identities)
+    _command(p, cmd_identities)
 
     p = sub.add_parser("chi-d", help="weighted Euler characteristics")
     chi_sub = p.add_subparsers(dest="mode", required=True)
@@ -415,12 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mults", default="",
                     help="comma-separated positive multiplicities, one per "
                          f"hyperplane (at most {sncpair.MAX_INT_DIGITS} digits each)")
-    _add_output_flags(pc)
-    pc.set_defaults(func=cmd_chi_d_cp)
+    _command(pc, cmd_chi_d_cp)
     pt = chi_sub.add_parser("table", help="stratum table from a JSON file")
     pt.add_argument("--file", required=True, help="stratum-table document")
-    _add_output_flags(pt)
-    pt.set_defaults(func=cmd_chi_d_table)
+    _command(pt, cmd_chi_d_table)
 
     p = sub.add_parser("blowup-check",
                        help="check blow-up invariance of chi_d")
@@ -431,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(at most {MAX_RANDOM})")
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                    help=f"seed for --random (default {DEFAULT_SEED})")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_blowup_check)
+    _command(p, cmd_blowup_check)
 
     p = sub.add_parser("hrr", help="Riemann-Roch Euler characteristics")
     hrr_sub = p.add_subparsers(dest="mode", required=True)
@@ -441,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"ambient dimension (at most {MAX_HRR_N})")
     ph.add_argument("--p", type=_integer, required=True, help="form degree")
     ph.add_argument("--twist", type=_integer, default=0, help="line-bundle twist")
-    _add_output_flags(ph)
-    ph.set_defaults(func=cmd_hrr_cp)
+    _command(ph, cmd_hrr_cp)
 
     p = sub.add_parser("hodge", help="Hodge diamond bookkeeping")
     hodge_sub = p.add_subparsers(dest="mode", required=True)
@@ -452,20 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--fiber-dim", type=_integer, required=True,
                     help="fiber dimension (base plus fiber at most "
                          f"{MAX_DIAMOND_DIM})")
-    _add_output_flags(pb)
-    pb.set_defaults(func=cmd_hodge_bundle)
+    _command(pb, cmd_hodge_bundle)
     pl = hodge_sub.add_parser("blowup", help="blow-up diamond")
     pl.add_argument("--x", required=True, help="ambient diamond (name or file)")
     pl.add_argument("--y", required=True, help="center diamond (name or file)")
     pl.add_argument("--codim", type=_integer, required=True,
                     help="codimension of the center (at most "
                          f"{sncpair.MAX_INT_DIGITS} digits)")
-    _add_output_flags(pl)
-    pl.set_defaults(func=cmd_hodge_blowup)
+    _command(pl, cmd_hodge_blowup)
     pco = hodge_sub.add_parser("correction", help="normalization correction term")
     pco.add_argument("--diamond", required=True, help="diamond (name or file)")
-    _add_output_flags(pco)
-    pco.set_defaults(func=cmd_hodge_correction)
+    _command(pco, cmd_hodge_correction)
     ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
     mode = ple.add_mutually_exclusive_group(required=True)
     mode.add_argument("--diamond", help="diamond (name or file)")
@@ -476,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "report")
     ple.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                      help=f"seed for --random (default {DEFAULT_SEED})")
-    _add_output_flags(ple)
-    ple.set_defaults(func=cmd_hodge_ledger)
+    _command(ple, cmd_hodge_ledger)
 
     return parser
 
@@ -487,8 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, value in vars(args).items():
-            # the integer flags; --json is a bool
-            if type(value) is int or isinstance(value, _LongDecimal):
+            if isinstance(value, _LongDecimal):
                 _check_digits([value], "--" + name.replace("_", "-"))
         report = args.func(args)
     except ValueError as exc:

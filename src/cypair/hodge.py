@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .sncpair import digits_error, shown_names
+from .sncpair import digits_error, shown, shown_names
 
 
 class DiamondError(ValueError):
@@ -34,16 +34,25 @@ class DiamondError(ValueError):
 
 
 class HodgeDiamond:
-    """The h^{p,q} table of an n-dimensional manifold (possibly empty)."""
+    """The h^{p,q} table of an n-dimensional manifold (possibly empty).
+
+    Every entry must be an `int`; a bool, a float or a string is refused,
+    not converted.
+    """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
         if n < 0:
             raise DiamondError("dimension must be non-negative")
-        table = tuple(tuple(int(v) for v in row) for row in rows)
+        table = tuple(tuple(row) for row in rows)
         if len(table) != n + 1 or any(len(row) != n + 1 for row in table):
             raise DiamondError(f"expected a {n + 1} x {n + 1} table")
+        for p, row in enumerate(table):
+            for q, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise DiamondError(
+                        f"h^{{{p},{q}}}: expected an integer, got {shown(v)}")
         for p in range(n + 1):
             for q in range(n + 1):
                 if table[p][q] < 0:

@@ -22,10 +22,10 @@ presence is downward closed: a superset of an empty stratum must be empty.
 
 A pair is validated once, when it is constructed: `SncPair` runs
 `validate` on itself, so an inconsistent table never becomes a pair.  A
-pair is immutable: its fields cannot be assigned or deleted, and no
-function here changes a pair's stratum table in place.  Functions that
-take a pair assume it is valid; pairs they derive are validated by their
-own construction.
+pair is immutable: its fields cannot be assigned or deleted, and its
+stratum table is read-only (a view of the dict it was built from).
+Functions that take a pair assume it is valid; pairs they derive are
+validated by their own construction.
 
 Blow-up centers
 ---------------
@@ -76,7 +76,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 #: Most components a pair may have.  `blowup_transform` adds the exceptional
 #: component, so it takes pairs with at most MAX_COMPONENTS - 1.
@@ -141,22 +142,24 @@ class SncPair:
     Construction validates the pair once (see `validate`) and raises
     PairValidationError if it is inconsistent; every function taking a
     pair assumes it is valid.  Its four fields cannot be assigned or
-    deleted; pairs compare by them and, since the stratum table is a dict,
-    are not hashable.
+    deleted; pairs compare by them and, since the stratum table is a
+    mapping, are not hashable.  `strata` is a read-only view
+    (`types.MappingProxyType`) of the dict the pair is built from, which
+    is wrapped, not copied.
     """
 
     __slots__ = ("d", "components", "strata", "center")
 
     d: int
     components: tuple[Component, ...]
-    strata: StratumTable
+    strata: Mapping[int, Stratum]
     center: Center | None
 
     def __init__(self, d: int, components: tuple[Component, ...],
                  strata: StratumTable, center: Center | None = None) -> None:
         _set_field(self, "d", d)
         _set_field(self, "components", components)
-        _set_field(self, "strata", strata)
+        _set_field(self, "strata", MappingProxyType(strata))
         _set_field(self, "center", center)
         validate(self)
 
@@ -178,11 +181,12 @@ class SncPair:
 
     def __repr__(self) -> str:
         return (f"SncPair(d={self.d!r}, components={self.components!r}, "
-                f"strata={self.strata!r}, center={self.center!r})")
+                f"strata={dict(self.strata)!r}, center={self.center!r})")
 
     def __reduce__(self):
-        # copy and pickle rebuild the pair, validating it again
-        return SncPair, self._values()
+        # copy and pickle rebuild the pair, validating it again; a view
+        # cannot be pickled, so they are handed a dict
+        return SncPair, (self.d, self.components, dict(self.strata), self.center)
 
     @property
     def mults(self) -> tuple[int, ...]:
@@ -224,8 +228,16 @@ def shown(value) -> str:
 
 
 def shown_names(names: Iterable[str]) -> str:
-    """A list of names as its repr shows it, each name cut by `shown`."""
-    return "[" + ", ".join(map(shown, names)) + "]"
+    """A list of names as its repr shows it, each name cut by `shown`.
+
+    A list over MAX_COMPONENTS names, more than a subset of a valid pair
+    holds, shows its first MAX_COMPONENTS and its length.
+    """
+    names = list(names)
+    text = "[" + ", ".join(map(shown, names[:MAX_COMPONENTS])) + "]"
+    if len(names) > MAX_COMPONENTS:
+        text += f"... ({len(names)} names)"
+    return text
 
 
 def _submasks(mask: int):
@@ -321,7 +333,7 @@ def validate(pair: SncPair) -> None:
                 f"{expected} recorded for {pair.subset_label(reduced)}")
     # Given that equality, rules (a) and (b) of the module docstring, checked
     # on the center's own table, hold for every stratum the center meets.
-    on_center = _center_table(pair)
+    on_center = _center_table(strata, contains)
     for mask in on_center:
         rest = mask
         while rest:
@@ -339,12 +351,12 @@ def validate(pair: SncPair) -> None:
                 f"stratum {pair.subset_label(mask | contains)} cannot be empty")
 
 
-def _center_table(pair: SncPair) -> dict[int, int]:
+def _center_table(strata: Mapping[int, Stratum], contains: int) -> dict[int, int]:
     """chi(Y intersect D_K) for each stratum K off the containing components
-    that the center Y meets: the Euler numbers of the center's strata."""
-    contains = pair.contains_mask
+    `contains` that the center Y meets: the Euler numbers of the center's
+    strata."""
     return {mask: stratum.chi_meet_center
-            for mask, stratum in pair.strata.items()
+            for mask, stratum in strata.items()
             if not mask & contains and stratum.chi_meet_center is not None}
 
 
@@ -425,29 +437,25 @@ def scale_check(pair: SncPair, k: int) -> bool:
     return chi_d(scaled) == chi_d(pair)
 
 
-def _restrict(pair: SncPair, entries: StratumTable,
-              extra: Component | None = None) -> SncPair:
-    """The induced pair whose stratum table is `entries`, in the old bits.
+def _restrict(d: int, components: tuple[Component, ...],
+              entries: StratumTable) -> SncPair:
+    """The induced pair of degree d whose stratum table is `entries`, in
+    the bits of `components`.
 
     The components kept, in order, are those whose singleton stratum is
-    in `entries`; bit len(pair.components) stands for `extra`, appended
-    as the last component.  The result carries no center metadata.  When
-    every kept component keeps its bit (no component is dropped, or only
-    the last ones and there is no `extra`), no mask is remapped and
-    `entries` itself becomes the new pair's table, so callers pass a dict
-    that nothing else holds.
+    in `entries`.  The result carries no center metadata.  When every kept
+    component keeps its bit (no component is dropped, or only the last
+    ones), no mask is remapped and `entries` itself becomes the new pair's
+    table, so callers pass a dict that nothing else holds.
     """
     new_bit: dict[int, int] = {}  # old bit -> new bit
-    components = []
-    for j, comp in enumerate(pair.components):
+    kept = []
+    for j, comp in enumerate(components):
         if (1 << j) in entries:
-            new_bit[1 << j] = 1 << len(components)
-            components.append(Component(comp.id, comp.mult))
-    if extra is not None:
-        new_bit[1 << len(pair.components)] = 1 << len(components)
-        components.append(extra)
+            new_bit[1 << j] = 1 << len(kept)
+            kept.append(Component(comp.id, comp.mult))
     if all(old == new for old, new in new_bit.items()):
-        return SncPair(d=pair.d, components=tuple(components), strata=entries)
+        return SncPair(d=d, components=tuple(kept), strata=entries)
     strata: StratumTable = {}
     for mask, stratum in entries.items():
         new = 0
@@ -456,7 +464,7 @@ def _restrict(pair: SncPair, entries: StratumTable,
             mask ^= low
             new |= new_bit[low]
         strata[new] = stratum
-    return SncPair(d=pair.d, components=tuple(components), strata=strata)
+    return SncPair(d=d, components=tuple(kept), strata=strata)
 
 
 def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
@@ -475,7 +483,7 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
         for mask, stratum in pair.strata.items()
         if mask & subset == subset
     }
-    return _restrict(pair, entries)
+    return _restrict(pair.d, pair.components, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +648,15 @@ def blowup_transform(pair: SncPair) -> SncPair:
                 f"ambiguous center containment: stratum "
                 f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                 f"although component {shown(pair.components[orphan].id)} does not")
-    return _restrict(pair, entries, Component(e_id, m0))
+    return _restrict(pair.d, pair.components + (Component(e_id, m0),), entries)
 
 
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
-    return _restrict(pair, {mask: Stratum(chi)
-                            for mask, chi in _center_table(pair).items()})
+    table = _center_table(pair.strata, pair.contains_mask)
+    return _restrict(pair.d, pair.components,
+                     {mask: Stratum(chi) for mask, chi in table.items()})
 
 
 def _on_exceptional(blown: SncPair) -> SncPair:

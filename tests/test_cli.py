@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from cypair import chow, cli, hodge, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
+from help_texts import HELP_TEXTS
 from tables import (
     EMPTY_DIVISOR_TABLE, NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table)
 
@@ -278,6 +280,19 @@ def test_blowup_check_negative_containing_component(capsys, tmp_path):
     code, _, err = run_cli(["blowup-check", "--file", str(path)], capsys)
     assert code == 2
     assert "negative" in err
+
+
+def test_blowup_check_requires_positive_degree(capsys, tmp_path):
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    table["d"] = -1
+    for component in table["components"][:2]:
+        component["mult"] = 2  # 1 = -d is a forbidden multiplicity
+    path = tmp_path / "negative_d.json"
+    path.write_text(json.dumps(table))
+    code, _, _ = run_cli(["chi-d", "table", "--file", str(path)], capsys)
+    assert code == 0
+    assert run_cli(["blowup-check", "--file", str(path)], capsys) == (
+        2, "", "error: blow-up operations require d > 0, got d = -1\n")
 
 
 def test_blowup_check_rejects_table_that_loses_downward_closure(capsys, tmp_path):
@@ -660,6 +675,10 @@ LONGER_INTEGER_INPUTS = {
     "hodge ledger --random": ("--random", 5000, ["hodge", "ledger", "--random", LONGER]),
     "hodge ledger --seed": (
         "--seed", 5000, ["hodge", "ledger", "--random", "1", "--seed", LONGER]),
+    "diamond name": ("--diamond", 5000, ["hodge", "correction", "--diamond", "cp" + LONGER]),
+    "diamond name with leading zeros": (
+        "--x", 5000, ["hodge", "blowup", "--x", "cp000" + LONGER, "--y", "point",
+                      "--codim", "2"]),
 }
 
 
@@ -671,6 +690,35 @@ def test_flags_past_the_conversion_limit_are_not_repeated(capsys, name):
     assert (code, out, err) == (
         2, "", f"error: {flag}: {digits} digits exceed the limit of {limit}\n")
     assert len(err.encode()) < 300
+
+
+ZEROS = "0" * 5000
+
+#: Commands whose integers carry 5,000 leading zeros, each with the same
+#: command written plainly.  int() alone refuses such text: it is past
+#: Python's 4,300-digit conversion limit.
+LEADING_ZERO_INPUTS = {
+    "chi-d cp --d": (["chi-d", "cp", "--r", "2", "--s", "0", "--d", ZEROS + "1"],
+                     ["chi-d", "cp", "--r", "2", "--s", "0", "--d", "1"]),
+    "chi-d cp --mults": (
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", "1", "--mults", "1," + ZEROS + "2"],
+        ["chi-d", "cp", "--r", "2", "--s", "2", "--d", "1", "--mults", "1,2"]),
+    "hrr cp --twist negative": (
+        ["hrr", "cp", "--n", "2", "--p", "1", "--twist", "-" + ZEROS + "3"],
+        ["hrr", "cp", "--n", "2", "--p", "1", "--twist", "-3"]),
+    "identities --max-m underscores": (
+        ["identities", "--max-m", "_".join(ZEROS) + "_2"], ["identities", "--max-m", "2"]),
+    "diamond name": (["hodge", "correction", "--diamond", "cp" + ZEROS + "2"],
+                     ["hodge", "correction", "--diamond", "cp2"]),
+}
+
+
+@pytest.mark.parametrize("name", LEADING_ZERO_INPUTS)
+def test_leading_zeros_read_as_the_value(capsys, name):
+    padded, plain = LEADING_ZERO_INPUTS[name]
+    expected = run_cli(plain, capsys)
+    assert expected[0] == 0
+    assert run_cli(padded, capsys) == expected
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "9" * 30 + "x"])
@@ -780,6 +828,58 @@ def test_diamond_file_hodge_numbers_are_bounded(capsys, tmp_path, symmetric):
         2, "", f"error: {path}: h[0][1]: {len(LONG)} digits exceed the limit of "
                f"{limit}\n")
     assert len(err.encode()) < 300
+
+
+def _unknown_keys(count):
+    """`count` 50-character keys; their first 30 in sorted order are the
+    same for every count of at least 30."""
+    return {f"{i:05d}".ljust(50, "k"): 1 for i in range(count)}
+
+
+@pytest.mark.parametrize("kind", ["table", "diamond"])
+def test_long_unknown_field_lists_show_30_names(capsys, tmp_path, kind):
+    path = tmp_path / "document.json"
+    if kind == "table":
+        base, where = TRIANGLE_TABLE, "top level: "
+        command = ["chi-d", "table", "--file", str(path)]
+    else:
+        base, where = {"n": 1, "h": [[1, 0], [0, 1]]}, ""
+        command = ["hodge", "correction", "--diamond", str(path)]
+    errors = []
+    for count in (2000, 20000):
+        path.write_text(json.dumps(dict(base, **_unknown_keys(count))))
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "")
+        errors.append(err)
+    shown = ", ".join(map(sncpair.shown, sorted(_unknown_keys(30))))
+    assert errors[0] == (
+        f"error: {path}: {where}unknown field(s) [{shown}]... (2000 names)\n")
+    assert errors[1] == errors[0].replace("(2000 names)", "(20000 names)")
+
+
+#: Diamond files that `diamond_from_obj` or `HodgeDiamond` refuses, with
+#: the message.
+DIAMOND_FILE_FAULTS = {
+    "not an object": ([], "top level: expected an object"),
+    "string n": ({"n": "3", "h": [[1]]}, "n: expected an integer"),
+    "h not a list": ({"n": 1, "h": 5}, "h: expected a list of rows"),
+    "negative entry": ({"n": 1, "h": [[1, -1], [-1, 1]]}, "h^{0,1} is negative"),
+    "one row for n = 1": ({"n": 1, "h": [[1, 0]]}, "expected a 2 x 2 table"),
+}
+
+
+@pytest.mark.parametrize("fault", DIAMOND_FILE_FAULTS)
+def test_diamond_file_message(capsys, tmp_path, fault):
+    document, message = DIAMOND_FILE_FAULTS[fault]
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(document))
+    assert run_cli(["hodge", "correction", "--diamond", str(path)], capsys) == (
+        2, "", f"error: {path}: {message}\n")
+
+
+def test_hodge_bundle_rejects_negative_fiber_dim(capsys):
+    assert run_cli(["hodge", "bundle", "--base", "cp1", "--fiber-dim", "-1"], capsys) == (
+        2, "", "error: --fiber-dim must be non-negative\n")
 
 
 def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
@@ -909,6 +1009,22 @@ def test_hodge_ledger_requires_one_mode(capsys):
 # ---------------------------------------------------------------------------
 # report format
 # ---------------------------------------------------------------------------
+
+
+def _parsers(parser):
+    """The parser and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_parser_help_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = {parser.prog: parser.format_help() for parser in _parsers(cli.build_parser())}
+    assert len(helps) == 13
+    assert helps == HELP_TEXTS
 
 
 def test_json_report_is_byte_stable(capsys, triangle_table_path):

@@ -67,6 +67,13 @@ def test_symmetry_validation():
         HodgeDiamond(1, ((0, 1), (1, 0)))  # nonempty but h^{0,0} = 0
 
 
+@pytest.mark.parametrize("value", [1.5, "1", True], ids=["float", "str", "bool"])
+def test_non_integer_entries_are_refused(value):
+    with pytest.raises(DiamondError) as info:
+        HodgeDiamond(1, [[1, value], [value, 1]])
+    assert str(info.value) == f"h^{{0,1}}: expected an integer, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # bundle and blow-up formulas
 # ---------------------------------------------------------------------------

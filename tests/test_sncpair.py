@@ -1,5 +1,8 @@
+import collections
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ from cypair.sncpair import (
     weight,
 )
 
-from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, centered_table
+from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table
 
 
 def triangle_pair(with_center: bool) -> SncPair:
@@ -548,6 +551,27 @@ def test_pair_copies_equal_the_pair():
     assert pickle.loads(pickle.dumps(pair)) == pair
 
 
+def test_pair_table_is_read_only():
+    table = {0: Stratum(2)}
+    pair = SncPair(d=1, components=(), strata=table)
+    with pytest.raises(TypeError):
+        pair.strata[5] = Stratum(2)
+    with pytest.raises(TypeError):
+        del pair.strata[0]
+    assert pair.strata == table == {0: Stratum(2)}
+    assert repr(pair) == (
+        "SncPair(d=1, components=(), strata={0: Stratum(chi=2, "
+        "chi_meet_center=None)}, center=None)")
+    for twin in (copy.copy(pair), copy.deepcopy(pair),
+                 pickle.loads(pickle.dumps(pair))):
+        assert twin == pair
+        with pytest.raises(TypeError):
+            twin.strata[5] = Stratum(2)
+    # the view wraps the caller's dict; it is not a copy
+    table[5] = Stratum(2)
+    assert 5 in pair.strata
+
+
 def test_component_and_center_are_hashable_records():
     assert Component("A", 1) == Component("A", 1, False)
     assert Component("A", 1) != Component("A", 2)
@@ -557,6 +581,54 @@ def test_component_and_center_are_hashable_records():
     assert hash(Center(2)) == hash(Center(codim=2))
     # NamedTuple records equal the plain tuple of their fields
     assert Component("A", 1) == ("A", 1, False)
+
+
+def test_shown_names_cuts_lists_over_the_component_limit():
+    names = [f"D{j}" for j in range(sncpair.MAX_COMPONENTS + 1)]
+    assert sncpair.shown_names(names[:-1]) == repr(names[:-1])
+    assert sncpair.shown_names(names) == repr(names[:-1]) + "... (31 names)"
+
+
+def test_duplicate_subset_message_lists_every_component():
+    table = centered_table(sncpair.MAX_COMPONENTS)
+    ids = [c["id"] for c in table["components"]]
+    table["strata"] = [{"subset": ids, "chi": 1}, {"subset": ids[::-1], "chi": 1}]
+    with pytest.raises(TableFormatError) as info:
+        pair_from_obj(table)
+    assert str(info.value) == f"strata[1]: duplicate subset {sorted(ids)!r}"
+
+
+@pytest.mark.parametrize("taken, expected", [(["E"], "E2"), (["E", "E2"], "E3")])
+def test_exceptional_component_gets_a_free_name(taken, expected):
+    table = copy.deepcopy(TRIANGLE_TABLE)
+    names = dict(zip(["Hinf", "H2"], taken))
+    for component in table["components"]:
+        component["id"] = names.get(component["id"], component["id"])
+    for stratum in table["strata"]:
+        stratum["subset"] = [names.get(c, c) for c in stratum["subset"]]
+    blown = blowup_transform(pair_from_obj(table))
+    assert blown.components[-1] == Component(expected, 3)
+    assert [c.id for c in blown.components] == [
+        names.get(name, name) for name in ("H1", "H2", "Hinf")] + [expected]
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("change", ["ordered entries", "int-subclass chi"])
+def test_entries_off_the_accept_test_give_the_same_pair(change):
+    # both fail the one accept test of `pair_from_obj`, so they take the
+    # named checks, whose last step stores the stratum
+    table = copy.deepcopy(TRIANGLE_TABLE)
+    if change == "ordered entries":
+        table["strata"] = [collections.OrderedDict(s) for s in table["strata"]]
+    else:
+        for stratum in table["strata"]:
+            stratum["chi"] = _Int(stratum["chi"])
+    pair = pair_from_obj(table)
+    assert pair == pair_from_obj(TRIANGLE_TABLE)
+    assert repr(pair) == repr(pair_from_obj(TRIANGLE_TABLE))
 
 
 def test_fibration_law_random_instances():
