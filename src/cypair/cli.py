@@ -92,11 +92,7 @@ def _emit(report: Report, args) -> int:
         payload = {
             "command": report.command,
             "overall": report.overall,
-            "checks": [
-                {"name": c.name, "status": c.status,
-                 "expected": c.expected, "actual": c.actual}
-                for c in report.checks
-            ],
+            "checks": [c._asdict() for c in report.checks],
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
@@ -165,8 +161,8 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
 
     def parse(text: str) -> hodge.HodgeDiamond:
         # bound n before the table is validated, which costs O(n^2)
-        obj = json.loads(text)
-        if isinstance(obj, dict) and isinstance(obj.get("n"), int):
+        obj = sncpair.decode_json(text)
+        if isinstance(obj, dict) and isinstance(obj.get("n"), (int, sncpair.LongDecimal)):
             _check_diamond_dim(obj["n"], flag)
         return hodge.diamond_from_obj(obj)
     return _parse_file(source, parse)
@@ -199,24 +195,20 @@ def _random_generator(args) -> random.Random:
     return random.Random(args.seed)
 
 
-class _LongDecimal(NamedTuple):
-    """A command-line decimal over `sncpair.MAX_INT_DIGITS` digits, unconverted."""
-    digits: int
-
-
 #: A decimal as int() reads it: a sign, digits, single underscores between them.
 _DECIMAL = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
 
 
 def _integer(text: str):
-    """The value of a decimal, or its significant digit count over the limit.
+    """The value of a decimal, or a `sncpair.LongDecimal` over the limit.
 
     Every integer of the command line is read here: the integer flags, the
     `--mults` entries and the N of a `cpN` diamond name.  Only the sign and
     the significant digits are converted, and not over
     `sncpair.MAX_INT_DIGITS` of them, so int() never meets its 4,300-digit
-    limit.  Malformed text is refused with argparse's message, the text
-    cut by `sncpair.shown`.
+    limit; a longer value is its significant digit count, which
+    `sncpair.digits_error` refuses.  Malformed text is refused with
+    argparse's message, the text cut by `sncpair.shown`.
     """
     match = _DECIMAL.fullmatch(text)
     if match is None:
@@ -224,7 +216,7 @@ def _integer(text: str):
     sign, digits = match.groups()
     digits = digits.replace("_", "").lstrip("0")
     if len(digits) > sncpair.MAX_INT_DIGITS:
-        return _LongDecimal(len(digits))
+        return sncpair.LongDecimal(len(digits))
     value = int(digits or "0")
     return -value if sign == "-" else value
 
@@ -241,10 +233,6 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
 
 def _check_digits(values, flag: str) -> None:
     for value in values:
-        if isinstance(value, _LongDecimal):
-            raise CliInputError(
-                f"{flag}: {value.digits} digits exceed the limit of "
-                f"{sncpair.MAX_INT_DIGITS}")
         message = sncpair.digits_error(value, flag)
         if message is not None:
             raise CliInputError(message)
@@ -476,7 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, value in vars(args).items():
-            if isinstance(value, _LongDecimal):
+            if isinstance(value, sncpair.LongDecimal):
                 _check_digits([value], "--" + name.replace("_", "-"))
         report = args.func(args)
     except ValueError as exc:

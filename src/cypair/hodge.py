@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .sncpair import digits_error, shown, shown_names
+from .sncpair import LongDecimal, decode_json, digits_error, shown, shown_names
 
 
 class DiamondError(ValueError):
@@ -36,13 +36,15 @@ class DiamondError(ValueError):
 class HodgeDiamond:
     """The h^{p,q} table of an n-dimensional manifold (possibly empty).
 
-    Every entry must be an `int`; a bool, a float or a string is refused,
-    not converted.
+    The dimension and every entry must be an `int`; a bool, a float or a
+    string is refused, not converted.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DiamondError(f"dimension: expected an integer, got {shown(n)}")
         if n < 0:
             raise DiamondError("dimension must be non-negative")
         table = tuple(tuple(row) for row in rows)
@@ -332,14 +334,17 @@ def diamond_from_obj(obj) -> HodgeDiamond:
     if "n" not in obj or "h" not in obj:
         raise DiamondError('both "n" and "h" are required')
     n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, (int, LongDecimal)):
         raise DiamondError("n: expected an integer")
+    message = digits_error(n, "n")
+    if message is not None:
+        raise DiamondError(message)
     rows = obj["h"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DiamondError("h: expected a list of rows")
     for p, row in enumerate(rows):
         for q, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, (int, LongDecimal)):
                 raise DiamondError(f"h[{p}][{q}]: expected an integer")
             message = digits_error(v, f"h[{p}][{q}]")
             if message is not None:
@@ -349,7 +354,7 @@ def diamond_from_obj(obj) -> HodgeDiamond:
 
 def diamond_from_json(text: str) -> HodgeDiamond:
     """Parse {"n": int, "h": [[...]]}, row-major in p; symmetries enforced."""
-    return diamond_from_obj(json.loads(text))
+    return diamond_from_obj(decode_json(text))
 
 
 def diamond_to_json(diamond: HodgeDiamond) -> str:

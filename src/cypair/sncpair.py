@@ -86,14 +86,20 @@ MAX_COMPONENTS = 30
 #: Most decimal digits accepted in every integer of a table document: d,
 #: the multiplicities, the center's codimension and the Euler numbers (the
 #: CLI bounds every integer flag and `chi-d cp --mults` by it too, and
-#: `hodge.diamond_from_obj` every Hodge number).  The numerators in
-#: `chi_d` grow with the product of all m_j + d, so the cost of a table
-#: grows with these digits.
+#: `hodge.diamond_from_obj` the dimension and every Hodge number).  The
+#: numerators in `chi_d` grow with the product of all m_j + d, so the cost
+#: of a table grows with these digits.
 MAX_INT_DIGITS = 40
 
 #: The integers of at most MAX_INT_DIGITS digits are those of absolute
 #: value below this.
 _INT_LIMIT = 10 ** MAX_INT_DIGITS
+
+
+class LongDecimal(NamedTuple):
+    """An integer over MAX_INT_DIGITS digits, kept as its digit count alone."""
+    digits: int
+
 
 #: Most characters of a user-supplied value that an error message repeats
 #: (see `shown`); the CLI cuts its flag values the same way.
@@ -847,16 +853,17 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
         raise TableFormatError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def digits_error(value: int, where: str) -> str | None:
-    """The message for an integer over `MAX_INT_DIGITS` digits, else None."""
-    if -_INT_LIMIT < value < _INT_LIMIT:
-        return None
-    return (f"{where}: {len(str(abs(value)))} digits exceed the limit of "
-            f"{MAX_INT_DIGITS}")
+def digits_error(value: int | LongDecimal, where: str) -> str | None:
+    """The message for an int or `LongDecimal` over `MAX_INT_DIGITS` digits, else None."""
+    if not isinstance(value, LongDecimal):
+        if -_INT_LIMIT < value < _INT_LIMIT:
+            return None
+        value = LongDecimal(len(str(abs(value))))
+    return f"{where}: {value.digits} digits exceed the limit of {MAX_INT_DIGITS}"
 
 
 def _expect_bounded_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, LongDecimal)):
         raise TableFormatError(f"{where}: expected an integer, got {shown(value)}")
     message = digits_error(value, where)
     if message is not None:
@@ -989,7 +996,29 @@ def pair_from_json(text: str) -> SncPair:
     syntactically malformed input; TableFormatError and
     PairValidationError report semantic problems.
     """
-    return pair_from_obj(json.loads(text))
+    return pair_from_obj(decode_json(text))
+
+
+def _json_int(literal: str) -> int | LongDecimal:
+    digits = len(literal.lstrip("-"))
+    return LongDecimal(digits) if digits > MAX_INT_DIGITS else int(literal)
+
+
+def decode_json(text: str):
+    """json.loads(text), reading integers past int()'s 4,300-digit limit.
+
+    A document whose integers all convert is decoded once, by json.loads.
+    Only when a literal is past the conversion limit is the text decoded
+    again, with every literal over MAX_INT_DIGITS digits a `LongDecimal`,
+    which the readers refuse by field and digit count.  A malformed
+    document raises json.JSONDecodeError either way.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int()'s conversion limit
+        return json.loads(text, parse_int=_json_int)
 
 
 def pair_to_obj(pair: SncPair) -> dict:

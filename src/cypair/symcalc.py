@@ -47,7 +47,8 @@ the independent reference the tests compare the Chern-basis series with.
 multiply the Chern-basis generators out and return the residuals of the
 five closed-form identities they satisfy; a residual is an ordinary
 result, so a nonzero residual is reported, not raised.  Both read every
-series from the one memo of order m + 2.
+series from the one memo of order m + 2, and the weighted sums of the
+exterior characters from one memo of sums per root count.
 """
 
 from __future__ import annotations
@@ -713,16 +714,15 @@ def _guard_verify_roots(m: int) -> None:
             f"number of roots must lie in 1..{MAX_VERIFY_ROOTS}, got {m}")
 
 
-def _alternating_sum(num_roots: int, weight) -> ChernSeries:
-    """sum_r w(r) ch of the r-th exterior dual power, through degree m + 2."""
-    order = num_roots + 2
-    total = ChernSeries.zero(num_roots, order)
-    for r in range(num_roots + 1):
-        w = weight(r)
-        if w == 0:
-            continue
-        total = total + ch_exterior(num_roots, r, order) * w
-    return total
+@lru_cache(maxsize=None)
+def _alternating_sums(m: int) -> tuple[ChernSeries, ...]:
+    """S_1, S_r and S_{r(r-1)} of m roots through degree m + 2, in one pass over r."""
+    order = m + 2
+    sums = [ChernSeries.zero(m, order)] * 3
+    for r in range(m + 1):
+        ch, sign = ch_exterior(m, r, order), (-1) ** r
+        sums = [s + ch * (sign * w) for s, w in zip(sums, (1, r, r * (r - 1)))]
+    return tuple(sums)
 
 
 def verify_total_class_identities(m: int) -> tuple[ChernSeries, ChernSeries, ChernSeries]:
@@ -748,15 +748,13 @@ def verify_total_class_identities(m: int) -> tuple[ChernSeries, ChernSeries, Che
     def c(k: int, truncation: int) -> ChernSeries:
         return ChernSeries.chern_class(m, truncation, k)
 
-    s0 = _alternating_sum(m, lambda r: (-1) ** r)
-    res1 = td_wide * s0 - c(m, wide)
+    s1, sr, srr = _alternating_sums(m)
+    res1 = td_wide * s1 - c(m, wide)
 
     # Truncated at order m, the product is its own [<= m] window.
-    s1 = _alternating_sum(m, lambda r: (-1) ** r * r).truncate(m)
-    res2 = td * s1 - (-c(m - 1, m) + c(m, m) * Fraction(m, 2))
+    res2 = td * sr.truncate(m) - (-c(m - 1, m) + c(m, m) * Fraction(m, 2))
 
-    s2 = _alternating_sum(m, lambda r: (-1) ** r * r * (r - 1)).truncate(m)
-    lhs3 = (td * s2).degree_part(m)
+    lhs3 = (td * srr.truncate(m)).degree_part(m)
     rhs3 = c(1, m) * c(m - 1, m) * Fraction(1, 6) + c(m, m) * Fraction(
         m * (3 * m - 5), 12
     )
@@ -779,11 +777,10 @@ def verify_shifted_class_identities(m: int) -> tuple[ChernSeries, ChernSeries]:
     def c(k: int) -> ChernSeries:
         return ChernSeries.chern_class(m, m, k)
 
-    s0 = _alternating_sum(m, lambda r: (-1) ** r).truncate(m)
-    res1 = (tdp * s0).degree_part(m) - c(m) * Fraction(m, 2)
+    s1, sr, _ = _alternating_sums(m)
+    res1 = (tdp * s1.truncate(m)).degree_part(m) - c(m) * Fraction(m, 2)
 
-    s1 = _alternating_sum(m, lambda r: (-1) ** r * r).truncate(m)
-    lhs2 = (tdp * s1).degree_part(m)
+    lhs2 = (tdp * sr.truncate(m)).degree_part(m)
     rhs2 = c(1) * c(m - 1) * Fraction(1, 12) + c(m) * Fraction(m * m, 4)
     res2 = lhs2 - rhs2.degree_part(m)
 

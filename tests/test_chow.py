@@ -579,3 +579,75 @@ def test_bundle_tangent_chern_matches_double_loop_twist_formula():
                for _, chern in bundles)
     for bundle, chern_n in bundles:
         assert bundle.tangent_chern == double_loop_tangent_chern(bundle, chern_n), bundle
+
+
+# ---------------------------------------------------------------------------
+# guards and reprs
+# ---------------------------------------------------------------------------
+
+
+def _line_bundle_over_p1():
+    return projective_bundle(projective_space(1), projective_space(1).one(), 1)
+
+
+#: Calls that a guard refuses: the exception class and its exact message.
+GUARDS = {
+    "caps mismatch": (lambda: RingModel(("a", "b"), (1,), {}), ModelError,
+                      "one cap per generator required"),
+    "repeated generator": (lambda: RingModel(("a", "a"), (1, 1), {}), ModelError,
+                           "generator names must be distinct"),
+    "negative power": (lambda: projective_space(1).gen_class(0) ** -1, ValueError,
+                       "negative powers are not defined"),
+    "negative projective space": (lambda: projective_space(-1), ModelError,
+                                  "projective space dimension must be non-negative"),
+    "lift onto a non-bundle": (
+        lambda: lift_from_base(projective_space(2), projective_space(1).one()),
+        ModelError, "model is not a projective bundle"),
+    "lift from another base": (
+        lambda: lift_from_base(_line_bundle_over_p1(), projective_space(2).one()),
+        ModelError, "class does not live on the bundle's base"),
+    "bundle Chern class off the base": (
+        lambda: projective_bundle(projective_space(1), projective_space(2).one(), 1),
+        ModelError, "chern_n must live on the base model"),
+    "bundle rank 0": (
+        lambda: projective_bundle(projective_space(1), projective_space(1).one(), 0),
+        ModelError, "bundle rank must be at least 1"),
+    "fiber integral on a non-bundle": (
+        lambda: fiber_integrate(projective_space(2), projective_space(2).one()),
+        ModelError, "model is not a projective bundle"),
+    "fiber integral of a base class": (
+        lambda: fiber_integrate(_line_bundle_over_p1(), projective_space(1).one()),
+        ModelError, "class does not live on this bundle"),
+    "hrr_chi off the model": (
+        lambda: hrr_chi(projective_space(2), projective_space(1).one()),
+        ModelError, "ch class does not live on this model"),
+    "ch_line off the model": (
+        lambda: ch_line(projective_space(2), projective_space(1).gen_class(0)),
+        ModelError, "divisor class does not live on this model"),
+    "cotangent exterior power too high": (
+        lambda: ch_cotangent_exterior(projective_space(2), 3), ValueError,
+        "exterior power 3 out of range 0..2"),
+    "cotangent exterior power negative": (
+        lambda: ch_cotangent_exterior(projective_space(2), -1), ValueError,
+        "exterior power -1 out of range 0..2"),
+    "form degree too high": (lambda: chi_twisted_hodge(2, 3, 0), ValueError,
+                             "form degree 3 out of range 0..2"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_message(name):
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_reprs_are_pinned():
+    assert repr(point()) == "RingModel(dim 0; relations none)"
+    assert repr(projective_space(2)) == "RingModel(dim 2; relations h^3)"
+    assert repr(_line_bundle_over_p1()) == "RingModel(dim 2; relations h^2, xi^2)"
+    h = projective_space(2).gen_class(0)
+    assert repr(h * h * 3 - h * Fraction(1, 2) + 1) == "1 + -1/2*h + 3*h^2"
+    assert repr(projective_space(2).zero()) == "0"

@@ -830,6 +830,63 @@ def test_diamond_file_hodge_numbers_are_bounded(capsys, tmp_path, symmetric):
     assert len(err.encode()) < 300
 
 
+def _past_the_conversion_limit(document, sign=""):
+    """The JSON text of `document`, each "BIG" string a 5,000-digit number."""
+    return json.dumps(document).replace('"BIG"', sign + LONGER)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("field", TABLE_INT_FIELDS)
+def test_table_integers_past_the_conversion_limit(capsys, tmp_path, field, sign):
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    TABLE_INT_FIELDS[field](table, "BIG")
+    path = tmp_path / "digits.json"
+    path.write_text(_past_the_conversion_limit(table, sign))
+    code, out, err = run_cli(["chi-d", "table", "--file", str(path)], capsys)
+    limit = sncpair.MAX_INT_DIGITS
+    assert (code, out, err) == (
+        2, "", f"error: {path}: {field}: {len(LONGER)} digits exceed the limit of "
+               f"{limit}\n")
+
+
+#: Diamond files with a number past Python's 4,300-digit conversion limit,
+#: each with the command that reads it and its message, path first ("{path}").
+#: The CLI bounds a file's `n` as it bounds a flag.
+DIAMOND_FILE_INTEGERS_PAST_THE_LIMIT = {
+    "h[0][1]": ({"n": 1, "h": [[1, "BIG"], [0, 1]]},
+                ["hodge", "correction", "--diamond", "{path}"],
+                "{path}: h[0][1]: 5000 digits exceed the limit of 40"),
+    "n": ({"n": "BIG", "h": [[1]]},
+          ["hodge", "correction", "--diamond", "{path}"],
+          "--diamond: 5000 digits exceed the limit of 40"),
+    "n of a bundle base": ({"n": "BIG", "h": [[1]]},
+                           ["hodge", "bundle", "--base", "{path}", "--fiber-dim", "1"],
+                           "--base: 5000 digits exceed the limit of 40"),
+}
+
+
+@pytest.mark.parametrize("name", DIAMOND_FILE_INTEGERS_PAST_THE_LIMIT)
+def test_diamond_file_integers_past_the_conversion_limit(capsys, tmp_path, name):
+    document, command, message = DIAMOND_FILE_INTEGERS_PAST_THE_LIMIT[name]
+    path = tmp_path / "diamond.json"
+    path.write_text(_past_the_conversion_limit(document))
+    code, out, err = run_cli([a.format(path=path) for a in command], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("command", [["chi-d", "table", "--file"],
+                                     ["hodge", "correction", "--diamond"]])
+def test_malformed_file_past_the_conversion_limit_is_line_anchored(
+        capsys, tmp_path, command):
+    # the long number is decoded twice; the syntax error after it still
+    # reports its line and column
+    text = '{"n": ' + LONGER + ',\n "h": [}'
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert run_cli(command + [str(path)], capsys) == (
+        2, "", f"error: {path}:2:8: Expecting value\n")
+
+
 def _unknown_keys(count):
     """`count` 50-character keys; their first 30 in sorted order are the
     same for every count of at least 30."""

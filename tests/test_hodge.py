@@ -74,6 +74,45 @@ def test_non_integer_entries_are_refused(value):
     assert str(info.value) == f"h^{{0,1}}: expected an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("n", [True, "1", 1.0])
+def test_non_integer_dimension_is_refused(n):
+    with pytest.raises(DiamondError) as info:
+        HodgeDiamond(n, [[1, 0], [0, 1]])
+    assert str(info.value) == f"dimension: expected an integer, got {n!r}"
+
+
+#: Calls that a guard refuses, each with its exact DiamondError message.
+GUARDS = {
+    "negative dimension": (lambda: HodgeDiamond(-1, []), "dimension must be non-negative"),
+    "negative fiber dimension": (
+        lambda: projective_bundle_diamond(HodgeDiamond.point(), -1),
+        "fiber dimension must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_message(name):
+    call, message = GUARDS[name]
+    with pytest.raises(DiamondError) as info:
+        call()
+    assert type(info.value) is DiamondError
+    assert str(info.value) == message
+
+
+def test_equal_diamonds_hash_alike():
+    built = HodgeDiamond(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert built == HodgeDiamond.projective_space(2)
+    assert hash(built) == hash(HodgeDiamond.projective_space(2))
+    assert len({built, HodgeDiamond.projective_space(2), ELLIPTIC}) == 2
+
+
+def test_reprs_are_pinned():
+    assert repr(HodgeDiamond.projective_space(2)) == "HodgeDiamond(n=2, b=(1, 0, 1, 0, 1))"
+    assert repr(ExponentLedger({(1, 0): -1, (0, 1): 2, (1, 1): 0})) == (
+        "ExponentLedger(det(H^{0,1})^2, det(H^{1,0})^-1)")
+    assert repr(ExponentLedger()) == "ExponentLedger()"
+
+
 # ---------------------------------------------------------------------------
 # bundle and blow-up formulas
 # ---------------------------------------------------------------------------
@@ -330,3 +369,25 @@ def test_diamond_json_errors():
         diamond_from_json('{"n": 1, "h": [[1, 2], [1, 1]]}')
     with pytest.raises(DiamondError):
         diamond_from_json('{"n": 1, "h": [[1, 1.5], [1, 1]]}')
+
+
+LONGER = "9" * 5000
+
+
+#: Diamond documents with a long integer ("BIG" stands for 5,000 digits,
+#: past Python's 4,300-digit conversion limit) and the message.
+LONG_INTEGER_DOCUMENTS = {
+    "h[0][1]": ('{"n": 1, "h": [[1, BIG], [0, 1]]}',
+                "h[0][1]: 5000 digits exceed the limit of 40"),
+    "n": ('{"n": BIG, "h": [[1]]}', "n: 5000 digits exceed the limit of 40"),
+    "n below the conversion limit": ('{"n": ' + "9" * 4000 + ', "h": [[1]]}',
+                                     "n: 4000 digits exceed the limit of 40"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INTEGER_DOCUMENTS)
+def test_diamond_json_refuses_long_integers(name):
+    text, message = LONG_INTEGER_DOCUMENTS[name]
+    with pytest.raises(DiamondError) as info:
+        diamond_from_json(text.replace("BIG", LONGER))
+    assert str(info.value) == message

@@ -2,6 +2,7 @@ import collections
 import copy
 import hashlib
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -1213,3 +1214,53 @@ def test_json_validation_still_applies():
         pair_from_json(
             '{"d": 1, "components": [{"id": "A", "mult": -1}], "strata": ['
             '{"subset": [], "chi": 3}, {"subset": ["A"], "chi": 2}]}')
+
+
+LONGER = "9" * 5000
+
+
+def test_decode_json_reads_long_literals_only_past_the_conversion_limit():
+    # a document whose integers all convert is decoded as json.loads does
+    assert sncpair.decode_json('[1, ' + "9" * 41 + ']') == [1, 10 ** 41 - 1]
+    # past the limit, every literal over MAX_INT_DIGITS digits is a record
+    assert sncpair.decode_json('[1, -' + "9" * 41 + ', ' + LONGER + ']') == [
+        1, sncpair.LongDecimal(41), sncpair.LongDecimal(5000)]
+
+
+@pytest.mark.parametrize("where", ["d", "strata[0].chi"])
+def test_pair_from_json_refuses_integers_past_the_conversion_limit(where):
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    if where == "d":
+        table["d"] = "BIG"
+    else:
+        table["strata"][0]["chi"] = "BIG"
+    with pytest.raises(TableFormatError) as err:
+        pair_from_json(json.dumps(table).replace('"BIG"', LONGER))
+    assert type(err.value) is TableFormatError
+    assert str(err.value) == f"{where}: 5000 digits exceed the limit of 40"
+
+
+def test_pair_from_json_past_the_conversion_limit_keeps_syntax_errors():
+    with pytest.raises(json.JSONDecodeError) as err:
+        pair_from_json('{"d": ' + LONGER + ',\n "components": [}')
+    assert (err.value.lineno, err.value.colno, err.value.msg) == (2, 17, "Expecting value")
+
+
+#: Calls that a guard refuses: the exception class and its exact message.
+GUARDS = {
+    "weight with d = 0": (lambda: weight(0, [1], 1), PairValidationError,
+                          "d must be a non-zero integer"),
+    "scale_check with k = 0": (lambda: scale_check(triangle_pair(False), 0), ValueError,
+                               "scale factor must be a positive integer"),
+    "cp_pair with r = 0": (lambda: cp_pair(0, 0, 1, []), PairValidationError,
+                           "fiber dimension r must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_message(name):
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

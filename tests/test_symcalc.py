@@ -571,3 +571,62 @@ def test_verify_builds_the_genera_once_per_root_count():
         verify_shifted_class_identities(m)
         assert symcalc._universal.cache_info().misses == misses + 1
         assert res1.order == m + 2
+
+
+def test_identity_suites_read_each_exterior_character_once():
+    # One memo of the weighted sums per root count serves both suites: m + 1
+    # lookups of ch Lambda^r for each m, 27 for m = 1..6 (one per sum and
+    # suite would be 111).
+    symcalc._alternating_sums.cache_clear()
+    before = ch_exterior.cache_info()
+    for m in range(1, 7):
+        verify_total_class_identities(m)
+        verify_shifted_class_identities(m)
+    after = ch_exterior.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 27
+
+
+# ---------------------------------------------------------------------------
+# guards
+# ---------------------------------------------------------------------------
+
+
+#: Calls that a guard refuses, each with its exact ValueError message.
+GUARDS = {
+    "negative root count": (lambda: RootSeries(-1, 2), "num_roots and order must be non-negative"),
+    "negative order": (lambda: ChernSeries(1, -1), "num_roots and order must be non-negative"),
+    "exponent vector too short": (lambda: RootSeries(2, 2, {(1,): 1}),
+                                  "exponent vector (1,) has wrong length"),
+    "different root counts": (
+        lambda: RootSeries.variable(2, 2, 0) + RootSeries.variable(3, 2, 0),
+        "series live over different root counts"),
+    "variable index out of range": (lambda: RootSeries.variable(2, 2, 2),
+                                    "root index 2 out of range for 2 roots"),
+    "univariate index out of range": (lambda: RootSeries.from_univariate(2, 2, -1, [1]),
+                                      "root index -1 out of range for 2 roots"),
+    "c_k past the root count": (lambda: ChernSeries.chern_class(2, 3, 3),
+                                "c_3 undefined with 2 roots"),
+    "todd of no roots": (lambda: todd(0, 2), "Todd series needs at least one root"),
+    "todd_prime of no roots": (lambda: todd_prime(0, 2), "Todd series needs at least one root"),
+    "todd_roots of no roots": (lambda: todd_roots(0, 2), "Todd series needs at least one root"),
+    "todd_prime_roots of no roots": (lambda: todd_prime_roots(0, 2),
+                                     "Todd series needs at least one root"),
+    "root exterior power too high": (lambda: ch_exterior_roots(2, 3, 2),
+                                     "exterior power 3 out of range 0..2"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_message(name):
+    call, message = GUARDS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_from_univariate_drops_coefficients_past_the_order():
+    assert RootSeries.from_univariate(2, 2, 1, [1, 2, 3, 4, 5]) == (
+        RootSeries.from_univariate(2, 2, 1, [1, 2, 3]))
+    assert RootSeries.from_univariate(2, 2, 1, [1, 2, 3, 4, 5]).terms == {
+        (0, 0): 1, (0, 1): 2, (0, 2): 3}
