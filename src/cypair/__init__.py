@@ -8,6 +8,7 @@ Subpackages:
   Riemann-Roch Euler characteristics;
 * `sncpair` -- weighted Euler characteristics of stratified pairs, model
   pairs on projective space, and the blow-up transform;
+* `inputs` -- the rules of outside input that every reader applies;
 * `hodge` -- Hodge diamond bookkeeping and determinant-line exponent
   ledgers;
 * `cli` -- the `cypair` command-line front end.

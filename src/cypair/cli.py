@@ -21,6 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import chow, hodge, sncpair, symcalc
+from .inputs import (MAX_INT_DIGITS, LongDecimal, decimal, decode_json,
+                     digits_error, shown)
 
 DEFAULT_SEED = 7
 
@@ -32,7 +34,7 @@ MAX_HRR_N = 75
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
 #: with s = r hyperplanes has 2^(r+1) - 1 strata.  With `--d` and every
-#: multiplicity at the `sncpair.MAX_INT_DIGITS` limit, `chi-d cp --r 18
+#: multiplicity at the `inputs.MAX_INT_DIGITS` limit, `chi-d cp --r 18
 #: --s 18` takes 3.1-3.4 s and r = 19 takes 6.1 s on a 2-CPU Xeon VM.
 MAX_CP_R = 18
 
@@ -155,14 +157,14 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
         return hodge.HodgeDiamond.point()
     match = re.fullmatch(r"cp(\d+)", source)
     if match:
-        n = _integer(match.group(1))
+        n = decimal(match.group(1))
         _check_diamond_dim(n, flag)
         return hodge.HodgeDiamond.projective_space(n)
 
     def parse(text: str) -> hodge.HodgeDiamond:
         # bound n before the table is validated, which costs O(n^2)
-        obj = sncpair.decode_json(text)
-        if isinstance(obj, dict) and isinstance(obj.get("n"), (int, sncpair.LongDecimal)):
+        obj = decode_json(text)
+        if isinstance(obj, dict) and isinstance(obj.get("n"), (int, LongDecimal)):
             _check_diamond_dim(obj["n"], flag)
         return hodge.diamond_from_obj(obj)
     return _parse_file(source, parse)
@@ -195,45 +197,27 @@ def _random_generator(args) -> random.Random:
     return random.Random(args.seed)
 
 
-#: A decimal as int() reads it: a sign, digits, single underscores between them.
-_DECIMAL = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
-
-
 def _integer(text: str):
-    """The value of a decimal, or a `sncpair.LongDecimal` over the limit.
-
-    Every integer of the command line is read here: the integer flags, the
-    `--mults` entries and the N of a `cpN` diamond name.  Only the sign and
-    the significant digits are converted, and not over
-    `sncpair.MAX_INT_DIGITS` of them, so int() never meets its 4,300-digit
-    limit; a longer value is its significant digit count, which
-    `sncpair.digits_error` refuses.  Malformed text is refused with
-    argparse's message, the text cut by `sncpair.shown`.
-    """
-    match = _DECIMAL.fullmatch(text)
-    if match is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {sncpair.shown(text)}")
-    sign, digits = match.groups()
-    digits = digits.replace("_", "").lstrip("0")
-    if len(digits) > sncpair.MAX_INT_DIGITS:
-        return sncpair.LongDecimal(len(digits))
-    value = int(digits or "0")
-    return -value if sign == "-" else value
+    """`inputs.decimal` as an argparse type, which keeps its message."""
+    try:
+        return decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_mults(raw: str | None) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        return tuple(_integer(chunk) for chunk in raw.split(","))
-    except argparse.ArgumentTypeError:
+        return tuple(decimal(chunk) for chunk in raw.split(","))
+    except ValueError:
         raise CliInputError("--mults must be a comma-separated integer list, "
-                            f"got {sncpair.shown(raw)}")
+                            f"got {shown(raw)}")
 
 
 def _check_digits(values, flag: str) -> None:
     for value in values:
-        message = sncpair.digits_error(value, flag)
+        message = digits_error(value, flag)
         if message is not None:
             raise CliInputError(message)
 
@@ -396,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of coordinate hyperplanes")
     pc.add_argument("--d", type=_integer, required=True,
                     help="pluricanonical degree (at most "
-                         f"{sncpair.MAX_INT_DIGITS} digits)")
+                         f"{MAX_INT_DIGITS} digits)")
     pc.add_argument("--mults", default="",
                     help="comma-separated positive multiplicities, one per "
-                         f"hyperplane (at most {sncpair.MAX_INT_DIGITS} digits each)")
+                         f"hyperplane (at most {MAX_INT_DIGITS} digits each)")
     _command(pc, cmd_chi_d_cp)
     pt = chi_sub.add_parser("table", help="stratum table from a JSON file")
     pt.add_argument("--file", required=True, help="stratum-table document")
@@ -439,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--y", required=True, help="center diamond (name or file)")
     pl.add_argument("--codim", type=_integer, required=True,
                     help="codimension of the center (at most "
-                         f"{sncpair.MAX_INT_DIGITS} digits)")
+                         f"{MAX_INT_DIGITS} digits)")
     _command(pl, cmd_hodge_blowup)
     pco = hodge_sub.add_parser("correction", help="normalization correction term")
     pco.add_argument("--diamond", required=True, help="diamond (name or file)")
@@ -464,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, value in vars(args).items():
-            if isinstance(value, sncpair.LongDecimal):
+            if isinstance(value, LongDecimal):
                 _check_digits([value], "--" + name.replace("_", "-"))
         report = args.func(args)
     except ValueError as exc:

@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .sncpair import LongDecimal, decode_json, digits_error, shown, shown_names
+from .inputs import LongDecimal, decode_json, digits_error, shown, shown_names
 
 
 class DiamondError(ValueError):

@@ -9,7 +9,7 @@ intersection D_J of components.  The weighted Euler characteristic
     chi_d = sum_J w_d^J chi(D_J),   w_d^J = prod_{j in J} (-m_j)/(m_j + d)
 
 is the quantity everything in this module computes, transforms, and
-checks.
+checks; its table reader applies the input rules of `cypair.inputs`.
 
 Stratum tables
 --------------
@@ -79,31 +79,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-#: Most components a pair may have.  `blowup_transform` adds the exceptional
-#: component, so it takes pairs with at most MAX_COMPONENTS - 1.
-MAX_COMPONENTS = 30
-
-#: Most decimal digits accepted in every integer of a table document: d,
-#: the multiplicities, the center's codimension and the Euler numbers (the
-#: CLI bounds every integer flag and `chi-d cp --mults` by it too, and
-#: `hodge.diamond_from_obj` the dimension and every Hodge number).  The
-#: numerators in `chi_d` grow with the product of all m_j + d, so the cost
-#: of a table grows with these digits.
-MAX_INT_DIGITS = 40
-
-#: The integers of at most MAX_INT_DIGITS digits are those of absolute
-#: value below this.
-_INT_LIMIT = 10 ** MAX_INT_DIGITS
-
-
-class LongDecimal(NamedTuple):
-    """An integer over MAX_INT_DIGITS digits, kept as its digit count alone."""
-    digits: int
-
-
-#: Most characters of a user-supplied value that an error message repeats
-#: (see `shown`); the CLI cuts its flag values the same way.
-MAX_SHOWN_CHARS = 40
+from .inputs import (INT_LIMIT, MAX_COMPONENTS, LongDecimal, cut, decode_json,
+                     digits_error, shown, shown_names)
 
 
 class PairValidationError(ValueError):
@@ -207,43 +184,9 @@ class SncPair:
         return mask
 
     def subset_label(self, mask: int) -> str:
-        names = [_cut(c.id)
+        names = [cut(c.id)
                  for j, c in enumerate(self.components) if (mask >> j) & 1]
         return "{" + ",".join(names) + "}"
-
-
-def _cut(text: str) -> str:
-    """`text`, or its first MAX_SHOWN_CHARS characters and its length."""
-    if len(text) <= MAX_SHOWN_CHARS:
-        return text
-    return f"{text[:MAX_SHOWN_CHARS]}... ({len(text)} characters)"
-
-
-def shown(value) -> str:
-    """repr(value) for an error message, cut when long.
-
-    A string over MAX_SHOWN_CHARS characters is shown as the repr of its
-    first MAX_SHOWN_CHARS and its length; any other value's repr is cut
-    the same way.  A shorter string is its repr, unchanged.
-    """
-    if isinstance(value, str):
-        if len(value) <= MAX_SHOWN_CHARS:
-            return repr(value)
-        return f"{value[:MAX_SHOWN_CHARS]!r}... ({len(value)} characters)"
-    return _cut(repr(value))
-
-
-def shown_names(names: Iterable[str]) -> str:
-    """A list of names as its repr shows it, each name cut by `shown`.
-
-    A list over MAX_COMPONENTS names, more than a subset of a valid pair
-    holds, shows its first MAX_COMPONENTS and its length.
-    """
-    names = list(names)
-    text = "[" + ", ".join(map(shown, names[:MAX_COMPONENTS])) + "]"
-    if len(names) > MAX_COMPONENTS:
-        text += f"... ({len(names)} names)"
-    return text
 
 
 def _submasks(mask: int):
@@ -853,15 +796,6 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
         raise TableFormatError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def digits_error(value: int | LongDecimal, where: str) -> str | None:
-    """The message for an int or `LongDecimal` over `MAX_INT_DIGITS` digits, else None."""
-    if not isinstance(value, LongDecimal):
-        if -_INT_LIMIT < value < _INT_LIMIT:
-            return None
-        value = LongDecimal(len(str(abs(value))))
-    return f"{where}: {value.digits} digits exceed the limit of {MAX_INT_DIGITS}"
-
-
 def _expect_bounded_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, LongDecimal)):
         raise TableFormatError(f"{where}: expected an integer, got {shown(value)}")
@@ -894,7 +828,7 @@ def pair_from_obj(obj) -> SncPair:
     entry that every named check would accept as a nonempty stratum: an
     object of known fields whose subset lists distinct known ids and is
     new to the table, whose `chi` and `chi_meet_center` (or null) are
-    integers within `MAX_INT_DIGITS` digits, and whose `nonempty` is true
+    integers within `inputs.MAX_INT_DIGITS` digits, and whose `nonempty` is true
     or omitted.  Any other entry goes through the named checks, which
     raise with a message that says where, or skip an entry marked empty.
     """
@@ -944,9 +878,9 @@ def pair_from_obj(obj) -> SncPair:
             meet = entry.get("chi_meet_center")
             if (mask is not None and mask not in strata
                     and type(chi_value) is int
-                    and -_INT_LIMIT < chi_value < _INT_LIMIT
+                    and -INT_LIMIT < chi_value < INT_LIMIT
                     and (meet is None or type(meet) is int
-                         and -_INT_LIMIT < meet < _INT_LIMIT)
+                         and -INT_LIMIT < meet < INT_LIMIT)
                     and entry.get("nonempty", True) is True):
                 strata[mask] = Stratum(chi_value, meet)
                 continue
@@ -997,28 +931,6 @@ def pair_from_json(text: str) -> SncPair:
     PairValidationError report semantic problems.
     """
     return pair_from_obj(decode_json(text))
-
-
-def _json_int(literal: str) -> int | LongDecimal:
-    digits = len(literal.lstrip("-"))
-    return LongDecimal(digits) if digits > MAX_INT_DIGITS else int(literal)
-
-
-def decode_json(text: str):
-    """json.loads(text), reading integers past int()'s 4,300-digit limit.
-
-    A document whose integers all convert is decoded once, by json.loads.
-    Only when a literal is past the conversion limit is the text decoded
-    again, with every literal over MAX_INT_DIGITS digits a `LongDecimal`,
-    which the readers refuse by field and digit count.  A malformed
-    document raises json.JSONDecodeError either way.
-    """
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # int()'s conversion limit
-        return json.loads(text, parse_int=_json_int)
 
 
 def pair_to_obj(pair: SncPair) -> dict:

@@ -445,11 +445,6 @@ def symmetrize_to_chern(series: RootSeries) -> ChernSeries:
     out: dict[Exponents, int] = {}
     while work:
         alpha = max(work)
-        if any(alpha[i] < alpha[i + 1] for i in range(m - 1)):
-            raise SymmetryError(
-                f"leading monomial {alpha} has increasing exponents; "
-                "series is not symmetric"
-            )
         coeff = work[alpha]
         cexpo = tuple(
             alpha[k] - alpha[k + 1] if k < m - 1 else alpha[k] for k in range(m)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cypair import chow, cli, hodge, sncpair, symcalc
+from cypair import chow, cli, hodge, inputs, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
 from help_texts import HELP_TEXTS
@@ -308,7 +308,7 @@ def test_blowup_check_rejects_table_that_loses_downward_closure(capsys, tmp_path
 def test_blowup_check_rejects_a_component_too_many(capsys, tmp_path):
     # A table may have MAX_COMPONENTS components, but its blow-up adds E.
     full = tmp_path / "full.json"
-    full.write_text(json.dumps(centered_table(sncpair.MAX_COMPONENTS)))
+    full.write_text(json.dumps(centered_table(inputs.MAX_COMPONENTS)))
     code, _, _ = run_cli(["chi-d", "table", "--file", str(full)], capsys)
     assert code == 0
     code, out, err = run_cli(["blowup-check", "--file", str(full)], capsys)
@@ -316,10 +316,10 @@ def test_blowup_check_rejects_a_component_too_many(capsys, tmp_path):
     assert out == ""
     assert err == (
         f"error: the blow-up adds the exceptional component 'E' to the "
-        f"{sncpair.MAX_COMPONENTS} components of the input, which exceeds the "
-        f"supported maximum of {sncpair.MAX_COMPONENTS}\n")
+        f"{inputs.MAX_COMPONENTS} components of the input, which exceeds the "
+        f"supported maximum of {inputs.MAX_COMPONENTS}\n")
     one_fewer = tmp_path / "one_fewer.json"
-    one_fewer.write_text(json.dumps(centered_table(sncpair.MAX_COMPONENTS - 1)))
+    one_fewer.write_text(json.dumps(centered_table(inputs.MAX_COMPONENTS - 1)))
     code, out, _ = run_cli(["blowup-check", "--file", str(one_fewer)], capsys)
     assert code == 0
     assert "[PASS] invariance" in out
@@ -363,9 +363,9 @@ CENTER_MISSES_A_SUBSET = {
 TABLE_FAULTS = {
     "zero-d": (lambda t: t.update(d=0), "d must be a non-zero integer"),
     "too-many-components": (
-        lambda t: t.update(centered_table(sncpair.MAX_COMPONENTS + 1)),
-        f"{sncpair.MAX_COMPONENTS + 1} components exceed the supported maximum "
-        f"of {sncpair.MAX_COMPONENTS}"),
+        lambda t: t.update(centered_table(inputs.MAX_COMPONENTS + 1)),
+        f"{inputs.MAX_COMPONENTS + 1} components exceed the supported maximum "
+        f"of {inputs.MAX_COMPONENTS}"),
     "zero-multiplicity": (lambda t: t["components"][0].update(mult=0),
                           "component 'H1' has multiplicity 0"),
     "empty-singleton": (
@@ -493,7 +493,7 @@ def test_chi_d_cp_accepts_largest_r(capsys):
 @pytest.mark.parametrize("flag, mults", [("--d", "1,1"), ("--mults", "1,{}")])
 def test_chi_d_cp_rejects_oversize_digits(capsys, monkeypatch, flag, mults):
     monkeypatch.setattr(sncpair, "cp_pair", _refuse)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     big = str(10 ** limit)
     d = big if flag == "--d" else "1"
     code, out, err = run_cli(
@@ -505,7 +505,7 @@ def test_chi_d_cp_rejects_oversize_digits(capsys, monkeypatch, flag, mults):
 
 
 def test_chi_d_cp_accepts_largest_digits(capsys):
-    largest = str(10 ** sncpair.MAX_INT_DIGITS - 1)
+    largest = str(10 ** inputs.MAX_INT_DIGITS - 1)
     code, out, _ = run_cli(
         ["chi-d", "cp", "--r", "2", "--s", "2", "--d", largest,
          "--mults", f"{largest},{largest}"], capsys)
@@ -516,7 +516,7 @@ def test_chi_d_cp_accepts_largest_digits(capsys):
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_hrr_cp_rejects_oversize_twist(capsys, monkeypatch, sign):
     monkeypatch.setattr(chow, "chi_twisted_hodge", _refuse)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     code, out, err = run_cli(
         ["hrr", "cp", "--n", "2", "--p", "1", "--twist", sign + str(10 ** limit)],
         capsys)
@@ -526,7 +526,7 @@ def test_hrr_cp_rejects_oversize_twist(capsys, monkeypatch, sign):
 
 
 def test_hrr_cp_accepts_largest_twist(capsys):
-    largest = 10 ** sncpair.MAX_INT_DIGITS - 1
+    largest = 10 ** inputs.MAX_INT_DIGITS - 1
     code, out, _ = run_cli(
         ["hrr", "cp", "--n", "2", "--p", "1", "--twist", str(largest), "--json"],
         capsys)
@@ -553,7 +553,7 @@ TABLE_INT_FIELDS = {
 
 @pytest.mark.parametrize("field", TABLE_INT_FIELDS)
 def test_table_int_digits_limit(capsys, tmp_path, field):
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     for value, code_expected in [(10 ** limit - 1, 0), (10 ** limit, 2)]:
         table = json.loads(json.dumps(TRIANGLE_TABLE))
         TABLE_INT_FIELDS[field](table, value)
@@ -634,7 +634,7 @@ def test_messages_do_not_repeat_long_integers(capsys, tmp_path, name):
     path = tmp_path / "diamond.json"
     path.write_text(f'{{"n": {LONG}, "h": []}}')
     code, out, err = run_cli([a.format(file=path) for a in command], capsys)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     assert (code, out, err) == (
         2, "", f"error: {flag}: {len(LONG)} digits exceed the limit of {limit}\n")
 
@@ -686,7 +686,7 @@ LONGER_INTEGER_INPUTS = {
 def test_flags_past_the_conversion_limit_are_not_repeated(capsys, name):
     flag, digits, command = LONGER_INTEGER_INPUTS[name]
     code, out, err = run_cli(command, capsys)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     assert (code, out, err) == (
         2, "", f"error: {flag}: {digits} digits exceed the limit of {limit}\n")
     assert len(err.encode()) < 300
@@ -730,9 +730,9 @@ def test_malformed_integer_flag_keeps_argparse_message(capsys, value):
 
 
 X5000 = "x" * 5000
-CUT = f"{'x' * sncpair.MAX_SHOWN_CHARS!r}... (5000 characters)"
+CUT = f"{'x' * inputs.MAX_SHOWN_CHARS!r}... (5000 characters)"
 #: X5000 as a stratum label shows it, without quotes.
-LABEL_CUT = f"{'x' * sncpair.MAX_SHOWN_CHARS}... (5000 characters)"
+LABEL_CUT = f"{'x' * inputs.MAX_SHOWN_CHARS}... (5000 characters)"
 
 
 def test_long_malformed_integer_flag_is_cut(capsys):
@@ -745,7 +745,7 @@ def test_long_malformed_integer_flag_is_cut(capsys):
 
 
 def test_malformed_integer_flag_at_the_cut_is_repeated(capsys):
-    value = "x" * sncpair.MAX_SHOWN_CHARS
+    value = "x" * inputs.MAX_SHOWN_CHARS
     code, out, err = run_cli(["identities", "--max-m", value], capsys)
     assert (code, out) == (2, "")
     assert err.endswith(f"invalid int value: {value!r}\n")
@@ -823,7 +823,7 @@ def test_diamond_file_hodge_numbers_are_bounded(capsys, tmp_path, symmetric):
     path = tmp_path / "diamond.json"
     path.write_text(json.dumps({"n": 1, "h": [[1, big], [big if symmetric else 0, 1]]}))
     code, out, err = run_cli(["hodge", "correction", "--diamond", str(path)], capsys)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     assert (code, out, err) == (
         2, "", f"error: {path}: h[0][1]: {len(LONG)} digits exceed the limit of "
                f"{limit}\n")
@@ -843,7 +843,7 @@ def test_table_integers_past_the_conversion_limit(capsys, tmp_path, field, sign)
     path = tmp_path / "digits.json"
     path.write_text(_past_the_conversion_limit(table, sign))
     code, out, err = run_cli(["chi-d", "table", "--file", str(path)], capsys)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     assert (code, out, err) == (
         2, "", f"error: {path}: {field}: {len(LONGER)} digits exceed the limit of "
                f"{limit}\n")
@@ -908,7 +908,7 @@ def test_long_unknown_field_lists_show_30_names(capsys, tmp_path, kind):
         code, out, err = run_cli(command, capsys)
         assert (code, out) == (2, "")
         errors.append(err)
-    shown = ", ".join(map(sncpair.shown, sorted(_unknown_keys(30))))
+    shown = ", ".join(map(inputs.shown, sorted(_unknown_keys(30))))
     assert errors[0] == (
         f"error: {path}: {where}unknown field(s) [{shown}]... (2000 names)\n")
     assert errors[1] == errors[0].replace("(2000 names)", "(20000 names)")
@@ -968,14 +968,34 @@ def test_readme_limits_table_matches_the_code():
         "table `d`, "
         "`components[i].mult`, `center.codim`, `strata[i].chi`, "
         "`strata[i].chi_meet_center`; diamond file `h[p][q]` (decimal "
-        "digits)": sncpair.MAX_INT_DIGITS,
+        "digits)": inputs.MAX_INT_DIGITS,
         "`hodge` diamond dimension: `--base`, `--x`, `--y`, `--diamond`, "
         "`bundle` base plus `--fiber-dim`": MAX_DIAMOND_DIM,
         "`chi-d table --file`, `blowup-check --file` table components "
-        "(count)": sncpair.MAX_COMPONENTS,
+        "(count)": inputs.MAX_COMPONENTS,
         "`chi-d table --file`, `blowup-check --file`, `hodge` diamond files "
         "(bytes)": cli.MAX_INPUT_BYTES,
     }
+
+
+def _readme_block(readme: str, after: str, language: str) -> str:
+    """The first ```language block of README after the line `after`."""
+    rest = readme[readme.index(after):]
+    return re.search(rf"^```{language}\n(.*?)^```$", rest, re.M | re.S).group(1)
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.json").write_text(
+        _readme_block(readme, "**Stratum table**", "json"))
+    commands = [line.split()[1:] for line in
+                _readme_block(readme, "## CLI", "sh").splitlines()
+                if line.startswith("cypair ")]
+    assert len(commands) == 10
+    for command in commands:
+        assert run_cli(command, capsys)[0] == 0, command
+    exec(_readme_block(readme, "## Library example", "python"), {})
 
 
 def test_hodge_bundle(capsys):
@@ -995,7 +1015,7 @@ def test_hodge_blowup(capsys):
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_hodge_blowup_rejects_oversize_codim(capsys, monkeypatch, sign):
     monkeypatch.setattr(hodge, "blowup_diamond", _refuse)
-    limit = sncpair.MAX_INT_DIGITS
+    limit = inputs.MAX_INT_DIGITS
     code, out, err = run_cli(
         ["hodge", "blowup", "--x", "cp3", "--y", "point",
          "--codim", sign + str(10 ** limit)], capsys)
@@ -1005,7 +1025,7 @@ def test_hodge_blowup_rejects_oversize_codim(capsys, monkeypatch, sign):
 
 
 def test_hodge_blowup_passes_largest_codim_on(capsys, monkeypatch):
-    largest = 10 ** sncpair.MAX_INT_DIGITS - 1
+    largest = 10 ** inputs.MAX_INT_DIGITS - 1
     received = []
     original = hodge.blowup_diamond
 
@@ -1144,16 +1164,40 @@ def test_failed_check_exits_one(capsys):
 NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def test_cli_import_leaves_out_dataclasses():
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _import_in_child(module: str, names):
+    """Import `module` in a new interpreter, which prints the sorted list of
+    the modules in `names` that it then holds."""
     # -S: no site module, whose own imports vary with the installation
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import cypair.cli, sys; "
+    code = (f"import {module}, sys; "
             "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code, *NOT_IMPORTED],
-        env={**os.environ, "PYTHONPATH": str(src)},
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *names],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True, timeout=60)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    result = _import_in_child("cypair.cli", NOT_IMPORTED)
     assert result.stdout == "[]\n"
+
+
+#: The cypair modules each of these imports: the input rules import no
+#: other, and `hodge` reads them without the pair module.
+IMPORT_GRAPH = {
+    "cypair.inputs": ["cypair.inputs"],
+    "cypair.hodge": ["cypair.hodge", "cypair.inputs"],
+}
+
+
+@pytest.mark.parametrize("module", IMPORT_GRAPH)
+def test_import_graph(module):
+    modules = [f"cypair.{path.stem}" for path in (SRC / "cypair").glob("*.py")
+               if path.stem != "__init__"]
+    result = _import_in_child(module, modules)
+    assert result.stdout == f"{IMPORT_GRAPH[module]}\n"
 
 
 # ---------------------------------------------------------------------------

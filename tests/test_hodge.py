@@ -10,6 +10,7 @@ from cypair.hodge import (
     blowup_diamond,
     correction_term,
     diamond_from_json,
+    diamond_from_obj,
     diamond_to_json,
     lambda_exponent_check,
     ledger_eta,
@@ -391,3 +392,13 @@ def test_diamond_json_refuses_long_integers(name):
     with pytest.raises(DiamondError) as info:
         diamond_from_json(text.replace("BIG", LONGER))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("obj, where", [
+    ({"n": 10 ** 5000, "h": [[1]]}, "n"),
+    ({"n": 0, "h": [[10 ** 5000]]}, "h[0][0]"),
+], ids=["n", "h"])
+def test_diamond_from_obj_refuses_ints_past_the_conversion_limit(obj, where):
+    with pytest.raises(DiamondError) as info:
+        diamond_from_obj(obj)
+    assert str(info.value) == f"{where}: 5001 digits exceed the limit of 40"

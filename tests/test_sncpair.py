@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from cypair import sncpair
+from cypair import inputs, sncpair
 from cypair.sncpair import (
     BlowupCheck,
     Center,
@@ -441,13 +441,13 @@ def test_exceptional_pair_raises_where_blowup_does(build):
 def test_blowup_rejects_a_component_too_many(operation):
     # E would be component MAX_COMPONENTS + 1; the error names the input's
     # own count, not that of the pair the blow-up would have built.
-    pair = pair_from_obj(centered_table(sncpair.MAX_COMPONENTS))
+    pair = pair_from_obj(centered_table(inputs.MAX_COMPONENTS))
     with pytest.raises(PairValidationError) as err:
         operation(pair)
     assert str(err.value) == (
         f"the blow-up adds the exceptional component 'E' to the "
-        f"{sncpair.MAX_COMPONENTS} components of the input, which exceeds "
-        f"the supported maximum of {sncpair.MAX_COMPONENTS}")
+        f"{inputs.MAX_COMPONENTS} components of the input, which exceeds "
+        f"the supported maximum of {inputs.MAX_COMPONENTS}")
 
 
 def test_blowup_rejects_table_that_loses_downward_closure():
@@ -585,13 +585,13 @@ def test_component_and_center_are_hashable_records():
 
 
 def test_shown_names_cuts_lists_over_the_component_limit():
-    names = [f"D{j}" for j in range(sncpair.MAX_COMPONENTS + 1)]
-    assert sncpair.shown_names(names[:-1]) == repr(names[:-1])
-    assert sncpair.shown_names(names) == repr(names[:-1]) + "... (31 names)"
+    names = [f"D{j}" for j in range(inputs.MAX_COMPONENTS + 1)]
+    assert inputs.shown_names(names[:-1]) == repr(names[:-1])
+    assert inputs.shown_names(names) == repr(names[:-1]) + "... (31 names)"
 
 
 def test_duplicate_subset_message_lists_every_component():
-    table = centered_table(sncpair.MAX_COMPONENTS)
+    table = centered_table(inputs.MAX_COMPONENTS)
     ids = [c["id"] for c in table["components"]]
     table["strata"] = [{"subset": ids, "chi": 1}, {"subset": ids[::-1], "chi": 1}]
     with pytest.raises(TableFormatError) as info:
@@ -1115,7 +1115,7 @@ def _document_with(entry) -> dict:
     }
 
 
-LONG_CHI = 10 ** sncpair.MAX_INT_DIGITS
+LONG_CHI = 10 ** inputs.MAX_INT_DIGITS
 
 #: One faulty entry per named check of a stratum entry, with its message.
 ENTRY_FAULTS = {
@@ -1221,10 +1221,10 @@ LONGER = "9" * 5000
 
 def test_decode_json_reads_long_literals_only_past_the_conversion_limit():
     # a document whose integers all convert is decoded as json.loads does
-    assert sncpair.decode_json('[1, ' + "9" * 41 + ']') == [1, 10 ** 41 - 1]
+    assert inputs.decode_json('[1, ' + "9" * 41 + ']') == [1, 10 ** 41 - 1]
     # past the limit, every literal over MAX_INT_DIGITS digits is a record
-    assert sncpair.decode_json('[1, -' + "9" * 41 + ', ' + LONGER + ']') == [
-        1, sncpair.LongDecimal(41), sncpair.LongDecimal(5000)]
+    assert inputs.decode_json('[1, -' + "9" * 41 + ', ' + LONGER + ']') == [
+        1, inputs.LongDecimal(41), inputs.LongDecimal(5000)]
 
 
 @pytest.mark.parametrize("where", ["d", "strata[0].chi"])
@@ -1238,6 +1238,28 @@ def test_pair_from_json_refuses_integers_past_the_conversion_limit(where):
         pair_from_json(json.dumps(table).replace('"BIG"', LONGER))
     assert type(err.value) is TableFormatError
     assert str(err.value) == f"{where}: 5000 digits exceed the limit of 40"
+
+
+#: In-process values past the conversion limit: where one is set, and the
+#: message (or its start) that refuses it.
+HUGE = 10 ** 5000
+HUGE_VALUES = {
+    "d": (lambda t: t.update(d=HUGE), "d: 5001 digits exceed the limit of 40"),
+    "chi": (lambda t: t["strata"][0].update(chi=HUGE),
+            "strata[0].chi: 5001 digits exceed the limit of 40"),
+    "chi in a list": (lambda t: t["strata"][0].update(chi=[HUGE]),
+                      "strata[0].chi: expected an integer, got"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_VALUES)
+def test_pair_from_obj_refuses_ints_past_the_conversion_limit(name):
+    table = json.loads(json.dumps(TRIANGLE_TABLE))
+    place, message = HUGE_VALUES[name]
+    place(table)
+    with pytest.raises(TableFormatError) as err:
+        pair_from_obj(table)
+    assert str(err.value).startswith(message)
 
 
 def test_pair_from_json_past_the_conversion_limit_keeps_syntax_errors():
