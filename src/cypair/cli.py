@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import chow, hodge, sncpair, symcalc
-from .inputs import (MAX_INT_DIGITS, LongDecimal, decimal, decode_json,
-                     digits_error, shown)
+from .inputs import (MAX_INT_DIGITS, LongDecimal, bounded_int, decimal,
+                     decode_json, shown)
 
 DEFAULT_SEED = 7
 
@@ -145,7 +145,6 @@ def _parse_file(path: str, parse):
 
 
 def _check_diamond_dim(n: int, flag: str) -> None:
-    _check_digits([n], flag)
     if n > MAX_DIAMOND_DIM:
         raise CliInputError(
             f"{flag}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
@@ -157,15 +156,15 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
         return hodge.HodgeDiamond.point()
     match = re.fullmatch(r"cp(\d+)", source)
     if match:
-        n = decimal(match.group(1))
+        n = bounded_int(decimal(match.group(1)), flag, CliInputError)
         _check_diamond_dim(n, flag)
         return hodge.HodgeDiamond.projective_space(n)
 
     def parse(text: str) -> hodge.HodgeDiamond:
         # bound n before the table is validated, which costs O(n^2)
         obj = decode_json(text)
-        if isinstance(obj, dict) and isinstance(obj.get("n"), (int, LongDecimal)):
-            _check_diamond_dim(obj["n"], flag)
+        if isinstance(obj, dict) and type(obj.get("n")) in (int, LongDecimal):
+            _check_diamond_dim(bounded_int(obj["n"], flag, CliInputError), flag)
         return hodge.diamond_from_obj(obj)
     return _parse_file(source, parse)
 
@@ -209,24 +208,17 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        return tuple(decimal(chunk) for chunk in raw.split(","))
+        mults = [decimal(chunk) for chunk in raw.split(",")]
     except ValueError:
         raise CliInputError("--mults must be a comma-separated integer list, "
                             f"got {shown(raw)}")
-
-
-def _check_digits(values, flag: str) -> None:
-    for value in values:
-        message = digits_error(value, flag)
-        if message is not None:
-            raise CliInputError(message)
+    return tuple(bounded_int(m, "--mults", CliInputError) for m in mults)
 
 
 def cmd_chi_d_cp(args) -> Report:
     if args.r > MAX_CP_R:
         raise CliInputError(f"--r must be at most {MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
-    _check_digits(mults, "--mults")
     model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
     by_enumeration = sncpair.chi_d(pair)
     by_derivative = sncpair.chi_d_via_fprime(model)
@@ -449,7 +441,7 @@ def main(argv=None) -> int:
     try:
         for name, value in vars(args).items():
             if isinstance(value, LongDecimal):
-                _check_digits([value], "--" + name.replace("_", "-"))
+                bounded_int(value, "--" + name.replace("_", "-"), CliInputError)
         report = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .inputs import LongDecimal, decode_json, digits_error, shown, shown_names
+from .inputs import bounded_int, decode_json, expect_object, shown
 
 
 class DiamondError(ValueError):
@@ -326,29 +326,14 @@ def random_symmetric_diamond(rng: random.Random, max_n: int = 4) -> HodgeDiamond
 
 
 def diamond_from_obj(obj) -> HodgeDiamond:
-    if not isinstance(obj, dict):
-        raise DiamondError("top level: expected an object")
-    unknown = set(obj) - {"n", "h"}
-    if unknown:
-        raise DiamondError(f"unknown field(s) {shown_names(sorted(unknown))}")
-    if "n" not in obj or "h" not in obj:
-        raise DiamondError('both "n" and "h" are required')
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, (int, LongDecimal)):
-        raise DiamondError("n: expected an integer")
-    message = digits_error(n, "n")
-    if message is not None:
-        raise DiamondError(message)
+    expect_object(obj, "top level", {"n", "h"}, set(), DiamondError)
+    n = bounded_int(obj["n"], "n", DiamondError)
     rows = obj["h"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DiamondError("h: expected a list of rows")
     for p, row in enumerate(rows):
         for q, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, LongDecimal)):
-                raise DiamondError(f"h[{p}][{q}]: expected an integer")
-            message = digits_error(v, f"h[{p}][{q}]")
-            if message is not None:
-                raise DiamondError(message)
+            bounded_int(v, f"h[{p}][{q}]", DiamondError)
     return HodgeDiamond(n, rows)
 
 

@@ -1,7 +1,9 @@
 """The rules for outside input: the integers of stratum-table and diamond
 documents and of the command line, and the values error messages repeat.
 
-It imports no other cypair module, so every reader can build on it.
+`expect_object` and `bounded_int` state the field rules that every reader
+shares, raising its own error class.  It imports no other cypair module,
+so every reader can build on it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,31 @@ def digits_error(value: int | LongDecimal, where: str) -> str | None:
     return f"{where}: {value.digits} digits exceed the limit of {MAX_INT_DIGITS}"
 
 
+def expect_object(obj, where: str, required: set, optional: set,
+                  error: type[ValueError]) -> None:
+    """Raise `error` unless `obj` is a dict of every `required` field and
+    no field outside `required` and `optional`; unknown fields come first."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise error(f"{where}: unknown field(s) {shown_names(sorted(unknown))}")
+    missing = required - obj.keys()
+    if missing:
+        raise error(f"{where}: missing field(s) {sorted(missing)}")
+
+
+def bounded_int(value, where: str, error: type[ValueError]) -> int:
+    """`value` if it is an int, not a bool, within MAX_INT_DIGITS digits;
+    else raise `error`.  A `LongDecimal` is refused by its digit count."""
+    if isinstance(value, bool) or not isinstance(value, (int, LongDecimal)):
+        raise error(f"{where}: expected an integer, got {shown(value)}")
+    message = digits_error(value, where)
+    if message is not None:
+        raise error(message)
+    return value
+
+
 #: A decimal as int() reads it: a sign, digits, single underscores between them.
 _DECIMAL = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
 
@@ -104,7 +131,10 @@ def decimal(text: str) -> int | LongDecimal:
     if match is None:
         raise ValueError(f"invalid int value: {shown(text)}")
     sign, digits = match.groups()
-    digits = digits.replace("_", "").lstrip("0")
+    digits = digits.replace("_", "")
+    if not digits.isascii():  # \d is any script's digit; its zero counts too
+        digits = "".join(map(str, map(int, digits)))
+    digits = digits.lstrip("0")
     if len(digits) > MAX_INT_DIGITS:
         return LongDecimal(len(digits))
     value = int(digits or "0")

@@ -79,8 +79,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .inputs import (INT_LIMIT, MAX_COMPONENTS, LongDecimal, cut, decode_json,
-                     digits_error, shown, shown_names)
+from .inputs import (INT_LIMIT, MAX_COMPONENTS, bounded_int, cut, decode_json,
+                     expect_object, shown, shown_names)
 
 
 class PairValidationError(ValueError):
@@ -786,25 +786,6 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
 # ---------------------------------------------------------------------------
 
 
-def _expect_keys(obj: dict, where: str, required: set, optional: set) -> None:
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise TableFormatError(
-            f"{where}: unknown field(s) {shown_names(sorted(unknown))}")
-    missing = required - set(obj)
-    if missing:
-        raise TableFormatError(f"{where}: missing field(s) {sorted(missing)}")
-
-
-def _expect_bounded_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, LongDecimal)):
-        raise TableFormatError(f"{where}: expected an integer, got {shown(value)}")
-    message = digits_error(value, where)
-    if message is not None:
-        raise TableFormatError(message)
-    return value
-
-
 #: The fields a stratum entry may have.
 _STRATUM_FIELDS = frozenset({"subset", "chi", "nonempty", "chi_meet_center"})
 
@@ -832,10 +813,9 @@ def pair_from_obj(obj) -> SncPair:
     or omitted.  Any other entry goes through the named checks, which
     raise with a message that says where, or skip an entry marked empty.
     """
-    if not isinstance(obj, dict):
-        raise TableFormatError("top level: expected an object")
-    _expect_keys(obj, "top level", {"d", "components", "strata"}, {"center"})
-    d = _expect_bounded_int(obj["d"], "d")
+    expect_object(obj, "top level", {"d", "components", "strata"}, {"center"},
+                  TableFormatError)
+    d = bounded_int(obj["d"], "d", TableFormatError)
 
     raw_components = obj["components"]
     if not isinstance(raw_components, list):
@@ -843,12 +823,11 @@ def pair_from_obj(obj) -> SncPair:
     components = []
     for i, entry in enumerate(raw_components):
         where = f"components[{i}]"
-        if not isinstance(entry, dict):
-            raise TableFormatError(f"{where}: expected an object")
-        _expect_keys(entry, where, {"id", "mult"}, {"contains_center"})
+        expect_object(entry, where, {"id", "mult"}, {"contains_center"},
+                      TableFormatError)
         if not isinstance(entry["id"], str) or not entry["id"]:
             raise TableFormatError(f"{where}.id: expected a non-empty string")
-        mult = _expect_bounded_int(entry["mult"], f"{where}.mult")
+        mult = bounded_int(entry["mult"], f"{where}.mult", TableFormatError)
         flag = entry.get("contains_center", False)
         if not isinstance(flag, bool):
             raise TableFormatError(f"{where}.contains_center: expected a boolean")
@@ -861,8 +840,9 @@ def pair_from_obj(obj) -> SncPair:
     if raw_center is None:
         center = None
     elif isinstance(raw_center, dict):
-        _expect_keys(raw_center, "center", {"codim"}, set())
-        center = Center(codim=_expect_bounded_int(raw_center["codim"], "center.codim"))
+        expect_object(raw_center, "center", {"codim"}, set(), TableFormatError)
+        center = Center(codim=bounded_int(
+            raw_center["codim"], "center.codim", TableFormatError))
     else:
         raise TableFormatError("center: expected an object or null")
 
@@ -885,10 +865,8 @@ def pair_from_obj(obj) -> SncPair:
                 strata[mask] = Stratum(chi_value, meet)
                 continue
         where = f"strata[{i}]"
-        if not isinstance(entry, dict):
-            raise TableFormatError(f"{where}: expected an object")
-        _expect_keys(entry, where, {"subset", "chi"},
-                     {"nonempty", "chi_meet_center"})
+        expect_object(entry, where, {"subset", "chi"}, {"nonempty", "chi_meet_center"},
+                      TableFormatError)
         subset = entry["subset"]
         if not isinstance(subset, list) or not all(isinstance(x, str) for x in subset):
             raise TableFormatError(f"{where}.subset: expected a list of component ids")
@@ -905,13 +883,13 @@ def pair_from_obj(obj) -> SncPair:
         if mask in strata:
             raise TableFormatError(
                 f"{where}: duplicate subset {shown_names(sorted(subset))}")
-        chi_value = _expect_bounded_int(entry["chi"], f"{where}.chi")
+        chi_value = bounded_int(entry["chi"], f"{where}.chi", TableFormatError)
         nonempty = entry.get("nonempty", True)
         if not isinstance(nonempty, bool):
             raise TableFormatError(f"{where}.nonempty: expected a boolean")
         meet = entry.get("chi_meet_center")
         if meet is not None:
-            meet = _expect_bounded_int(meet, f"{where}.chi_meet_center")
+            meet = bounded_int(meet, f"{where}.chi_meet_center", TableFormatError)
         if not nonempty:
             if chi_value != 0 or meet is not None:
                 raise TableFormatError(

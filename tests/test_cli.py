@@ -896,11 +896,12 @@ def _unknown_keys(count):
 @pytest.mark.parametrize("kind", ["table", "diamond"])
 def test_long_unknown_field_lists_show_30_names(capsys, tmp_path, kind):
     path = tmp_path / "document.json"
+    where = "top level: "
     if kind == "table":
-        base, where = TRIANGLE_TABLE, "top level: "
+        base = TRIANGLE_TABLE
         command = ["chi-d", "table", "--file", str(path)]
     else:
-        base, where = {"n": 1, "h": [[1, 0], [0, 1]]}, ""
+        base = {"n": 1, "h": [[1, 0], [0, 1]]}
         command = ["hodge", "correction", "--diamond", str(path)]
     errors = []
     for count in (2000, 20000):
@@ -918,7 +919,10 @@ def test_long_unknown_field_lists_show_30_names(capsys, tmp_path, kind):
 #: the message.
 DIAMOND_FILE_FAULTS = {
     "not an object": ([], "top level: expected an object"),
-    "string n": ({"n": "3", "h": [[1]]}, "n: expected an integer"),
+    "string n": ({"n": "3", "h": [[1]]}, "n: expected an integer, got '3'"),
+    "bool n": ({"n": True, "h": [[1, 0], [0, 1]]}, "n: expected an integer, got True"),
+    "missing h": ({"n": 1}, "top level: missing field(s) ['h']"),
+    "string entry": ({"n": 0, "h": [["a"]]}, "h[0][0]: expected an integer, got 'a'"),
     "h not a list": ({"n": 1, "h": 5}, "h: expected a list of rows"),
     "negative entry": ({"n": 1, "h": [[1, -1], [-1, 1]]}, "h^{0,1} is negative"),
     "one row for n = 1": ({"n": 1, "h": [[1, 0]]}, "expected a 2 x 2 table"),
@@ -946,6 +950,15 @@ def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
         capsys)
     assert code == 2
     assert f"--fiber-dim: diamond dimension {MAX_DIAMOND_DIM + 1} exceeds" in err
+
+
+def test_hodge_bundle_refuses_a_40_digit_fiber_dim_by_range_not_digits(capsys):
+    # the flag has 40 digits, within the limit; only the sum cp1 + it has 41
+    fiber_dim = "9" * inputs.MAX_INT_DIGITS
+    assert run_cli(["hodge", "bundle", "--base", "cp1", "--fiber-dim", fiber_dim],
+                   capsys) == (
+        2, "", f"error: --fiber-dim: diamond dimension {10 ** inputs.MAX_INT_DIGITS} "
+               f"exceeds the limit of {MAX_DIAMOND_DIM}\n")
 
 
 def test_diamond_limit_is_inclusive():

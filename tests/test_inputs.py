@@ -1,9 +1,14 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cypair import cli, inputs
-from cypair.inputs import INT_LIMIT, MAX_INT_DIGITS, LongDecimal, decimal, digits_error
+from cypair import cli, hodge, inputs, sncpair
+from cypair.inputs import (INT_LIMIT, MAX_INT_DIGITS, LongDecimal, bounded_int, decimal,
+                           digits_error, expect_object)
+from tables import TRIANGLE_TABLE
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -23,6 +28,90 @@ def test_shown_names_the_type_of_a_value_repr_cannot_show():
     assert inputs.shown([10 ** 4000]).endswith("... (4003 characters)")
 
 
+class Refused(ValueError):
+    """A reader's own error class."""
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([], "x: expected an object"),
+    (None, "x: expected an object"),
+    ({"a": 1, "y": 2, "c": 3}, "x: unknown field(s) ['c', 'y']"),
+    ({"b": 1}, "x: missing field(s) ['a']"),
+    ({}, "x: missing field(s) ['a']"),
+    # both at once: the unknown fields are named first
+    ({"b": 1, "z": 2}, "x: unknown field(s) ['z']"),
+])
+def test_expect_object_refuses_with_the_readers_error(obj, message):
+    with pytest.raises(Refused) as info:
+        expect_object(obj, "x", {"a"}, {"b"}, Refused)
+    assert type(info.value) is Refused
+    assert str(info.value) == message
+
+
+def test_expect_object_passes_every_required_and_optional_field():
+    assert expect_object({"a": 1}, "x", {"a"}, {"b"}, Refused) is None
+    assert expect_object({"a": 1, "b": 2}, "x", {"a"}, {"b"}, Refused) is None
+    assert expect_object({}, "x", set(), set(), Refused) is None
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "x: expected an integer, got True"),
+    (1.0, "x: expected an integer, got 1.0"),
+    ("3", "x: expected an integer, got '3'"),
+    (None, "x: expected an integer, got None"),
+    (LongDecimal(41), "x: 41 digits exceed the limit of 40"),
+    (10 ** 40, "x: 41 digits exceed the limit of 40"),
+    (-10 ** 40, "x: 41 digits exceed the limit of 40"),
+    (10 ** 5000, "x: 5001 digits exceed the limit of 40"),
+], ids=["bool", "float", "str", "None", "LongDecimal", "41 digits", "-41 digits",
+        "5001 digits"])
+def test_bounded_int_refuses_with_the_readers_error(value, message):
+    with pytest.raises(Refused) as info:
+        bounded_int(value, "x", Refused)
+    assert type(info.value) is Refused
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [0, -1, 7, INT_LIMIT - 1, 1 - INT_LIMIT])
+def test_bounded_int_returns_an_int_in_range_unchanged(value):
+    assert bounded_int(value, "x", Refused) is value
+
+
+def _refusal(read, document):
+    with pytest.raises(ValueError) as info:
+        read(document)
+    return str(info.value)
+
+
+def test_table_and_diamond_readers_word_a_fault_alike():
+    diamond = {"n": 1, "h": [[1, 0], [0, 1]]}
+    read_table, read_diamond = sncpair.pair_from_obj, hodge.diamond_from_obj
+    # a string where an integer field belongs, d in a table and n in a diamond
+    assert _refusal(read_table, dict(TRIANGLE_TABLE, d="3")) == (
+        "d: expected an integer, got '3'")
+    assert _refusal(read_diamond, dict(diamond, n="3")) == (
+        "n: expected an integer, got '3'")
+    # an unknown top-level key
+    assert (_refusal(read_table, dict(TRIANGLE_TABLE, extra=1))
+            == _refusal(read_diamond, dict(diamond, extra=1))
+            == "top level: unknown field(s) ['extra']")
+
+
+def test_only_inputs_states_the_digit_rule():
+    """No module but `inputs` names `digits_error`, and no module but
+    `inputs` and `cli` names `LongDecimal`."""
+    allowed = {"digits_error": {"inputs"}, "LongDecimal": {"inputs", "cli"}}
+    users = {name: set() for name in allowed}
+    for path in sorted(Path(inputs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None), getattr(node, "asname", None)):
+                if name in users:
+                    users[name].add(path.stem)
+    for name, modules in users.items():
+        assert "inputs" in modules and modules <= allowed[name], (name, modules)
+
+
 @st.composite
 def written_decimals(draw):
     """An int of up to 60 digits and a text int() reads as it: a sign,
@@ -39,6 +128,10 @@ def written_decimals(draw):
     return n, draw(space) + sign + digits + draw(space)
 
 
+#: The ASCII digits to the Arabic-Indic digits U+0660-U+0669.
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(written_decimals())
 def test_one_decimal_reader_for_flags_and_documents(case):
@@ -46,5 +139,10 @@ def test_one_decimal_reader_for_flags_and_documents(case):
     expected = n if -INT_LIMIT < n < INT_LIMIT else LongDecimal(len(str(abs(n))))
     assert int(text) == n
     assert decimal(text) == cli._integer(text) == expected
+    # in Arabic-Indic digits, behind more than MAX_INT_DIGITS more zeros
+    first = next(j for j, c in enumerate(text) if c.isdigit())
+    spelled = (text[:first] + "0" * (MAX_INT_DIGITS + 1) + text[first:]).translate(ARABIC_INDIC)
+    assert int(spelled) == n
+    assert decimal(spelled) == cli._integer(spelled) == expected
     # the decoder's second pass, forced by a literal past the conversion limit
     assert inputs.decode_json(f"[{n}, {'9' * 5000}]")[0] == decimal(str(n))
