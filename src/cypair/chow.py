@@ -38,8 +38,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from math import factorial, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Mapping
 
 from . import symcalc
@@ -438,12 +439,9 @@ def ch_line(model: RingModel, divisor: CohClass) -> CohClass:
     """Chern character exp(D) of a line bundle with first Chern class D."""
     if divisor.model is not model:
         raise ModelError("divisor class does not live on this model")
-    result = model.zero()
-    power = model.one()
-    for k in range(model.dim + 1):
-        result = result + power * Fraction(1, factorial(k))
-        power = power * divisor
-    return result
+    powers = accumulate(repeat(divisor, model.dim), mul)  # D, D^2, ..., D^dim
+    return symcalc._linear(model.one(), (
+        (power, Fraction(1, factorial(k))) for k, power in enumerate(powers, 1)))
 
 
 def ch_cotangent_exterior(model: RingModel, p: int) -> CohClass:

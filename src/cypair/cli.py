@@ -349,95 +349,101 @@ def _command(parser: argparse.ArgumentParser, func) -> None:
     parser.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or, when `command` names a subcommand, one that lists
+    all five but adds only that one's arguments.  Each call builds a new
+    parser, bound to the `cmd_*` handlers of the time."""
     parser = argparse.ArgumentParser(
         prog="cypair",
         description="Exact checks for simple normal crossing pair combinatorics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("identities", "chi-d", "blowup-check", "hrr", "hodge")
 
-    p = sub.add_parser("identities",
-                       help="verify the Todd / exterior-character identities")
-    p.add_argument("--max-m", type=_integer, default=6,
-                   help="verify for every root count up to this bound "
-                        f"(at most {symcalc.MAX_VERIFY_ROOTS})")
-    _command(p, cmd_identities)
+    def add(name: str, help_line: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_line)
+        return p if every or name == command else None
 
-    p = sub.add_parser("chi-d", help="weighted Euler characteristics")
-    chi_sub = p.add_subparsers(dest="mode", required=True)
-    pc = chi_sub.add_parser("cp", help="model pair on projective r-space")
-    pc.add_argument("--r", type=_integer, required=True,
-                    help=f"ambient dimension (at most {MAX_CP_R})")
-    pc.add_argument("--s", type=_integer, required=True,
-                    help="number of coordinate hyperplanes")
-    pc.add_argument("--d", type=_integer, required=True,
-                    help="pluricanonical degree (at most "
-                         f"{MAX_INT_DIGITS} digits)")
-    pc.add_argument("--mults", default="",
-                    help="comma-separated positive multiplicities, one per "
-                         f"hyperplane (at most {MAX_INT_DIGITS} digits each)")
-    _command(pc, cmd_chi_d_cp)
-    pt = chi_sub.add_parser("table", help="stratum table from a JSON file")
-    pt.add_argument("--file", required=True, help="stratum-table document")
-    _command(pt, cmd_chi_d_table)
+    if p := add("identities", "verify the Todd / exterior-character identities"):
+        p.add_argument("--max-m", type=_integer, default=6,
+                       help="verify for every root count up to this bound "
+                            f"(at most {symcalc.MAX_VERIFY_ROOTS})")
+        _command(p, cmd_identities)
 
-    p = sub.add_parser("blowup-check",
-                       help="check blow-up invariance of chi_d")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--file", help="stratum table with center metadata")
-    mode.add_argument("--random", type=_integer, metavar="COUNT",
-                      help="run COUNT random synthetic tables instead "
-                           f"(at most {MAX_RANDOM})")
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
-                   help=f"seed for --random (default {DEFAULT_SEED})")
-    _command(p, cmd_blowup_check)
+    if p := add("chi-d", "weighted Euler characteristics"):
+        chi_sub = p.add_subparsers(dest="mode", required=True)
+        pc = chi_sub.add_parser("cp", help="model pair on projective r-space")
+        pc.add_argument("--r", type=_integer, required=True,
+                        help=f"ambient dimension (at most {MAX_CP_R})")
+        pc.add_argument("--s", type=_integer, required=True,
+                        help="number of coordinate hyperplanes")
+        pc.add_argument("--d", type=_integer, required=True,
+                        help="pluricanonical degree (at most "
+                             f"{MAX_INT_DIGITS} digits)")
+        pc.add_argument("--mults", default="",
+                        help="comma-separated positive multiplicities, one per "
+                             f"hyperplane (at most {MAX_INT_DIGITS} digits each)")
+        _command(pc, cmd_chi_d_cp)
+        pt = chi_sub.add_parser("table", help="stratum table from a JSON file")
+        pt.add_argument("--file", required=True, help="stratum-table document")
+        _command(pt, cmd_chi_d_table)
 
-    p = sub.add_parser("hrr", help="Riemann-Roch Euler characteristics")
-    hrr_sub = p.add_subparsers(dest="mode", required=True)
-    ph = hrr_sub.add_parser("cp", help="twisted Hodge sheaves on projective space")
-    ph.add_argument("--n", type=_integer, required=True,
-                    help=f"ambient dimension (at most {MAX_HRR_N})")
-    ph.add_argument("--p", type=_integer, required=True, help="form degree")
-    ph.add_argument("--twist", type=_integer, default=0, help="line-bundle twist")
-    _command(ph, cmd_hrr_cp)
+    if p := add("blowup-check", "check blow-up invariance of chi_d"):
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--file", help="stratum table with center metadata")
+        mode.add_argument("--random", type=_integer, metavar="COUNT",
+                          help="run COUNT random synthetic tables instead "
+                               f"(at most {MAX_RANDOM})")
+        p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
+                       help=f"seed for --random (default {DEFAULT_SEED})")
+        _command(p, cmd_blowup_check)
 
-    p = sub.add_parser("hodge", help="Hodge diamond bookkeeping")
-    hodge_sub = p.add_subparsers(dest="mode", required=True)
-    pb = hodge_sub.add_parser("bundle", help="projective bundle diamond")
-    pb.add_argument("--base", required=True,
-                    help="builtin name (point, cpN) or diamond JSON file")
-    pb.add_argument("--fiber-dim", type=_integer, required=True,
-                    help="fiber dimension (base plus fiber at most "
-                         f"{MAX_DIAMOND_DIM})")
-    _command(pb, cmd_hodge_bundle)
-    pl = hodge_sub.add_parser("blowup", help="blow-up diamond")
-    pl.add_argument("--x", required=True, help="ambient diamond (name or file)")
-    pl.add_argument("--y", required=True, help="center diamond (name or file)")
-    pl.add_argument("--codim", type=_integer, required=True,
-                    help="codimension of the center (at most "
-                         f"{MAX_INT_DIGITS} digits)")
-    _command(pl, cmd_hodge_blowup)
-    pco = hodge_sub.add_parser("correction", help="normalization correction term")
-    pco.add_argument("--diamond", required=True, help="diamond (name or file)")
-    _command(pco, cmd_hodge_correction)
-    ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
-    mode = ple.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--diamond", help="diamond (name or file)")
-    mode.add_argument("--random", type=_integer, metavar="COUNT",
-                      help="check COUNT random symmetric diamonds instead "
-                           f"(at most {MAX_RANDOM}); the identities depend on "
-                           "the dimension alone, so every seed gives the same "
-                           "report")
-    ple.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
-                     help=f"seed for --random (default {DEFAULT_SEED})")
-    _command(ple, cmd_hodge_ledger)
+    if p := add("hrr", "Riemann-Roch Euler characteristics"):
+        hrr_sub = p.add_subparsers(dest="mode", required=True)
+        ph = hrr_sub.add_parser("cp", help="twisted Hodge sheaves on projective space")
+        ph.add_argument("--n", type=_integer, required=True,
+                        help=f"ambient dimension (at most {MAX_HRR_N})")
+        ph.add_argument("--p", type=_integer, required=True, help="form degree")
+        ph.add_argument("--twist", type=_integer, default=0, help="line-bundle twist")
+        _command(ph, cmd_hrr_cp)
+
+    if p := add("hodge", "Hodge diamond bookkeeping"):
+        hodge_sub = p.add_subparsers(dest="mode", required=True)
+        pb = hodge_sub.add_parser("bundle", help="projective bundle diamond")
+        pb.add_argument("--base", required=True,
+                        help="builtin name (point, cpN) or diamond JSON file")
+        pb.add_argument("--fiber-dim", type=_integer, required=True,
+                        help="fiber dimension (base plus fiber at most "
+                             f"{MAX_DIAMOND_DIM})")
+        _command(pb, cmd_hodge_bundle)
+        pl = hodge_sub.add_parser("blowup", help="blow-up diamond")
+        pl.add_argument("--x", required=True, help="ambient diamond (name or file)")
+        pl.add_argument("--y", required=True, help="center diamond (name or file)")
+        pl.add_argument("--codim", type=_integer, required=True,
+                        help="codimension of the center (at most "
+                             f"{MAX_INT_DIGITS} digits)")
+        _command(pl, cmd_hodge_blowup)
+        pco = hodge_sub.add_parser("correction", help="normalization correction term")
+        pco.add_argument("--diamond", required=True, help="diamond (name or file)")
+        _command(pco, cmd_hodge_correction)
+        ple = hodge_sub.add_parser("ledger", help="determinant-line exponent identities")
+        mode = ple.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--diamond", help="diamond (name or file)")
+        mode.add_argument("--random", type=_integer, metavar="COUNT",
+                          help="check COUNT random symmetric diamonds instead "
+                               f"(at most {MAX_RANDOM}); the identities depend on "
+                               "the dimension alone, so every seed gives the same "
+                               "report")
+        ple.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
+                         help=f"seed for --random (default {DEFAULT_SEED})")
+        _command(ple, cmd_hodge_ledger)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         for name, value in vars(args).items():
             if isinstance(value, LongDecimal):

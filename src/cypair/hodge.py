@@ -328,12 +328,17 @@ def random_symmetric_diamond(rng: random.Random, max_n: int = 4) -> HodgeDiamond
 def diamond_from_obj(obj) -> HodgeDiamond:
     expect_object(obj, "top level", {"n", "h"}, set(), DiamondError)
     n = bounded_int(obj["n"], "n", DiamondError)
+    if n < 0:
+        raise DiamondError(f"n: expected a non-negative integer, got {n}")
     rows = obj["h"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DiamondError("h: expected a list of rows")
     for p, row in enumerate(rows):
         for q, v in enumerate(row):
-            bounded_int(v, f"h[{p}][{q}]", DiamondError)
+            if bounded_int(v, f"h[{p}][{q}]", DiamondError) < 0:
+                raise DiamondError(f"h[{p}][{q}]: expected a non-negative integer, got {v}")
+    if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
+        raise DiamondError(f"h: expected a {n + 1} x {n + 1} table")
     return HodgeDiamond(n, rows)
 
 

@@ -66,7 +66,7 @@ Coeffs = Mapping[Exponents, Fraction]
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2: `cypair identities --max-m 15`
-#: takes 2.7-4.3 s and 16 takes 7.0-7.2 s on a 2-CPU Xeon VM.
+#: takes 3.9-4.4 s and 16 takes 6.5-6.6 s on a 2-CPU Xeon VM.
 MAX_VERIFY_ROOTS = 15
 
 
@@ -127,7 +127,9 @@ class _Series:
     letter `_symbol` its variables print with.  Instances are immutable;
     every operation builds its result through `_new`.  Addition and
     multiplication truncate at the smaller of the two operand orders, and
-    only series of the same class combine.  A subclass may replace these
+    only series of the same class combine.  A sum, and every weighted sum
+    of series, goes through one linear pass, `_linear`, which reduces to
+    lowest terms once.  A subclass may replace these
     rules (`_compatible`), the product's result (`_settle`), the printed
     variable names (`_names`) and what equal series share (`_space`).
     """
@@ -192,16 +194,7 @@ class _Series:
             q = Fraction(other)
             const = {(0,) * self.num_roots: q.numerator} if q else {}
             other = self._new(self.order, const, q.denominator)
-        order = self._compatible(other)
-        den = lcm(self._den, other._den)
-        scale_a, scale_b = den // self._den, den // other._den
-        num = {e: n * scale_a for e, n in self._num.items()} if scale_a > 1 else dict(self._num)
-        for e, n in other._num.items():
-            num[e] = num.get(e, 0) + n * scale_b
-        if order < self.order or order < other.order:
-            degree = self._degree
-            num = {e: n for e, n in num.items() if degree(e) <= order}
-        return self._new(order, *_lowest(num, den))
+        return _linear(self, [(other, 1)])
 
     __radd__ = __add__
 
@@ -294,6 +287,37 @@ class _Series:
             q = Fraction(self._num[expo], self._den)
             bits.append(f"{q}" if not mono else f"{q}*{mono}")
         return " + ".join(bits)
+
+
+def _linear(start: _Series, pairs: Iterable[tuple[_Series, int | Fraction]]) -> _Series:
+    """start + sum of q * s over the (s, q) pairs, by the rules of `+`, in one pass.
+
+    Every s must combine with start, and the result is truncated at the
+    smallest order of them all; a zero q adds no terms.  The numerators
+    are summed over one common denominator and brought to lowest terms
+    once, not once per scalar product and sum.  A combination of basis
+    classes is a basis class, so the result is built by `start._new`.
+    """
+    pairs = list(pairs)
+    order = start.order
+    for s, _ in pairs:
+        if type(s) is not type(start):
+            raise TypeError(f"cannot combine {type(start).__name__} with {type(s).__name__}")
+        order = min(order, start._compatible(s))
+    wide = start.order > order or any(s.order > order for s, _ in pairs)
+    scaled = [(s._num, s._den * q.denominator, q.numerator) for s, q in pairs if q]
+    den = lcm(start._den, *(d for _, d, _ in scaled))
+    scale = den // start._den
+    num = {e: n * scale for e, n in start._num.items()} if scale > 1 else dict(start._num)
+    get = num.get
+    for terms, d, q in scaled:
+        scale = q * (den // d)
+        for e, n in terms.items():
+            num[e] = get(e, 0) + n * scale
+    if wide:
+        degree = start._degree
+        num = {e: n for e, n in num.items() if degree(e) <= order}
+    return start._new(order, *_lowest(num, den))
 
 
 def _zero(cls, num_roots: int, order: int):
@@ -577,13 +601,13 @@ def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:
     """The graded pieces E_0, ..., E_n of exp(X_1 t + ... + X_n t^n).
 
     `parts` holds X_1..X_n.  E_0 = 1 and d E_d = sum_{k=1}^{d} k X_k E_{d-k},
-    the recurrence that d/dt exp(X) = X' exp(X) gives degree by degree.
+    the recurrence that d/dt exp(X) = X' exp(X) gives degree by degree:
+    E_d = X_d + sum_{k=1}^{d-1} (k / d) X_k E_{d-k}.
     """
-    scaled = [x * k for k, x in enumerate(parts, 1)]
     pieces = [unit]
     for d in range(1, len(parts) + 1):
-        acc = sum((scaled[k - 1] * pieces[d - k] for k in range(1, d)), scaled[d - 1])
-        pieces.append(acc * Fraction(1, d))
+        pieces.append(_linear(parts[d - 1], (
+            (parts[k - 1] * pieces[d - k], Fraction(k, d)) for k in range(1, d))))
     return pieces
 
 
@@ -607,12 +631,12 @@ class Genera:
         + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
         """
         chern, m = self.chern, self.rank
+        zero = chern[0] * 0
         sums = [chern[0] * m]
         for k in range(1, self.order + 1):
-            acc = chern[k] * ((-1) ** (k - 1) * k) if k <= m else chern[0] * 0
-            for i in range(1, min(k - 1, m) + 1):
-                acc = acc + chern[i] * sums[k - i] * (-1) ** (i - 1)
-            sums.append(acc)
+            top = [(chern[k], (-1) ** (k - 1) * k)] if k <= m else []
+            sums.append(_linear(zero, top + [
+                (chern[i] * sums[k - i], (-1) ** (i - 1)) for i in range(1, min(k - 1, m) + 1)]))
         return tuple(sums)
 
     @cached_property
@@ -623,7 +647,7 @@ class Genera:
         unit = self.chern[0]
         a = _log_todd_factor_coeffs(self.order)
         parts = [p * a_k for p, a_k in zip(self.power_sums[1:], a[1:])]
-        return sum(_graded_exp(parts, unit)[1:], unit)
+        return _linear(unit, ((piece, 1) for piece in _graded_exp(parts, unit)[1:]))
 
     @cached_property
     def exterior(self) -> tuple[_Series, ...]:
@@ -646,12 +670,12 @@ class Genera:
             stirling = list(itertools.accumulate(
                 stirling[:-1], lambda left, up: n * left + up, initial=0))
             sign = (-1) ** (n - 1) * factorial(n - 1)
-            parts.append(sum(
-                (sums[i] * Fraction((-1) ** i * sign * stirling[i], factorial(i))
-                 for i in range(n, order + 1)), zero))
+            parts.append(_linear(zero, (
+                (sums[i], Fraction((-1) ** i * sign * stirling[i], factorial(i)))
+                for i in range(n, order + 1))))
         elementary = _graded_exp(parts, unit)
         return tuple(
-            sum((elementary[k] * comb(m - k, r - k) for k in range(min(r, top) + 1)), zero)
+            _linear(zero, ((elementary[k], comb(m - k, r - k)) for k in range(min(r, top) + 1)))
             for r in range(m + 1)
         )
 
@@ -682,8 +706,8 @@ def todd_prime(num_roots: int, order: int) -> ChernSeries:
         raise ValueError("Todd series needs at least one root")
     a = _log_todd_factor_coeffs(order + 1)
     genera = _universal(num_roots, order)
-    slope = sum((genera.power_sums[k - 1] * (k * a[k]) for k in range(1, order + 2)),
-                genera.chern[0] * 0)
+    slope = _linear(genera.chern[0] * 0, (
+        (genera.power_sums[k - 1], k * a[k]) for k in range(1, order + 2)))
     return genera.todd * slope
 
 
@@ -711,13 +735,12 @@ def _guard_verify_roots(m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _alternating_sums(m: int) -> tuple[ChernSeries, ...]:
-    """S_1, S_r and S_{r(r-1)} of m roots through degree m + 2, in one pass over r."""
+    """S_1, S_r and S_{r(r-1)} of m roots through degree m + 2, from one read of each ch."""
     order = m + 2
-    sums = [ChernSeries.zero(m, order)] * 3
-    for r in range(m + 1):
-        ch, sign = ch_exterior(m, r, order), (-1) ** r
-        sums = [s + ch * (sign * w) for s, w in zip(sums, (1, r, r * (r - 1)))]
-    return tuple(sums)
+    chs = [ch_exterior(m, r, order) for r in range(m + 1)]
+    return tuple(
+        _linear(ChernSeries.zero(m, order), ((ch, (-1) ** r * w(r)) for r, ch in enumerate(chs)))
+        for w in (lambda r: 1, lambda r: r, lambda r: r * (r - 1)))
 
 
 def verify_total_class_identities(m: int) -> tuple[ChernSeries, ChernSeries, ChernSeries]:

@@ -924,8 +924,11 @@ DIAMOND_FILE_FAULTS = {
     "missing h": ({"n": 1}, "top level: missing field(s) ['h']"),
     "string entry": ({"n": 0, "h": [["a"]]}, "h[0][0]: expected an integer, got 'a'"),
     "h not a list": ({"n": 1, "h": 5}, "h: expected a list of rows"),
-    "negative entry": ({"n": 1, "h": [[1, -1], [-1, 1]]}, "h^{0,1} is negative"),
-    "one row for n = 1": ({"n": 1, "h": [[1, 0]]}, "expected a 2 x 2 table"),
+    "negative entry": ({"n": 1, "h": [[1, -1], [-1, 1]]},
+                       "h[0][1]: expected a non-negative integer, got -1"),
+    "one row for n = 1": ({"n": 1, "h": [[1, 0]]}, "h: expected a 2 x 2 table"),
+    "short row": ({"n": 1, "h": [[1, 0], [0]]}, "h: expected a 2 x 2 table"),
+    "negative n": ({"n": -1, "h": []}, "n: expected a non-negative integer, got -1"),
 }
 
 
@@ -1115,6 +1118,56 @@ def test_every_parser_help_is_pinned(monkeypatch):
     helps = {parser.prog: parser.format_help() for parser in _parsers(cli.build_parser())}
     assert len(helps) == 13
     assert helps == HELP_TEXTS
+
+
+TOP_USAGE = "usage: cypair [-h] {identities,chi-d,blowup-check,hrr,hodge} ...\n"
+
+#: `cypair <command> --bogus` for each subcommand: exit 2 and this stderr.
+BOGUS_FLAG_ERRORS = {
+    "identities": TOP_USAGE + "cypair: error: unrecognized arguments: --bogus\n",
+    "chi-d": "usage: cypair chi-d [-h] {cp,table} ...\n"
+             "cypair chi-d: error: the following arguments are required: mode\n",
+    "blowup-check": "usage: cypair blowup-check [-h] (--file FILE | --random COUNT) "
+                    "[--seed SEED]\n                           [--json] [--out PATH]\n"
+                    "cypair blowup-check: error: one of the arguments --file --random "
+                    "is required\n",
+    "hrr": "usage: cypair hrr [-h] {cp} ...\n"
+           "cypair hrr: error: the following arguments are required: mode\n",
+    "hodge": "usage: cypair hodge [-h] {bundle,blowup,correction,ledger} ...\n"
+             "cypair hodge: error: the following arguments are required: mode\n",
+}
+
+#: A complete command line of each subcommand; with `--bogus` added, the
+#: top-level parser refuses it under the usage line that lists all five.
+COMPLETE_COMMANDS = {
+    "identities": ["identities"],
+    "chi-d": ["chi-d", "cp", "--r", "1", "--s", "1", "--d", "1"],
+    "blowup-check": ["blowup-check", "--random", "1"],
+    "hrr": ["hrr", "cp", "--n", "1", "--p", "0"],
+    "hodge": ["hodge", "correction", "--diamond", "cp1"],
+}
+
+
+@pytest.mark.parametrize("command", BOGUS_FLAG_ERRORS)
+def test_unknown_flag_errors_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli([command, "--bogus"], capsys) == (2, "", BOGUS_FLAG_ERRORS[command])
+    assert run_cli(COMPLETE_COMMANDS[command] + ["--bogus"], capsys) == (
+        2, "", TOP_USAGE + "cypair: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("command", BOGUS_FLAG_ERRORS)
+def test_parser_built_for_one_command_keeps_its_help(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = {parser.prog: parser.format_help()
+             for parser in _parsers(cli.build_parser(command))}
+    assert helps["cypair"] == HELP_TEXTS["cypair"]
+    subtree = {prog: text for prog, text in HELP_TEXTS.items()
+               if prog.split()[1:2] == [command]}
+    assert {prog: helps[prog] for prog in subtree} == subtree
+    # the other four are listed, but without their own subcommands
+    assert set(helps) == set(subtree) | {"cypair"} | {
+        f"cypair {name}" for name in BOGUS_FLAG_ERRORS}
 
 
 def test_json_report_is_byte_stable(capsys, triangle_table_path):

@@ -526,6 +526,73 @@ def test_integer_form_matches_fraction_oracle(pairs, scalar):
     assert a + b == b + a and hash(a + b) == hash(b + a)
 
 
+@st.composite
+def linear_combinations(draw):
+    """A start series and up to three (series, coefficient) pairs of its kind,
+    of random orders, each series with the oracle's copy of its terms."""
+    kind = draw(st.sampled_from(["roots", "chern", "ring"]))
+    if kind == "ring":
+        model = draw(st.sampled_from(RING_MODELS))
+        keys, top = st.sampled_from(model.basis()), model.dim
+
+        def make(order, terms):
+            return chow.CohClass(model, terms).truncate(order)
+    else:
+        cls = RootSeries if kind == "roots" else ChernSeries
+        m = draw(st.integers(1, 3))
+        keys, top = st.tuples(*[st.integers(0, 3)] * m), 4
+
+        def make(order, terms):
+            return cls(m, order, terms)
+    operands = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.integers(0, top))
+        terms = draw(st.dictionaries(keys, RATIONALS, max_size=8))
+        series = make(order, terms)
+        degree = _oracle_degree(series)
+        operands.append((series, {e: q for e, q in terms.items()
+                                  if q and degree(e) <= order}))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-3, 3), RATIONALS),
+                           min_size=len(operands) - 1, max_size=len(operands) - 1))
+    return operands, coeffs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(linear_combinations())
+def test_linear_matches_pairwise_sums_and_the_fraction_oracle(case):
+    (start, expected), *rest = case[0]
+    pairs = [(s, q) for (s, _), q in zip(rest, case[1])]
+    result = symcalc._linear(start, pairs)
+    pairwise = start
+    for s, q in pairs:
+        pairwise = pairwise + s * q
+    assert result == pairwise and hash(result) == hash(pairwise)
+    order = min(s.order for s, _ in case[0])
+    for (_, terms), q in zip(rest, case[1]):
+        expected = _oracle_add(expected, _oracle_scale(terms, q))
+    degree = _oracle_degree(start)
+    assert type(result) is type(start) and result.order == order
+    assert dict(result.terms) == {e: q for e, q in expected.items() if degree(e) <= order}
+    _assert_lowest_terms(result)
+
+
+def test_linear_keeps_the_rules_of_addition():
+    x = ChernSeries.chern_class(2, 4, 1)
+    assert symcalc._linear(x, []) == x
+    # a zero coefficient adds no terms but still truncates
+    low = symcalc._linear(x * x, [(ChernSeries.chern_class(2, 1, 1), 0)])
+    assert low.order == 1 and low.is_zero()
+    with pytest.raises(ValueError, match="different root counts"):
+        symcalc._linear(x, [(ChernSeries.chern_class(3, 4, 1), 1)])
+    with pytest.raises(TypeError):
+        symcalc._linear(x, [(RootSeries.variable(2, 4, 0), 1)])
+    p2, p1p1 = RING_MODELS[:2]  # two models of dimension 2
+    with pytest.raises(chow.ModelError, match="different ring models"):
+        symcalc._linear(p2.one(), [(p1p1.one(), 0)])
+    with pytest.raises(chow.ModelError, match="different ring models"):
+        symcalc._linear(p2.one(), [(p2.gen_class(0), 2), (p1p1.gen_class(0), 1)])
+
+
 # ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
