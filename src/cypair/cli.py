@@ -52,9 +52,9 @@ MAX_DIAMOND_DIM = 300
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.24-0.29 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 3.3-3.8 s and 165 MiB
-#: on a 2-CPU Xeon VM.
+#: is linear in its size, about 0.15-0.17 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 2.0-2.2 s and 164 MiB
+#: in a child process on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 
 

@@ -1,5 +1,7 @@
 """Stratum tables shared by the test modules, as parsed JSON."""
 
+import itertools
+
 # The plane with the coordinate-triangle divisor 1*H1 + 1*H2 - 5*Hinf at
 # d = 1, carrying the blow-up center H1 * H2 (a point of codimension 2
 # missing Hinf).  chi_d is 0, the exceptional multiplicity is 3, and both
@@ -69,6 +71,34 @@ def centered_table(count):
         "d": 1,
         "components": [{"id": name, "mult": 1, "contains_center": name == "D0"}
                        for name in ids],
+        "center": {"codim": 2},
+        "strata": strata,
+    }
+
+
+def coordinate_table(r, mults):
+    """The r + 1 coordinate hyperplanes H1, ..., Hr, Hinf of P^r at d = 1,
+    with Hinf's multiplicity making the divisor pluricanonical, and the
+    center H1 cap H2 (a coordinate P^(r-2), codimension 2).
+
+    Any k hyperplanes meet in a P^(r-k), so D_J has Euler number
+    r + 1 - |J| for |J| <= r; the center meets D_J in a P^(r-2-|J off C|),
+    and misses it when that dimension is negative.  Every subset of size
+    at most r is a stratum: 2^(r+1) - 1 of them.
+    """
+    ids = [f"H{j + 1}" for j in range(r)] + ["Hinf"]
+    all_mults = list(mults) + [-sum(mults) - r - 1]
+    strata = []
+    for size in range(r + 1):
+        for chosen in itertools.combinations(range(r + 1), size):
+            meet = r - 1 - sum(1 for j in chosen if j >= 2)
+            strata.append({"subset": [ids[j] for j in chosen],
+                           "chi": r + 1 - size,
+                           "chi_meet_center": meet if meet >= 1 else None})
+    return {
+        "d": 1,
+        "components": [{"id": name, "mult": m, "contains_center": j < 2}
+                       for j, (name, m) in enumerate(zip(ids, all_mults))],
         "center": {"codim": 2},
         "strata": strata,
     }

@@ -16,7 +16,8 @@ from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
 
 from help_texts import HELP_TEXTS
 from tables import (
-    EMPTY_DIVISOR_TABLE, NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table)
+    EMPTY_DIVISOR_TABLE, NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table,
+    coordinate_table)
 
 
 def run_cli(args, capsys):
@@ -256,6 +257,33 @@ def test_hrr_cp_reports_match_recorded_digest(capsys):
                 assert code == 0
                 outs.append(out)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == HRR_CP_N10_DIGEST
+
+
+# sha256 of the --json stdout of the benchmark's strata-wide commands, on
+# inputs built here: `chi-d table --file` and `blowup-check --file` on the
+# centered coordinate table of P^10 (2,047 strata), and `chi-d cp --r 12
+# --s 12` (8,191 strata).  Dense tables have their closure decided on a
+# presence cube, and these pin that their reports keep every byte.
+STRATA_MULTS = [1 + j % 5 for j in range(12)]
+STRATA_WIDE_DIGESTS = {
+    "chi-d table": "60c89481ea930ddff65ec2419afc65acbc2020134275183a5b474d242ad01a4d",
+    "blowup-check": "4dacb829262cb1b897f1549bff12a8ecb440f74d915d730a653399b9fc480c6c",
+    "chi-d cp": "0171eddf7f185711addae635c5feeefc749c0db208cbf93c17e825f40ce00547",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRATA_WIDE_DIGESTS))
+def test_strata_wide_reports_match_recorded_digests(capsys, tmp_path, command):
+    if command == "chi-d cp":
+        args = ["--r", "12", "--s", "12", "--d", "1",
+                "--mults", ",".join(map(str, STRATA_MULTS))]
+    else:
+        path = tmp_path / "coordinate.json"
+        path.write_text(json.dumps(coordinate_table(10, STRATA_MULTS[:10])))
+        args = ["--file", str(path)]
+    code, out, err = run_cli(command.split() + args + ["--json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STRATA_WIDE_DIGESTS[command]
 
 
 def test_blowup_check_requires_one_mode(capsys, triangle_table_path):

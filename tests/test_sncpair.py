@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cypair import inputs, sncpair
 from cypair.sncpair import (
@@ -40,7 +42,8 @@ from cypair.sncpair import (
     weight,
 )
 
-from tables import NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table
+from tables import (
+    NOT_CLOSED_AFTER_BLOWUP_TABLE, TRIANGLE_TABLE, centered_table, coordinate_table)
 
 
 def triangle_pair(with_center: bool) -> SncPair:
@@ -1038,6 +1041,156 @@ def test_center_rules_on_the_center_table_match_the_per_stratum_rules():
                 outcomes[key] += key in message
     assert outcomes["accepted"] + outcomes["rejected"] == 20000
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def walked_closed(masks, l):
+    """The stratum-table closure walk of `validate`, as a verdict: every
+    mask lies in range(2^l) and every mask minus one bit is a mask."""
+    full = (1 << l) - 1
+    for mask in masks:
+        if mask & ~full:
+            return False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mask ^ low not in masks:
+                return False
+    return True
+
+
+@st.composite
+def mask_families(draw):
+    """A mask family over l <= 14 components: all masks of at most k bits,
+    the subsets of a few drawn masks (both downward closed, dense or not),
+    or the drawn masks alone; then maybe one mask removed, or one added at
+    2^l or above, or below 0."""
+    l = draw(st.integers(0, 14))
+    full = (1 << l) - 1
+    kind = draw(st.sampled_from(["layers", "closure", "drawn"]))
+    if kind == "layers":
+        k = draw(st.integers(0, l))
+        family = {m for m in range(1 << l) if m.bit_count() <= k}
+    elif kind == "closure":
+        # tops holding about three quarters of the bits: often dense
+        tops = draw(st.lists(st.tuples(st.integers(0, full), st.integers(0, full))
+                             .map(lambda pair: pair[0] | pair[1]), max_size=6))
+        family = {sub for top in tops for sub in sncpair._submasks(top)}
+    else:
+        family = set(draw(st.lists(st.integers(0, full), max_size=6)))
+    change = draw(st.sampled_from(["none", "remove", "above", "negative"]))
+    if change == "remove" and family:
+        family.discard(draw(st.sampled_from(sorted(family))))
+    elif change == "above":
+        family.add(draw(st.integers(1 << l, 1 << (l + 2))))
+    elif change == "negative":
+        family.add(draw(st.integers(-(1 << (l + 1)), -1)))
+    return l, family
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mask_families())
+@example((14, set(range(1 << 14))))
+@example((14, set(range(1 << 14)) - {0b11 << 12}))
+def test_cube_closure_matches_the_walk(drawn):
+    l, family = drawn
+    assert sncpair._downward_closed(family, l) == walked_closed(family, l)
+    assert sncpair._downward_closed(dict.fromkeys(family), l) == walked_closed(family, l)
+
+
+def test_cube_closure_refuses_masks_that_are_not_ints():
+    # validate's walk words what a key of another type does, or raises
+    assert sncpair._downward_closed([0, 1, 2, 3], 2)
+    for odd in (True, 3.0, "3"):
+        assert not sncpair._downward_closed([0, 1, 2, odd], 2)
+
+
+def first_fault(masks, label):
+    """The message of the walk's first fault, in the table's order."""
+    for mask in masks:
+        for j in range(mask.bit_length()):
+            if mask >> j & 1 and mask ^ 1 << j not in masks:
+                return (f"stratum {label(mask)} is marked nonempty but its "
+                        f"subset {label(mask ^ 1 << j)} is empty")
+    return None
+
+
+# (l, N): 63 and 64 strata over 6 components, and 2^l = 16 N against
+# 2^l = 16 (N + 1), the nearest size past the bound 2^l <= 16 N (a power
+# of two is never 16 N + 1).  The cube is consulted exactly at the dense
+# sizes, and the verdict is the walk's either way.
+@pytest.mark.parametrize("l, n, cube", [
+    (6, 63, False), (6, 64, True), (10, 64, True), (10, 63, False),
+    (11, 128, True), (11, 127, False)])
+def test_validate_verdicts_agree_across_the_cube_thresholds(monkeypatch, l, n, cube):
+    calls = []
+    real = sncpair._downward_closed
+    monkeypatch.setattr(sncpair, "_downward_closed",
+                        lambda masks, l: calls.append(l) or real(masks, l))
+    components = tuple(Component(f"D{j}", 1) for j in range(l))
+    # the first N masks by size are downward closed, singletons included
+    masks = sorted(range(1 << l), key=lambda m: (m.bit_count(), m))[:n]
+    pair = SncPair(1, components, {m: Stratum(1) for m in masks})
+    assert calls == ([l] if cube else [])
+    # N strata again: a proper subset of the last mask is gone, and a mask
+    # past the components is added after the strata that miss it
+    doomed = masks[-1] & (masks[-1] - 1)
+    assert doomed.bit_count() >= 2
+    strata = {m: Stratum(1) for m in masks if m != doomed}
+    strata[1 << l] = Stratum(1)
+    with pytest.raises(PairValidationError) as err:
+        SncPair(1, components, strata)
+    assert str(err.value) == first_fault(strata, pair.subset_label)
+    assert calls == ([l, l] if cube else [])
+
+
+def _drop_center(document, kept):
+    """The document with chi_meet_center cleared on every stratum whose
+    part off H1, H2 is `kept`."""
+    document = copy.deepcopy(document)
+    for entry in document["strata"]:
+        if [c for c in entry["subset"] if c not in ("H1", "H2")] == kept:
+            entry["chi_meet_center"] = None
+    return document
+
+
+def _without(document, subset):
+    document = copy.deepcopy(document)
+    document["strata"] = [e for e in document["strata"] if e["subset"] != subset]
+    return document
+
+
+DENSE_MULTS = [1 + j % 5 for j in range(8)]
+_, DENSE_CP = cp_pair(6, 6, 1, DENSE_MULTS[:6])               # 127 strata
+DENSE_CENTERED = coordinate_table(8, DENSE_MULTS)             # 511 strata
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SncPair(DENSE_CP.d, DENSE_CP.components,
+                     {m: s for m, s in DENSE_CP.strata.items() if m != 0b11}),
+     "stratum {H1,H2,H3} is marked nonempty but its subset {H1,H2} is empty"),
+    (lambda: SncPair(DENSE_CP.d, DENSE_CP.components,
+                     {**DENSE_CP.strata, 1 << 7: Stratum(1)}),
+     "stratum mask 128 references unknown components"),
+    (lambda: pair_from_obj(_drop_center(DENSE_CENTERED, ["H3"])),
+     "center meets stratum {H3,H4} but supposedly misses stratum {H3}, "
+     "which contains it"),
+    (lambda: pair_from_obj(_without(DENSE_CENTERED, [f"H{j}" for j in range(1, 9)])),
+     "center meets stratum {H3,H4,H5,H6,H7,H8} and is contained in components "
+     "{H1,H2}, so stratum {H1,H2,H3,H4,H5,H6,H7,H8} cannot be empty"),
+], ids=["removed stratum", "mask out of range", "gap in the center table",
+        "missing J union C"])
+def test_dense_table_faults_keep_their_messages(build, message):
+    # Dense enough for a presence cube: at least 64 strata, or centered
+    # strata, and at least 1/16 of the 2^l subsets.
+    assert len(DENSE_CP.strata) >= 64 and 1 << 7 <= 16 * len(DENSE_CP.strata)
+    centered = pair_from_obj(DENSE_CENTERED)
+    met = [m for m, s in centered.strata.items()
+           if not m & 0b11 and s.chi_meet_center is not None]
+    assert len(met) >= 64 and 1 << 9 <= 16 * len(met)
+    with pytest.raises(PairValidationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
