@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import chow, hodge, sncpair, symcalc
-from .inputs import (MAX_INT_DIGITS, LongDecimal, bounded_int, decimal,
-                     decode_json, shown)
+from .inputs import (MAX_DIAMOND_DIM, MAX_INT_DIGITS, LongDecimal, bounded_dim,
+                     bounded_int, decimal, shown)
 
 DEFAULT_SEED = 7
 
@@ -37,13 +37,6 @@ MAX_HRR_N = 75
 #: multiplicity at the `inputs.MAX_INT_DIGITS` limit, `chi-d cp --r 18
 #: --s 18` takes 3.1-3.4 s and r = 19 takes 6.1 s on a 2-CPU Xeon VM.
 MAX_CP_R = 18
-
-#: Largest accepted Hodge diamond dimension, for a loaded diamond (builtin
-#: name or file) and for the result of `hodge bundle`.  On a 2-CPU Xeon VM,
-#: `hodge ledger --diamond cp300` takes 0.5-1.0 s and cp400 1.1 s;
-#: `hodge bundle --base point --fiber-dim 300` takes 0.2-0.3 s and `hodge
-#: blowup --x cp300 --y point --codim 300` 0.2-0.4 s.
-MAX_DIAMOND_DIM = 300
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
@@ -144,12 +137,6 @@ def _parse_file(path: str, parse):
         raise CliInputError(f"{path}: {exc}")
 
 
-def _check_diamond_dim(n: int, flag: str) -> None:
-    if n > MAX_DIAMOND_DIM:
-        raise CliInputError(
-            f"{flag}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
-
-
 def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
     """A builtin diamond name (point, cpN) or a JSON file path."""
     if source == "point":
@@ -157,16 +144,8 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
     match = re.fullmatch(r"cp(\d+)", source)
     if match:
         n = bounded_int(decimal(match.group(1)), flag, CliInputError)
-        _check_diamond_dim(n, flag)
-        return hodge.HodgeDiamond.projective_space(n)
-
-    def parse(text: str) -> hodge.HodgeDiamond:
-        # bound n before the table is validated, which costs O(n^2)
-        obj = decode_json(text)
-        if isinstance(obj, dict) and type(obj.get("n")) in (int, LongDecimal):
-            _check_diamond_dim(bounded_int(obj["n"], flag, CliInputError), flag)
-        return hodge.diamond_from_obj(obj)
-    return _parse_file(source, parse)
+        return hodge.HodgeDiamond.projective_space(bounded_dim(n, flag, CliInputError))
+    return _parse_file(source, hodge.diamond_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +267,7 @@ def cmd_hodge_bundle(args) -> Report:
     base = _load_diamond(args.base, "--base")
     if args.fiber_dim < 0:
         raise CliInputError("--fiber-dim must be non-negative")
-    _check_diamond_dim(base.n + args.fiber_dim, "--fiber-dim")
+    bounded_dim(base.n + args.fiber_dim, "--fiber-dim", CliInputError)
     total = hodge.projective_bundle_diamond(base, args.fiber_dim)
     checks = [
         _check("betti-vector", ",".join(map(str, total.betti_vector()))),

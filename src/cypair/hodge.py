@@ -26,7 +26,7 @@ import json
 import random
 from typing import Iterable, Mapping
 
-from .inputs import bounded_int, decode_json, expect_object, shown
+from .inputs import bounded_dim, bounded_int, decode_json, expect_object, shown
 
 
 class DiamondError(ValueError):
@@ -36,37 +36,37 @@ class DiamondError(ValueError):
 class HodgeDiamond:
     """The h^{p,q} table of an n-dimensional manifold (possibly empty).
 
-    The dimension and every entry must be an `int`; a bool, a float or a
-    string is refused, not converted.
+    The dimension and every entry must be a non-negative `int`; a bool, a
+    float or a string is refused, not converted.  Faults name the fields of
+    a diamond document (`n`, `h[p][q]`, `h`); entries come before shape.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[int]]):
         if isinstance(n, bool) or not isinstance(n, int):
-            raise DiamondError(f"dimension: expected an integer, got {shown(n)}")
+            raise DiamondError(f"n: expected an integer, got {shown(n)}")
         if n < 0:
-            raise DiamondError("dimension must be non-negative")
+            raise DiamondError(f"n: expected a non-negative integer, got {shown(n)}")
         table = tuple(tuple(row) for row in rows)
-        if len(table) != n + 1 or any(len(row) != n + 1 for row in table):
-            raise DiamondError(f"expected a {n + 1} x {n + 1} table")
         for p, row in enumerate(table):
             for q, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, int):
+                    raise DiamondError(f"h[{p}][{q}]: expected an integer, got {shown(v)}")
+                if v < 0:
                     raise DiamondError(
-                        f"h^{{{p},{q}}}: expected an integer, got {shown(v)}")
+                        f"h[{p}][{q}]: expected a non-negative integer, got {shown(v)}")
+        if len(table) != n + 1 or any(len(row) != n + 1 for row in table):
+            raise DiamondError(f"h: expected a {n + 1} x {n + 1} table")
         for p in range(n + 1):
             for q in range(n + 1):
-                if table[p][q] < 0:
-                    raise DiamondError(f"h^{{{p},{q}}} is negative")
-                if table[p][q] != table[q][p]:
-                    raise DiamondError(
-                        f"conjugation symmetry fails: h^{{{p},{q}}} = "
-                        f"{table[p][q]} but h^{{{q},{p}}} = {table[q][p]}")
-                if table[p][q] != table[n - p][n - q]:
-                    raise DiamondError(
-                        f"Serre duality fails: h^{{{p},{q}}} = {table[p][q]} "
-                        f"but h^{{{n - p},{n - q}}} = {table[n - p][n - q]}")
+                a, b, c = table[p][q], table[q][p], table[n - p][n - q]
+                if a != b:
+                    raise DiamondError(f"conjugation symmetry fails: h^{{{p},{q}}} = "
+                                       f"{shown(a)} but h^{{{q},{p}}} = {shown(b)}")
+                if a != c:
+                    raise DiamondError(f"Serre duality fails: h^{{{p},{q}}} = {shown(a)} "
+                                       f"but h^{{{n - p},{n - q}}} = {shown(c)}")
         self.n = n
         self.rows = table
         if table[0][0] < 1 and any(any(row) for row in table):
@@ -326,19 +326,20 @@ def random_symmetric_diamond(rng: random.Random, max_n: int = 4) -> HodgeDiamond
 
 
 def diamond_from_obj(obj) -> HodgeDiamond:
+    """The diamond of a decoded document {"n": int, "h": [[int, ...], ...]}.
+
+    Known fields, then `n` within the digit and dimension limits, checked
+    before the O(n^2) table is read, then `h` a list of lists of integers
+    within the digit limit; signs, shape and symmetries are `HodgeDiamond`'s.
+    """
     expect_object(obj, "top level", {"n", "h"}, set(), DiamondError)
-    n = bounded_int(obj["n"], "n", DiamondError)
-    if n < 0:
-        raise DiamondError(f"n: expected a non-negative integer, got {n}")
+    n = bounded_dim(bounded_int(obj["n"], "n", DiamondError), "n", DiamondError)
     rows = obj["h"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DiamondError("h: expected a list of rows")
     for p, row in enumerate(rows):
         for q, v in enumerate(row):
-            if bounded_int(v, f"h[{p}][{q}]", DiamondError) < 0:
-                raise DiamondError(f"h[{p}][{q}]: expected a non-negative integer, got {v}")
-    if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
-        raise DiamondError(f"h: expected a {n + 1} x {n + 1} table")
+            bounded_int(v, f"h[{p}][{q}]", DiamondError)
     return HodgeDiamond(n, rows)
 
 

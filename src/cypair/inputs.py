@@ -1,9 +1,9 @@
 """The rules for outside input: the integers of stratum-table and diamond
 documents and of the command line, and the values error messages repeat.
 
-`expect_object` and `bounded_int` state the field rules that every reader
-shares, raising its own error class.  It imports no other cypair module,
-so every reader can build on it.
+`expect_object`, `bounded_int` and `bounded_dim` state the field rules
+that every reader shares, raising its own error class.  It imports no
+other cypair module, so every reader can build on it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ MAX_INT_DIGITS = 40
 #: The integers of at most MAX_INT_DIGITS digits are those of absolute
 #: value below this.
 INT_LIMIT = 10 ** MAX_INT_DIGITS
+
+#: Largest accepted Hodge diamond dimension: of a diamond document's `n`, of
+#: a builtin `cp<N>` name and of the result of `hodge bundle`.  On a 2-CPU
+#: Xeon VM, `hodge ledger --diamond cp300` takes 0.5-1.0 s and cp400 1.1 s;
+#: `hodge bundle --base point --fiber-dim 300` takes 0.2-0.3 s and `hodge
+#: blowup --x cp300 --y point --codim 300` 0.2-0.4 s.
+MAX_DIAMOND_DIM = 300
 
 
 class LongDecimal(NamedTuple):
@@ -113,6 +120,15 @@ def bounded_int(value, where: str, error: type[ValueError]) -> int:
     if message is not None:
         raise error(message)
     return value
+
+
+def bounded_dim(n: int, where: str, error: type[ValueError]) -> int:
+    """`n` if it is at most MAX_DIAMOND_DIM, else raise `error`; a range
+    rule only, for an int the caller has bounded otherwise."""
+    if n > MAX_DIAMOND_DIM:
+        raise error(
+            f"{where}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
+    return n
 
 
 #: A decimal as int() reads it: a sign, digits, single underscores between them.

@@ -499,7 +499,8 @@ def _exp_neg_coeffs(order: int) -> list[Fraction]:
     return out
 
 
-def _todd_factor_coeffs(order: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _todd_factor_coeffs(order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients of x / (1 - exp(-x)) through degree `order`.
 
     Computed by exact power-series division: (1 - exp(-x))/x has constant
@@ -514,7 +515,7 @@ def _todd_factor_coeffs(order: int) -> list[Fraction]:
     h = [Fraction(1)]
     for n in range(1, order + 1):
         h.append(-sum(g[k] * h[n - k] for k in range(1, n + 1)))
-    return h
+    return tuple(h)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,8 @@ def ch_exterior_roots(num_roots: int, r: int, order: int) -> RootSeries:
 # ---------------------------------------------------------------------------
 
 
-def _log_todd_factor_coeffs(order: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _log_todd_factor_coeffs(order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients a_0..a_order of log(x / (1 - exp(-x))).
 
     With h = exp(L) and h' = L' h, the coefficients satisfy
@@ -594,7 +596,7 @@ def _log_todd_factor_coeffs(order: int) -> list[Fraction]:
     a = [Fraction(0)]
     for n in range(1, order + 1):
         a.append((n * h[n] - sum(k * a[k] * h[n - k] for k in range(1, n))) / n)
-    return a
+    return tuple(a)
 
 
 def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:

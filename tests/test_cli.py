@@ -617,7 +617,7 @@ def test_hodge_rejects_oversize_diamond_file(capsys, monkeypatch, tmp_path):
         {"n": n, "h": [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]}))
     code, _, err = run_cli(["hodge", "ledger", "--diamond", str(path)], capsys)
     assert code == 2
-    assert f"--diamond: diamond dimension {n} exceeds" in err
+    assert f"{path}: n: diamond dimension {n} exceeds" in err
 
 
 def test_diamond_file_dimension_is_bounded_before_the_table(capsys, monkeypatch, tmp_path):
@@ -628,14 +628,14 @@ def test_diamond_file_dimension_is_bounded_before_the_table(capsys, monkeypatch,
         {"n": n, "h": [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]}))
     code, out, err = run_cli(["hodge", "correction", "--diamond", str(path)], capsys)
     assert (code, out, err) == (2, "", (
-        f"error: --diamond: diamond dimension {n} exceeds the limit of "
+        f"error: {path}: n: diamond dimension {n} exceeds the limit of "
         f"{MAX_DIAMOND_DIM}\n"))
 
 
 LONG = "9" * 4000
 
-#: Commands with a 4,000-digit integer input, and the flag their message
-#: names.  "{file}" stands for a diamond file whose "n" is that long.
+#: Commands with a 4,000-digit integer input, and the flag or field their
+#: message names.  "{file}" stands for a diamond file whose "n" is that long.
 LONG_INTEGER_INPUTS = {
     "identities --max-m": ("--max-m", ["identities", "--max-m", LONG]),
     "hrr cp --n": ("--n", ["hrr", "cp", "--n", LONG, "--p", "0"]),
@@ -652,7 +652,7 @@ LONG_INTEGER_INPUTS = {
     "hodge bundle --fiber-dim": (
         "--fiber-dim", ["hodge", "bundle", "--base", "cp1", "--fiber-dim", LONG]),
     "diamond name": ("--diamond", ["hodge", "correction", "--diamond", "cp" + LONG]),
-    "diamond file n": ("--diamond", ["hodge", "correction", "--diamond", "{file}"]),
+    "diamond file n": ("{file}: n", ["hodge", "correction", "--diamond", "{file}"]),
 }
 
 
@@ -664,7 +664,8 @@ def test_messages_do_not_repeat_long_integers(capsys, tmp_path, name):
     code, out, err = run_cli([a.format(file=path) for a in command], capsys)
     limit = inputs.MAX_INT_DIGITS
     assert (code, out, err) == (
-        2, "", f"error: {flag}: {len(LONG)} digits exceed the limit of {limit}\n")
+        2, "", f"error: {flag.format(file=path)}: {len(LONG)} digits exceed the "
+               f"limit of {limit}\n")
 
 
 LONGER = "9" * 5000
@@ -879,17 +880,17 @@ def test_table_integers_past_the_conversion_limit(capsys, tmp_path, field, sign)
 
 #: Diamond files with a number past Python's 4,300-digit conversion limit,
 #: each with the command that reads it and its message, path first ("{path}").
-#: The CLI bounds a file's `n` as it bounds a flag.
+#: A file's `n` is named by path and field, as a table's `d` is.
 DIAMOND_FILE_INTEGERS_PAST_THE_LIMIT = {
     "h[0][1]": ({"n": 1, "h": [[1, "BIG"], [0, 1]]},
                 ["hodge", "correction", "--diamond", "{path}"],
                 "{path}: h[0][1]: 5000 digits exceed the limit of 40"),
     "n": ({"n": "BIG", "h": [[1]]},
           ["hodge", "correction", "--diamond", "{path}"],
-          "--diamond: 5000 digits exceed the limit of 40"),
+          "{path}: n: 5000 digits exceed the limit of 40"),
     "n of a bundle base": ({"n": "BIG", "h": [[1]]},
                            ["hodge", "bundle", "--base", "{path}", "--fiber-dim", "1"],
-                           "--base: 5000 digits exceed the limit of 40"),
+                           "{path}: n: 5000 digits exceed the limit of 40"),
 }
 
 
@@ -993,9 +994,15 @@ def test_hodge_bundle_refuses_a_40_digit_fiber_dim_by_range_not_digits(capsys):
 
 
 def test_diamond_limit_is_inclusive():
-    cli._check_diamond_dim(MAX_DIAMOND_DIM, "--diamond")
-    with pytest.raises(cli.CliInputError):
-        cli._check_diamond_dim(MAX_DIAMOND_DIM + 1, "--diamond")
+    assert inputs.bounded_dim(MAX_DIAMOND_DIM, "--diamond", cli.CliInputError) == (
+        MAX_DIAMOND_DIM)
+    # a range rule only: 51 digits get the dimension message, not the digit one
+    for n in (MAX_DIAMOND_DIM + 1, 10 ** 50):
+        with pytest.raises(cli.CliInputError) as info:
+            inputs.bounded_dim(n, "--diamond", cli.CliInputError)
+        assert type(info.value) is cli.CliInputError
+        assert str(info.value) == (
+            f"--diamond: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
 
 
 def test_readme_limits_table_matches_the_code():

@@ -72,19 +72,20 @@ def test_symmetry_validation():
 def test_non_integer_entries_are_refused(value):
     with pytest.raises(DiamondError) as info:
         HodgeDiamond(1, [[1, value], [value, 1]])
-    assert str(info.value) == f"h^{{0,1}}: expected an integer, got {value!r}"
+    assert str(info.value) == f"h[0][1]: expected an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("n", [True, "1", 1.0])
 def test_non_integer_dimension_is_refused(n):
     with pytest.raises(DiamondError) as info:
         HodgeDiamond(n, [[1, 0], [0, 1]])
-    assert str(info.value) == f"dimension: expected an integer, got {n!r}"
+    assert str(info.value) == f"n: expected an integer, got {n!r}"
 
 
 #: Calls that a guard refuses, each with its exact DiamondError message.
 GUARDS = {
-    "negative dimension": (lambda: HodgeDiamond(-1, []), "dimension must be non-negative"),
+    "negative dimension": (lambda: HodgeDiamond(-1, []),
+                           "n: expected a non-negative integer, got -1"),
     "negative fiber dimension": (
         lambda: projective_bundle_diamond(HodgeDiamond.point(), -1),
         "fiber dimension must be non-negative"),
@@ -98,6 +99,68 @@ def test_guard_message(name):
         call()
     assert type(info.value) is DiamondError
     assert str(info.value) == message
+
+
+#: Tables that break a table rule, as (n, rows), with the message that
+#: `HodgeDiamond` and the document reader both give.
+TABLE_FAULTS = {
+    "negative n": (-1, [], "n: expected a non-negative integer, got -1"),
+    "non-integer entry": (1, [[1, 1.5], [1.5, 1]], "h[0][1]: expected an integer, got 1.5"),
+    "negative entry": (1, [[1, -1], [-1, 1]],
+                       "h[0][1]: expected a non-negative integer, got -1"),
+    "short row": (1, [[1, 0], [0]], "h: expected a 2 x 2 table"),
+    "wrong row count": (1, [[1, 0]], "h: expected a 2 x 2 table"),
+    "conjugation": (1, [[1, 2], [1, 1]],
+                    "conjugation symmetry fails: h^{0,1} = 2 but h^{1,0} = 1"),
+    "Serre": (2, [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+              "Serre duality fails: h^{0,0} = 1 but h^{2,2} = 3"),
+    "h^{0,0}": (1, [[0, 1], [1, 0]], "a nonempty manifold needs h^{0,0} >= 1"),
+}
+
+
+def test_constructor_and_reader_word_every_table_fault_alike():
+    refusals = {}
+    for name, (n, rows, message) in TABLE_FAULTS.items():
+        with pytest.raises(DiamondError) as built:
+            HodgeDiamond(n, rows)
+        with pytest.raises(DiamondError) as read:
+            diamond_from_obj({"n": n, "h": rows})
+        refusals[name] = (str(built.value), str(read.value))
+    assert refusals == {name: (message, message)
+                        for name, (_, _, message) in TABLE_FAULTS.items()}
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (-10 ** 5000, [], "n: expected a non-negative integer, got <int too long to show>"),
+    (1, [[1, -10 ** 5000], [-10 ** 5000, 1]],
+     "h[0][1]: expected a non-negative integer, got <int too long to show>"),
+    (1, [[1, 10 ** 5000], [0, 1]],
+     "conjugation symmetry fails: h^{0,1} = <int too long to show> but h^{1,0} = 0"),
+], ids=["n", "entry", "conjugation"])
+def test_constructor_shows_ints_past_the_conversion_limit(n, rows, message):
+    with pytest.raises(DiamondError) as info:
+        HodgeDiamond(n, rows)
+    assert str(info.value) == message
+
+
+class _Unread(list):
+    """A table that fails the test if the reader walks it."""
+
+    def __iter__(self):
+        raise AssertionError("h was read")
+
+
+def test_reader_bounds_the_dimension_before_it_reads_the_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the constructor")
+
+    monkeypatch.setattr(HodgeDiamond, "__init__", refuse)
+    identity = [[int(p == q) for q in range(301)] for p in range(301)]
+    with pytest.raises(AssertionError, match="reached the constructor"):
+        diamond_from_obj({"n": 300, "h": identity})
+    with pytest.raises(DiamondError) as info:
+        diamond_from_obj({"n": 301, "h": _Unread(identity)})
+    assert str(info.value) == "n: diamond dimension 301 exceeds the limit of 300"
 
 
 def test_equal_diamonds_hash_alike():

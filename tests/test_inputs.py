@@ -112,6 +112,16 @@ def test_only_inputs_states_the_digit_rule():
         assert "inputs" in modules and modules <= allowed[name], (name, modules)
 
 
+def test_only_inputs_words_the_diamond_dimension_refusal():
+    words = set()
+    for path in sorted(Path(inputs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "diamond dimension" in node.value):
+                words.add(path.stem)
+    assert words == {"inputs"}
+
+
 @st.composite
 def written_decimals(draw):
     """An int of up to 60 digits and a text int() reads as it: a sign,

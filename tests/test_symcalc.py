@@ -119,6 +119,16 @@ def test_todd_one_root():
     assert todd(1, 0) == cs(1, 0, {(0,): 1})
 
 
+def test_todd_factor_coefficients_are_computed_once_and_read_only():
+    # x / (1 - exp(-x)) = 1 + x/2 + x^2/12 - x^4/720 + ..., and its log
+    # x/2 - x^2/24 + x^4/2880 + ...
+    factor, log_factor = symcalc._todd_factor_coeffs(4), symcalc._log_todd_factor_coeffs(4)
+    assert factor == (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720))
+    assert log_factor == (0, Fraction(1, 2), Fraction(-1, 24), 0, Fraction(1, 2880))
+    assert symcalc._todd_factor_coeffs(4) is factor
+    assert symcalc._log_todd_factor_coeffs(4) is log_factor
+
+
 def test_todd_low_degrees_stable_in_m():
     # 1 + c1/2 + (c1^2 + c2)/12 in weighted degree <= 2, for any root count.
     for m in range(2, 7):
