@@ -35,7 +35,8 @@ MAX_HRR_N = 75
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
 #: with s = r hyperplanes has 2^(r+1) - 1 strata.  With `--d` and every
 #: multiplicity at the `inputs.MAX_INT_DIGITS` limit, `chi-d cp --r 18
-#: --s 18` takes 3.1-3.4 s and r = 19 takes 6.1 s on a 2-CPU Xeon VM.
+#: --s 18` takes 0.4-0.6 s and 57 MiB peak RSS in a child process, and
+#: r = 19 takes 0.7-1.0 s and 98 MiB, on a 2-CPU Xeon VM.
 MAX_CP_R = 18
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
@@ -45,8 +46,8 @@ MAX_CP_R = 18
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.15-0.17 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 2.0-2.2 s and 164 MiB
+#: is linear in its size, about 0.10-0.14 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 1.3-1.9 s and 164 MiB
 #: in a child process on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 

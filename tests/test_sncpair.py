@@ -3,6 +3,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -37,7 +38,6 @@ from cypair.sncpair import (
     pair_from_obj,
     pair_to_json,
     random_blowup_instance,
-    scale_check,
     validate,
     weight,
 )
@@ -165,18 +165,6 @@ def test_chi_d_rejects_inconsistent_table():
             components=pair.components,
             strata={0: Stratum(4), 0b01: Stratum(2), 0b11: Stratum(1)},
         )
-
-
-def test_scale_check():
-    _, pair = cp_pair(1, 1, 1, (1,))
-    for k in (2, 3, 5):
-        assert scale_check(pair, k)
-    assert scale_check(triangle_pair(with_center=False), 3)
-    rng = random.Random(11)
-    for _ in range(20):
-        pair = random_blowup_instance(rng)
-        for k in (2, 3, 5):
-            assert scale_check(pair, k)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +845,87 @@ def test_chi_d_builds_one_fraction(monkeypatch):
     assert len(built) == 1
 
 
+def digits(rng: random.Random, most: int = 40) -> int:
+    """A nonzero integer of 1 to `most` decimal digits, of either sign."""
+    k = rng.randint(1, most)
+    return rng.choice((-1, 1)) * rng.randint(10 ** (k - 1), 10 ** k - 1)
+
+
+def closed_table_pair(l: int, k: int, seed: int) -> SncPair:
+    """A pair on l components whose table holds every subset of at most k
+    of them (k lowered until that is at most 10,000 strata), the subsets of
+    up to three drawn masks of at most 8 bits, less up to 20 maximal strata
+    of two or more components.  chi, d and the multiplicities have 1 to 40
+    digits, d has either sign, and some m_j + d are small or negative."""
+    rng = random.Random(seed)
+    k = min(k, l)
+    while sum(math.comb(l, size) for size in range(k + 1)) > 10_000:
+        k -= 1
+    family = {m for m in range(1 << l) if m.bit_count() <= max(k, 1)}
+    for _ in range(rng.randint(0, 3)):
+        top = sum(1 << j for j in rng.sample(range(l), rng.randint(0, min(l, 8))))
+        family.update(sncpair._submasks(top))
+    maximal = [m for m in family if m.bit_count() >= 2
+               and all(m >> j & 1 or m | 1 << j not in family for j in range(l))]
+    family.difference_update(rng.sample(maximal, min(len(maximal), rng.randint(0, 20))))
+    d = digits(rng)
+    mults = []
+    while len(mults) < l:
+        m = rng.choice((digits(rng), digits(rng, 2) - d))
+        if m not in (0, -d):
+            mults.append(m)
+    components = tuple(Component(f"D{j}", m) for j, m in enumerate(mults))
+    return SncPair(d, components, {m: Stratum(digits(rng)) for m in family})
+
+
+def fold_spy(monkeypatch) -> list[int]:
+    """The length of the values list of every `_fold` call from now on."""
+    lengths = []
+    real = sncpair._fold
+    monkeypatch.setattr(sncpair, "_fold",
+                        lambda values, *rest: lengths.append(len(values)) or real(values, *rest))
+    return lengths
+
+
+# l = 15 with k = 6 is dense (9,949 strata, 2^15 <= 4 N) and folds 32
+# blocks; k = 5 (4,944 strata) is walked.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 2 ** 32))
+@example(15, 6, 1)
+@example(15, 5, 2)
+@example(8, 8, 3)
+def test_chi_d_folded_and_walked_match_the_oracle(l, k, seed):
+    pair = closed_table_pair(l, k, seed)
+    assert chi_d(pair) == oracle_chi_d(pair)
+
+
+# (l, N): 63 and 64 strata over 6 components, and 2^l = 4 N against
+# 2^l = 4 (N + 1), the nearest size past the bound 2^l <= 4 N.  The first
+# N masks by size are downward closed, singletons included.
+@pytest.mark.parametrize("l, n, fold", [
+    (6, 63, False), (6, 64, True), (9, 128, True), (9, 127, False),
+    (10, 256, True), (10, 255, False)])
+def test_chi_d_path_flips_at_the_fold_thresholds(monkeypatch, l, n, fold):
+    lengths = fold_spy(monkeypatch)
+    rng = random.Random(100 * l + n)
+    d = digits(rng)
+    components = tuple(Component(f"D{j}", digits(rng, 2) - d) for j in range(l))
+    masks = sorted(range(1 << l), key=lambda m: (m.bit_count(), m))[:n]
+    pair = SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
+    assert chi_d(pair) == oracle_chi_d(pair)
+    assert lengths == ([1 << l, 1] if fold else [])
+
+
+# Past sncpair._BLOCK_BITS = 10 components, the cube is folded in blocks of
+# 1,024 entries and the per-block sums over the remaining components.
+@pytest.mark.parametrize("l, k", [(11, 4), (12, 5), (13, 5), (14, 6)])
+def test_chi_d_folds_block_by_block(monkeypatch, l, k):
+    lengths = fold_spy(monkeypatch)
+    pair = closed_table_pair(l, k, seed=l)
+    assert chi_d(pair) == oracle_chi_d(pair)
+    assert lengths == [1024] * (1 << (l - 10)) + [1 << (l - 10)]
+
+
 def test_blowup_check_validates_each_pair_once(monkeypatch):
     validated = []
     original = sncpair.validate
@@ -1425,8 +1494,6 @@ def test_pair_from_json_past_the_conversion_limit_keeps_syntax_errors():
 GUARDS = {
     "weight with d = 0": (lambda: weight(0, [1], 1), PairValidationError,
                           "d must be a non-zero integer"),
-    "scale_check with k = 0": (lambda: scale_check(triangle_pair(False), 0), ValueError,
-                               "scale factor must be a positive integer"),
     "cp_pair with r = 0": (lambda: cp_pair(0, 0, 1, []), PairValidationError,
                            "fiber dimension r must be >= 1, got 0"),
 }
