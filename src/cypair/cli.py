@@ -41,8 +41,8 @@ MAX_CP_R = 18
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
-#: On a 2-CPU Xeon VM, `blowup-check --random 10000` takes 1.6-2.0 s and
-#: `hodge ledger --random 10000` 0.4 s.
+#: On a 2-CPU Xeon VM, `blowup-check --random 10000` takes 1.5-1.9 s and
+#: `hodge ledger --random 10000` 0.24-0.34 s, in child processes.
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost

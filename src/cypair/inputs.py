@@ -2,15 +2,16 @@
 documents and of the command line, and the values error messages repeat.
 
 `expect_object`, `bounded_int` and `bounded_dim` state the field rules
-that every reader shares, raising its own error class.  It imports no
-other cypair module, so every reader can build on it.
+that every reader shares, raising its own error class; `draw` turns a
+seeded generator's bits into the integers of the random inputs.  It
+imports no other cypair module, so every reader can build on it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 #: Most components a pair may have.  `sncpair.blowup_transform` adds the
 #: exceptional component, so it takes pairs with at most MAX_COMPONENTS - 1.
@@ -129,6 +130,27 @@ def bounded_dim(n: int, where: str, error: type[ValueError]) -> int:
         raise error(
             f"{where}: diamond dimension {n} exceeds the limit of {MAX_DIAMOND_DIM}")
     return n
+
+
+def draw(getrandbits: Callable[[int], int], low: int, high: int) -> int:
+    """An integer of low..high, drawn from `getrandbits` as
+    `random.Random.randint(low, high)` draws it.
+
+    It draws k = n.bit_length() bits, with n = high - low + 1, and draws
+    again while they read n or more, so it takes the same bits from the
+    generator and returns the same value as `randint`, in fewer steps.
+    This function owns how a `--seed` becomes integers: every integer of
+    `sncpair.random_blowup_instance` and `hodge.random_symmetric_diamond`
+    is drawn here.  An empty range (high < low) raises ValueError.
+    """
+    n = high - low + 1
+    if n < 1:
+        raise ValueError(f"empty range {low}..{high}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return low + r
 
 
 #: A decimal as int() reads it: a sign, digits, single underscores between them.

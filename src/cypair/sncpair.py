@@ -88,7 +88,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .inputs import (INT_LIMIT, MAX_COMPONENTS, bounded_int, cut, decode_json,
+from .inputs import (INT_LIMIT, MAX_COMPONENTS, bounded_int, cut, decode_json, draw,
                      expect_object, shown, shown_names)
 
 
@@ -766,6 +766,18 @@ def check_blowup_invariance(pair: SncPair) -> BlowupCheck:
 # ---------------------------------------------------------------------------
 
 
+#: Largest `max_components` of `random_blowup_instance`.  The subsets of
+#: range(l) that it walks are cached per l: on a 2-CPU Xeon VM, the first
+#: pair with l = 16 takes 0.18-0.27 s and 30 MiB, and each two more
+#: components take about 5x the time and 4x the memory (l = 18: 0.8-1.1 s
+#: and 131 MiB).
+MAX_RANDOM_COMPONENTS = 16
+
+#: The chance that `random_blowup_instance` keeps a stratum of a given size
+#: of at least 2 whose one-smaller subsets are all kept.
+_KEEP = tuple(max(0.25, 0.95 - 0.2 * size) for size in range(MAX_RANDOM_COMPONENTS + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _subsets_in_order(l: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(size, mask, masks one element smaller) for every nonempty subset of
@@ -784,26 +796,33 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
     Draws a downward-closed family of nonempty strata with arbitrary Euler
     numbers, a center codimension, a containing set among the positive
     components, and a consistent family of center intersections.  Every
-    output validates and admits `blowup_transform`.
+    output validates and admits `blowup_transform`.  Each integer is drawn
+    by `inputs.draw`, which draws the bits `rng.randint` draws, so a seed
+    gives the pairs it gave through `randint`.  `max_components` must lie
+    in 0..MAX_RANDOM_COMPONENTS; otherwise ValueError is raised before
+    anything is drawn.
     """
-    l = rng.randint(0, max_components)
-    d = rng.randint(1, 5)
+    if not 0 <= max_components <= MAX_RANDOM_COMPONENTS:
+        raise ValueError(f"max_components must lie in 0..{MAX_RANDOM_COMPONENTS}, "
+                         f"got {max_components}")
+    bits = rng.getrandbits
+    l = draw(bits, 0, max_components)
+    d = draw(bits, 1, 5)
     mults = []
     for _ in range(l):
         m = 0
         while m == 0 or m == -d:
-            m = rng.randint(-9, 9)
+            m = draw(bits, -9, 9)
         mults.append(m)
     positive = [j for j, m in enumerate(mults) if m > 0]
-    r = rng.randint(1, 4)
-    s = rng.randint(0, min(r, len(positive)))
+    r = draw(bits, 1, 4)
+    s = draw(bits, 0, min(r, len(positive)))
     if r == 1 and s == 0:
-        r = rng.randint(2, 4)
+        r = draw(bits, 2, 4)
     contains = sum(1 << j for j in rng.sample(positive, s))
+    contained = list(_submasks(contains))
 
-    def chi() -> int:
-        return rng.randint(-9, 9)
-
+    chi = functools.partial(draw, bits, -9, 9)
     subsets = _subsets_in_order(l)
     present: dict[int, int] = {0: chi()}
     for size, mask, lower in subsets:
@@ -811,10 +830,11 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
             if sub not in present:
                 break
         else:
-            if size == 1 or rng.random() < max(0.25, 0.95 - 0.2 * size):
+            # a singleton draws no float; a seed's pairs depend on it
+            if size == 1 or rng.random() < _KEEP[size]:
                 present[mask] = chi()
     # the center sits inside every intersection of its containing components
-    for sub in _submasks(contains):
+    for sub in contained:
         if sub not in present:
             present[sub] = chi()
 
@@ -838,7 +858,7 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
                 if rng.random() < 0.75:
                     meets[mask] = chi()
         for mask in meets:
-            for sub in _submasks(contains):
+            for sub in contained:
                 if (mask | sub) not in present:
                     present[mask | sub] = chi()
         if s == r:

@@ -1,8 +1,10 @@
+import enum
 import hashlib
 import random
 
 import pytest
 
+from cypair import hodge
 from cypair.hodge import (
     DiamondError,
     ExponentLedger,
@@ -20,6 +22,7 @@ from cypair.hodge import (
     projective_bundle_diamond,
     random_symmetric_diamond,
 )
+from cypair.inputs import MAX_DIAMOND_DIM
 
 ELLIPTIC = HodgeDiamond(1, ((1, 1), (1, 1)))
 QUINTIC = HodgeDiamond(3, (
@@ -141,6 +144,150 @@ def test_constructor_shows_ints_past_the_conversion_limit(n, rows, message):
     with pytest.raises(DiamondError) as info:
         HodgeDiamond(n, rows)
     assert str(info.value) == message
+
+
+def ordered_fault(n, rows):
+    """The constructor's message for a table with a valid n, restated: the
+    entries, then the shape, then both symmetries cell by cell, then
+    h^{0,0}; None for a diamond."""
+    for p, row in enumerate(rows):
+        for q, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int):
+                return f"h[{p}][{q}]: expected an integer, got {v!r}"
+            if v < 0:
+                return f"h[{p}][{q}]: expected a non-negative integer, got {v!r}"
+    if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
+        return f"h: expected a {n + 1} x {n + 1} table"
+    for p in range(n + 1):
+        for q in range(n + 1):
+            a, b, c = rows[p][q], rows[q][p], rows[n - p][n - q]
+            if a != b:
+                return (f"conjugation symmetry fails: h^{{{p},{q}}} = {a!r} "
+                        f"but h^{{{q},{p}}} = {b!r}")
+            if a != c:
+                return (f"Serre duality fails: h^{{{p},{q}}} = {a!r} "
+                        f"but h^{{{n - p},{n - q}}} = {c!r}")
+    if rows[0][0] < 1 and any(any(row) for row in rows):
+        return "a nonempty manifold needs h^{0,0} >= 1"
+    return None
+
+
+class Level(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    NINE = 9
+
+
+def _perturbed(rng, kind, rows):
+    """`rows` changed by one perturbation of the given kind at a cell drawn
+    from `rng`: an entry replaced by the kind itself, a ragged row, a row
+    too many or too few, a symmetry broken, or IntEnum entries."""
+    n = len(rows) - 1
+    p, q = rng.randrange(n + 1), rng.randrange(n + 1)
+    if kind in (True, False, 1.0, "1", -1, -7):
+        rows[p][q] = kind
+    elif kind == "ragged":
+        if rng.random() < 0.5:
+            rows[p].append(0)
+        else:
+            rows[p].pop()
+    elif kind == "rows":
+        if rng.random() < 0.5:
+            rows.append([0] * (n + 1))
+        else:
+            rows.pop()
+    elif kind == "conjugation":  # Serre duality still holds
+        rows[p][q] = rows[n - p][n - q] = rows[p][q] + 1
+    elif kind == "Serre":  # conjugation still holds
+        rows[p][q] = rows[q][p] = rows[p][q] + 1
+    elif kind == "IntEnum":  # no fault: the same values as an int subclass
+        rows = [[Level(v) if v in (0, 1, 9) else v for v in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("kind", [True, False, 1.0, "1", -1, -7, "ragged", "rows",
+                                  "conjugation", "Serre", "IntEnum"])
+def test_accept_test_words_no_fault_itself(kind):
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(300):
+        diamond = random_symmetric_diamond(rng)
+        rows = _perturbed(rng, kind, [list(row) for row in diamond.rows])
+        expected = ordered_fault(diamond.n, rows)
+        try:
+            built = HodgeDiamond(diamond.n, rows)
+        except DiamondError as error:
+            assert str(error) == expected, rows
+            outcomes.add("refused")
+        else:
+            assert expected is None, rows
+            assert built.rows == tuple(map(tuple, rows))
+            outcomes.add("built")
+    if kind == "IntEnum":
+        assert outcomes == {"built"}
+    else:
+        assert "refused" in outcomes
+
+
+def test_only_a_table_that_fails_the_accept_test_meets_the_ordered_checks(monkeypatch):
+    checked = []
+    check_table = hodge._check_table
+    monkeypatch.setattr(hodge, "_check_table",
+                        lambda n, table: checked.append(n) or check_table(n, table))
+    rng = random.Random(3)
+    for _ in range(200):
+        random_symmetric_diamond(rng, max_n=8)
+    assert checked == []
+    # an int subclass passes the ordered checks, not the accept test
+    rows = ((Level.ONE, Level.ZERO), (Level.ZERO, Level.ONE))
+    built = HodgeDiamond(1, rows)
+    assert checked == [1]
+    assert built == HodgeDiamond(1, ((1, 0), (0, 1)))
+    assert built.rows == rows
+
+
+def test_orbits_partition_the_cells_closed_under_both_symmetries():
+    for n in range(41):
+        orbits = hodge._orbits(n)
+        cells = [cell for orbit in orbits for cell in orbit]
+        assert sorted(cells) == [(p, q) for p in range(n + 1) for q in range(n + 1)], n
+        for orbit in orbits:
+            p, q = orbit[0]
+            assert set(orbit) == {(p, q), (q, p), (n - p, n - q), (n - q, n - p)}, n
+            assert (p, q) == min(orbit), n
+        # in the row-major order of their first cells
+        firsts = [orbit[0] for orbit in orbits]
+        assert firsts == sorted(firsts), n
+
+
+# sha256 of the diamond_to_json texts of 10 draws at each max_n 0..12, in
+# that order, from one Random(1): the orbits of every dimension are pinned.
+RANDOM_DIAMOND_DIMENSIONS_DIGEST = (
+    "1d35b6c8b73aa9fc0bc8e887753e207a073a3be5cfc1b83d2f506279e73ef22c")
+
+
+def test_random_diamonds_of_every_dimension_match_recorded_digest():
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for max_n in range(13):
+        for _ in range(10):
+            digest.update(diamond_to_json(random_symmetric_diamond(rng, max_n)).encode())
+    assert digest.hexdigest() == RANDOM_DIAMOND_DIMENSIONS_DIGEST
+
+
+@pytest.mark.parametrize("max_n, message", [
+    (-1, "max_n: expected a non-negative integer, got -1"),
+    (MAX_DIAMOND_DIM + 1, "max_n: diamond dimension 301 exceeds the limit of 300"),
+    (10 ** 6, "max_n: diamond dimension 1000000 exceeds the limit of 300"),
+])
+def test_random_diamond_refuses_max_n_before_drawing(max_n, message):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as info:
+        random_symmetric_diamond(rng, max_n)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+    assert rng.getstate() == state
 
 
 class _Unread(list):

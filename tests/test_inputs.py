@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,39 @@ def test_bounded_int_refuses_with_the_readers_error(value, message):
 @pytest.mark.parametrize("value", [0, -1, 7, INT_LIMIT - 1, 1 - INT_LIMIT])
 def test_bounded_int_returns_an_int_in_range_unchanged(value):
     assert bounded_int(value, "x", Refused) is value
+
+
+@pytest.mark.parametrize("low", [0, -9, -2 ** 41])
+@pytest.mark.parametrize("width", [1, 2, 10, 16, 19, 32, 2 ** 40 + 3])
+def test_draw_takes_the_bits_randint_takes(width, low):
+    high = low + width - 1
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [inputs.draw(ours.getrandbits, low, high) for _ in range(200)]
+        assert got == [theirs.randint(low, high) for _ in range(200)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def _no_bits(k):
+    raise AssertionError("drew bits")
+
+
+@pytest.mark.parametrize("low, high", [(1, 0), (5, -5), (-2 ** 41, -2 ** 42)])
+def test_draw_refuses_an_empty_range_before_drawing(low, high):
+    with pytest.raises(ValueError) as info:
+        inputs.draw(_no_bits, low, high)
+    assert str(info.value) == f"empty range {low}..{high}"
+
+
+def test_only_draw_turns_a_seed_into_integers():
+    """No cypair module calls `randint` or `randrange`; their integers come
+    from `inputs.draw`."""
+    callers = set()
+    for path in sorted(Path(inputs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", None) in {"randint", "randrange"}:
+                callers.add(path.stem)
+    assert callers == set()
 
 
 def _refusal(read, document):

@@ -482,6 +482,40 @@ def test_random_instances_match_recorded_digests(seed):
     assert digest.hexdigest() == RANDOM_INSTANCE_DIGESTS[seed]
 
 
+# sha256 of the pair_to_json texts of 30 draws at each max_components 0..8,
+# in that order, from one Random(1): every stratum size has its own keep
+# probability, so the draws past the default of 6 are pinned too.
+RANDOM_INSTANCE_WIDTHS_DIGEST = (
+    "f43dfc15dddb4cfd53946859e2594e0ba347940392d73ff5c6434cb5349c72c4")
+
+
+def test_random_instances_of_every_width_match_recorded_digest():
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for max_components in range(9):
+        for _ in range(30):
+            pair = random_blowup_instance(rng, max_components)
+            digest.update(pair_to_json(pair).encode())
+    assert digest.hexdigest() == RANDOM_INSTANCE_WIDTHS_DIGEST
+
+
+@pytest.mark.parametrize("max_components", [-1, sncpair.MAX_RANDOM_COMPONENTS + 1, 40])
+def test_random_instance_refuses_max_components_before_drawing(max_components):
+    rng = random.Random(1)
+    state = rng.getstate()
+    cached = sncpair._subsets_in_order.cache_info().currsize
+    with pytest.raises(ValueError) as info:
+        random_blowup_instance(rng, max_components)
+    assert str(info.value) == (f"max_components must lie in "
+                               f"0..{sncpair.MAX_RANDOM_COMPONENTS}, got {max_components}")
+    assert rng.getstate() == state
+    assert sncpair._subsets_in_order.cache_info().currsize == cached
+
+
+def test_random_component_bound_leaves_room_for_the_exceptional_component():
+    assert sncpair.MAX_RANDOM_COMPONENTS <= inputs.MAX_COMPONENTS - 1
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
