@@ -27,11 +27,20 @@ degree and truncated at the dimension, that holds coefficients of basis
 monomials only; its arithmetic is the series arithmetic, on integer
 numerators over one denominator.  Raw monomials are brought to the basis
 by one reducer, `RingModel.reduce_terms`, which takes that integer form,
-maps each distinct raw monomial through a per-model memo once and returns
-the class.  A class product is the truncated series product, whose raw
-monomials go to that reducer instead of becoming coefficients.  `hrr_chi`
-pairs only the terms of Td and ch whose degrees add up to the dimension,
-so the product Td * ch is never formed.
+maps each distinct raw monomial through a per-model memo once and scatters
+the memo's integer vectors into the class.  The memo fills itself through
+the same reducer: a monomial over a cap is rewritten once by its rule,
+held as integer numerators over one denominator, and the rewritten sum
+goes back to `reduce_terms`, so each of its monomials is reduced once per
+model, in integers.  A class product is the truncated series product,
+whose raw monomials go to that reducer instead of becoming coefficients.
+
+`hrr_chi` applies a linear functional to ch: the model's `todd_pairing`,
+b -> integral of Td(T) * b on the basis monomials b, built once per model
+from the top-degree entries of the memo.  A call is one pass over the
+terms of ch, and neither Td * ch nor its reduction is formed.
+`adiabatic_coefficient` integrates c_1 c_{dim-1} by the same pairing of
+complementary degrees.
 """
 
 from __future__ import annotations
@@ -72,6 +81,8 @@ class RingModel:
         self.caps = caps
         self.dim = sum(caps)
         self.rewrites = {i: dict(rule) for i, rule in rewrites.items()}
+        # generator -> (numerators, denominator) of its rule, made once
+        self._rules = {i: symcalc._integer_form(rule) for i, rule in self.rewrites.items()}
         self.base = base
         self.fiber_rank = fiber_rank
         self.tangent_chern: CohClass = self.one()  # set once by the constructors
@@ -82,6 +93,11 @@ class RingModel:
     def genera(self) -> symcalc.Genera:
         """Td and every ch Lambda^p of the tangent bundle, built on first use."""
         return symcalc.Genera(map(self.tangent_chern.component, range(self.dim + 1)), self.dim)
+
+    @cached_property
+    def todd_pairing(self) -> tuple[dict[Monomial, int], int]:
+        """The functional b -> integral of Td(T) * b on every basis monomial b."""
+        return self._pairing(self.genera.todd, self.basis())
 
     # -- class constructors ----------------------------------------------
 
@@ -96,8 +112,16 @@ class RingModel:
 
     def gen_class(self, which) -> "CohClass":
         """The degree-one class of a generator, by index or by name."""
-        idx = which if isinstance(which, int) else self.generators.index(which)
-        expo = tuple(1 if i == idx else 0 for i in range(len(self.generators)))
+        gens = self.generators
+        if isinstance(which, int):
+            if not 0 <= which < len(gens):
+                raise ModelError(f"no generator with index {which}: the generators are {gens}")
+            idx = which
+        elif which in gens:
+            idx = gens.index(which)
+        else:
+            raise ModelError(f"no generator named {which!r}: the generators are {gens}")
+        expo = tuple(1 if i == idx else 0 for i in range(len(gens)))
         return self.reduce_terms({expo: 1}, 1)
 
     def basis(self) -> list[Monomial]:
@@ -115,40 +139,69 @@ class RingModel:
     def reduce_terms(self, raw: Mapping[Monomial, int], den: int, order=None) -> "CohClass":
         """The class sum_m raw[m] * m / den, for integers raw[m] and den > 0, of order
         `order` (default: the dimension), which no raw monomial's degree exceeds."""
-        vectors = [self._reduced_vector(mono) for mono in raw]
+        memo = self._reduced
+        vectors = [memo.get(mono) or self._reduced_vector(mono) for mono in raw]
         common = lcm(*(d for d, _ in vectors))
         out: dict[Monomial, int] = {}
+        get = out.get
         for n, (d, vector) in zip(raw.values(), vectors):
-            scale = n * (common // d)
+            if common != 1:
+                n *= common // d
             for mono, v in vector:
-                out[mono] = out.get(mono, 0) + scale * v
+                out[mono] = get(mono, 0) + n * v
         return _class(self, *symcalc._lowest(out, den * common), order)
 
     def _reduced_vector(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
-        """The memoized reduction of one raw monomial, as integer numerators."""
+        """The memoized reduction of one raw monomial: (denominator, numerators)."""
         entry = self._reduced.get(mono)
         if entry is None:
-            out: dict[Monomial, Fraction] = {}
-            self._reduce_into(mono, Fraction(1), out)
-            num, den = symcalc._integer_form(out)
-            entry = self._reduced[mono] = (den, tuple(num.items()))
+            entry = self._reduced[mono] = self._rewrite(mono)
         return entry
 
-    def _reduce_into(self, mono: Monomial, coeff: Fraction, out: dict) -> None:
+    def _rewrite(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+        """One raw monomial brought to the basis, as `_reduced_vector` holds it.
+
+        A monomial above the dimension is 0 and a basis monomial is itself.
+        Otherwise the last generator over its cap is rewritten once by its
+        rule, and the rewritten sum goes through `reduce_terms`, so that each
+        of its monomials is reduced through the memo too.
+        """
         if sum(mono) > self.dim:
-            return
+            return 1, ()
         for i in reversed(range(len(mono))):
             if mono[i] > self.caps[i]:
-                rule = self.rewrites.get(i)
-                if rule is None:
-                    return  # g_i^{cap+1} = 0
+                if i not in self._rules:
+                    return 1, ()  # g_i^{cap+1} = 0
+                num, den = self._rules[i]
                 rest = list(mono)
                 rest[i] -= self.caps[i] + 1
-                for rmono, rcoeff in rule.items():
-                    merged = tuple(a + b for a, b in zip(rest, rmono))
-                    self._reduce_into(merged, coeff * rcoeff, out)
-                return
-        out[mono] = out.get(mono, Fraction(0)) + coeff
+                cls = self.reduce_terms(
+                    {tuple(map(add, rest, rmono)): n for rmono, n in num.items()}, den)
+                return cls._den, tuple(cls._num.items())
+        return 1, ((mono, 1),)
+
+    def _pairing(self, cls: "CohClass", monomials) -> tuple[dict[Monomial, int], int]:
+        """b -> integral of cls * b on the given basis monomials b, as integer
+        numerators over one denominator (zero values left out).
+
+        Only the terms of cls of complementary degree pair with b, and only
+        the volume coefficient of their memoized reduction is read, so the
+        product is never formed.
+        """
+        by_degree: dict[int, list[Monomial]] = {}
+        for b in monomials:
+            by_degree.setdefault(self.dim - sum(b), []).append(b)
+        volume = self.caps
+        pairs = []
+        for t, nt in cls._num.items():
+            for b in by_degree.get(sum(t), ()):
+                d, vector = self._reduced_vector(tuple(map(add, t, b)))
+                pairs.extend((b, nt * v, d) for mono, v in vector if mono == volume)
+        common = lcm(*(d for _, _, d in pairs))
+        out: dict[Monomial, int] = {}
+        for b, n, d in pairs:
+            out[b] = out.get(b, 0) + n * (common // d)
+        return symcalc._lowest(out, cls._den * common)
 
     def __repr__(self):
         gens = ", ".join(
@@ -386,7 +439,7 @@ def adiabatic_coefficient(model: RingModel) -> Fraction:
     chi = euler_characteristic(model)
     c1 = model.tangent_chern.component(1)
     top_minus = model.tangent_chern.component(n - 1)
-    return n * chi + integrate(c1 * top_minus)
+    return n * chi + _paired(model._pairing(c1, top_minus._num), top_minus)
 
 
 def evaluate_chern_series(series: symcalc.ChernSeries, total_chern: CohClass) -> CohClass:
@@ -412,27 +465,22 @@ def todd_class(model: RingModel) -> CohClass:
 def hrr_chi(model: RingModel, ch_sheaf: CohClass) -> Fraction:
     """The Riemann-Roch Euler characteristic: integral of Td(T) * ch.
 
-    Only the top-degree part of Td * ch integrates to anything, so the
-    product is never formed: each pair of terms of complementary degree
-    adds an integer numerator to its raw monomial, the raw sum goes
-    through `RingModel.reduce_terms` once, and the result is the
-    coefficient of the volume monomial, as in `integrate`.
+    The integral of Td * b is read for each basis monomial b of ch from the
+    model's `todd_pairing`, so neither the product Td * ch nor its
+    reduction is formed: one pass over the terms of ch.
     """
     if ch_sheaf.model is not model:
         raise ModelError("ch class does not live on this model")
     rank = ch_sheaf.constant_term()
     if rank.denominator != 1:
         raise ModelError(f"ch has non-integral rank {rank}")
-    todd = todd_class(model)
-    by_degree: dict[int, list[tuple[Monomial, int]]] = {}
-    for ms, ns in ch_sheaf._num.items():
-        by_degree.setdefault(sum(ms), []).append((ms, ns))
-    raw: dict[Monomial, int] = {}
-    for mt, nt in todd._num.items():
-        for ms, ns in by_degree.get(model.dim - sum(mt), ()):
-            key = tuple(map(add, mt, ms))
-            raw[key] = raw.get(key, 0) + nt * ns
-    return integrate(model.reduce_terms(raw, todd._den * ch_sheaf._den))
+    return _paired(model.todd_pairing, ch_sheaf)
+
+
+def _paired(pairing: tuple[dict[Monomial, int], int], cls: CohClass) -> Fraction:
+    """A `RingModel._pairing` functional applied to the class cls."""
+    values, den = pairing
+    return Fraction(sum(n * values.get(b, 0) for b, n in cls._num.items()), den * cls._den)
 
 
 def ch_line(model: RingModel, divisor: CohClass) -> CohClass:

@@ -499,23 +499,35 @@ def _exp_neg_coeffs(order: int) -> list[Fraction]:
     return out
 
 
+#: Row n holds the degree-n Taylor coefficients (g_n, h_n, a_n) of
+#: (1 - exp(-x)) / x, of its inverse x / (1 - exp(-x)) and of
+#: log(x / (1 - exp(-x))).  Every order reads a prefix of these rows, so
+#: `_todd_coeff_rows` appends each row once, whole.
+_TODD_ROWS: list[tuple[Fraction, Fraction, Fraction]] = [(Fraction(1), Fraction(1), Fraction(0))]
+
+
+def _todd_coeff_rows(order: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The rows through degree `order` at least.
+
+    g_n = (-1)^n / (n + 1)!, and h is g's inverse by exact power-series
+    division, the convolution recurrence h_n = -sum_{k=1}^{n} g_k h_{n-k}:
+    this is where all the Bernoulli-type denominators enter.  With
+    h = exp(L) and h' = L' h, the coefficients a of L satisfy
+    n h_n = sum_{k=1}^{n} k a_k h_{n-k}.
+    """
+    rows = _TODD_ROWS
+    for n in range(len(rows), order + 1):
+        g, h, a = zip(*rows)
+        g_n = Fraction((-1) ** n, factorial(n + 1))
+        h_n = -sum(g[k] * h[n - k] for k in range(1, n)) - g_n
+        rows.append((g_n, h_n, (n * h_n - sum(k * a[k] * h[n - k] for k in range(1, n))) / n))
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _todd_factor_coeffs(order: int) -> tuple[Fraction, ...]:
-    """Taylor coefficients of x / (1 - exp(-x)) through degree `order`.
-
-    Computed by exact power-series division: (1 - exp(-x))/x has constant
-    term 1, and the inverse follows from the convolution recurrence.  This
-    is where all the Bernoulli-type denominators enter.
-    """
-    g = [Fraction((-1) ** k, 1) for k in range(order + 1)]
-    fact = 1
-    for k in range(order + 1):
-        fact = fact * (k + 1)
-        g[k] /= fact  # g_k = (-1)^k / (k+1)!
-    h = [Fraction(1)]
-    for n in range(1, order + 1):
-        h.append(-sum(g[k] * h[n - k] for k in range(1, n + 1)))
-    return tuple(h)
+    """Taylor coefficients of x / (1 - exp(-x)) through degree `order`."""
+    return tuple(h for _, h, _ in _todd_coeff_rows(order)[:order + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +599,8 @@ def ch_exterior_roots(num_roots: int, r: int, order: int) -> RootSeries:
 
 @lru_cache(maxsize=None)
 def _log_todd_factor_coeffs(order: int) -> tuple[Fraction, ...]:
-    """Taylor coefficients a_0..a_order of log(x / (1 - exp(-x))).
-
-    With h = exp(L) and h' = L' h, the coefficients satisfy
-    n h_n = sum_{k=1}^{n} k a_k h_{n-k}.
-    """
-    h = _todd_factor_coeffs(order)
-    a = [Fraction(0)]
-    for n in range(1, order + 1):
-        a.append((n * h[n] - sum(k * a[k] * h[n - k] for k in range(1, n))) / n)
-    return tuple(a)
+    """Taylor coefficients a_0..a_order of log(x / (1 - exp(-x)))."""
+    return tuple(a for _, _, a in _todd_coeff_rows(order)[:order + 1])
 
 
 def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:

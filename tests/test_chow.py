@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cypair import chow, symcalc
 from cypair.chow import (
@@ -26,6 +28,8 @@ from cypair.chow import (
     projective_space,
     todd_class,
 )
+
+from ring_oracle import reduce_into, reduce_raw
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +427,7 @@ def oracle_product(a, b):
         for mb, qb in b.terms.items():
             key = tuple(x + y for x, y in zip(ma, mb))
             raw[key] = raw.get(key, Fraction(0)) + qa * qb
-    out = {}
-    for mono, q in raw.items():
-        a.model._reduce_into(mono, q, out)
-    return {m: q for m, q in out.items() if q != 0}
+    return reduce_raw(a.model, raw)
 
 
 def test_memoized_product_matches_unmemoized_reduction():
@@ -441,12 +442,77 @@ def test_memoized_product_matches_unmemoized_reduction():
 
 
 def test_hrr_chi_matches_integrated_product():
+    # On the oracle models and on P^0..P^20: random classes, and the
+    # ch Lambda^p, untwisted and twisted by a line bundle, that `hrr cp` reads.
     rng = random.Random(77)
-    for model in oracle_models():
-        todd = todd_class(model)
-        for _ in range(3):
-            sheaf = random_class(model, rng, rank=rng.randint(0, 3))
+    for model in oracle_models() + [projective_space(n) for n in range(21)]:
+        todd, n = todd_class(model), model.dim
+        sheaves = [random_class(model, rng, rank=rng.randint(0, 3)) for _ in range(3)]
+        for p in sorted({0, 1, n // 2, n} & set(range(n + 1))):
+            sheaves.append(ch_cotangent_exterior(model, p))
+            if n:
+                twist = ch_line(model, model.gen_class(0) * rng.randint(-4, 7))
+                sheaves.append(sheaves[-1] * twist)
+        for sheaf in sheaves:
             assert hrr_chi(model, sheaf) == integrate(todd * sheaf), model
+
+
+def test_adiabatic_coefficient_matches_integrated_product():
+    for model in oracle_models() + [point(), projective_space(1), projective_space(7)]:
+        n, c = model.dim, model.tangent_chern
+        expected = n * euler_characteristic(model) + integrate(
+            c.component(1) * c.component(n - 1)) if n else 0
+        assert adiabatic_coefficient(model) == expected, model
+
+
+@st.composite
+def bundle_towers(draw, fractional):
+    """A tower of one or two projective bundles over a product of P^1s and
+    P^2s of dimension 2 or 3, of dimension 5 at most, with c(N) of integral
+    or of fractional coefficients.  The first c_1(N) has a nonzero
+    coefficient of the first generator, so that the top power of the last
+    generator takes two rewrite steps or more.  (The oracle's cost grows
+    exponentially with the number of steps.)"""
+    def coeffs(values):
+        values = st.sampled_from(values)
+        return st.builds(Fraction, values, st.integers(1, 7)) if fractional else values
+
+    factors = draw(st.sampled_from(((1, 1), (2,), (1, 1, 1), (1, 2), (2, 1))))
+    model = point()
+    for n in factors:
+        model = product(model, projective_space(n))
+    room = 5 - sum(factors)
+    ranks = draw(st.sampled_from([rs for rs in ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+                                  if sum(rs) <= room]))
+    for step, rank in enumerate(ranks):
+        terms = {(0,) * len(model.generators): 1}
+        for mono in model.basis():
+            if 1 <= sum(mono) <= rank:
+                terms[mono] = draw(coeffs(range(-3, 4)))
+        if step == 0:
+            terms[(1,) + (0,) * (len(model.generators) - 1)] = draw(coeffs((-3, -2, -1, 1, 2, 3)))
+        model = projective_bundle(model, CohClass(model, terms), rank)
+    return model
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.booleans())
+def test_reduction_memo_matches_unmemoized_oracle(data, fractional):
+    model = data.draw(bundle_towers(fractional))
+    k, dim = len(model.generators), model.dim
+    top_fiber = (0,) * (k - 1) + (dim,)
+    # a monomial is the multiset of its generators' indices, of degree dim + 1 at most
+    monos = [top_fiber] + [tuple(map(indices.count, range(k))) for indices in data.draw(
+        st.lists(st.lists(st.integers(0, k - 1), max_size=dim + 1), max_size=6))]
+    for mono in monos:
+        out = {}
+        steps = reduce_into(model, mono, Fraction(1), out)
+        assert model.reduce_terms({mono: 1}, 1).terms == {m: q for m, q in out.items() if q}
+        assert steps >= 2 or mono != top_fiber
+    raw = {mono: data.draw(st.integers(-9, 9)) for mono in monos}
+    den = data.draw(st.integers(1, 12))
+    expected = {m: q / den for m, q in reduce_raw(model, raw).items()}
+    assert model.reduce_terms(raw, den).terms == expected
 
 
 def p2_bundle_over_p1_p2():
@@ -596,6 +662,18 @@ GUARDS = {
                       "one cap per generator required"),
     "repeated generator": (lambda: RingModel(("a", "a"), (1, 1), {}), ModelError,
                            "generator names must be distinct"),
+    "generator index past the last": (
+        lambda: projective_space(2).gen_class(5), ModelError,
+        "no generator with index 5: the generators are ('h',)"),
+    "negative generator index": (
+        lambda: projective_space(2).gen_class(-1), ModelError,
+        "no generator with index -1: the generators are ('h',)"),
+    "generator index on a point": (
+        lambda: point().gen_class(0), ModelError,
+        "no generator with index 0: the generators are ()"),
+    "unknown generator name": (
+        lambda: _line_bundle_over_p1().gen_class("eta"), ModelError,
+        "no generator named 'eta': the generators are ('h', 'xi')"),
     "negative power": (lambda: projective_space(1).gen_class(0) ** -1, ValueError,
                        "negative powers are not defined"),
     "negative projective space": (lambda: projective_space(-1), ModelError,

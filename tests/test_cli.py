@@ -259,6 +259,29 @@ def test_hrr_cp_reports_match_recorded_digest(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == HRR_CP_N10_DIGEST
 
 
+# sha256 of the concatenated `hrr cp` stdout, as text and as --json, over
+# n = 0..20, p in {0, 1, n // 2, n} and twists -3, 0, 1, 2, 7 and a 39-digit
+# value: the Td pairing and ring reduction of P^n, pinned up to dimension 20.
+HRR_GRID_TWISTS = (-3, 0, 1, 2, 7, 10 ** 38 + 123456789)
+HRR_GRID_DIGESTS = {
+    "text": "a01bc870a24e78818bcea80b5d009edb5c8975ef74bd53cfd932321dfd5479e1",
+    "json": "1a6d9e4d0322d34a30e0708d44d4257e949eb2855b9f1a06504b5e88ea835b9f",
+}
+
+
+@pytest.mark.parametrize("form", sorted(HRR_GRID_DIGESTS))
+def test_hrr_reports_match_recorded_digests(capsys, form):
+    outs = []
+    for n in range(21):
+        for p in sorted({0, 1, n // 2, n} & set(range(n + 1))):
+            for twist in HRR_GRID_TWISTS:
+                args = ["hrr", "cp", "--n", str(n), "--p", str(p), "--twist", str(twist)]
+                code, out, err = run_cli(args + ["--json"] * (form == "json"), capsys)
+                assert (code, err) == (0, "")
+                outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == HRR_GRID_DIGESTS[form]
+
+
 # sha256 of the --json stdout of the benchmark's strata-wide commands, on
 # inputs built here: `chi-d table --file` and `blowup-check --file` on the
 # centered coordinate table of P^10 (2,047 strata), and `chi-d cp --r 12

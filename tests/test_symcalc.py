@@ -2,7 +2,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,8 @@ from cypair.symcalc import (
     verify_shifted_class_identities,
     verify_total_class_identities,
 )
+
+from ring_oracle import reduce_raw
 
 
 def shift_derivative(series):
@@ -127,6 +129,25 @@ def test_todd_factor_coefficients_are_computed_once_and_read_only():
     assert log_factor == (0, Fraction(1, 2), Fraction(-1, 24), 0, Fraction(1, 2880))
     assert symcalc._todd_factor_coeffs(4) is factor
     assert symcalc._log_todd_factor_coeffs(4) is log_factor
+
+
+def test_todd_factor_coefficients_of_an_order_prefix_every_higher_order():
+    # One table grows on demand: asking for a high order first, or a low
+    # one, gives the same leading coefficients.
+    for table in (symcalc._todd_factor_coeffs, symcalc._log_todd_factor_coeffs):
+        for k in (30, 0, 7, 19, 1, 12):
+            for j in (0, 1, 5, 14):
+                low, high = table(k), table(k + j)
+                assert len(low) == k + 1 and len(high) == k + j + 1
+                assert high[:k + 1] == low
+    # Their defining relations, checked in Fractions: h is the inverse of
+    # (1 - exp(-x)) / x, and h_n = sum_k (k / n) a_k h_{n-k} makes h = exp(a).
+    h, a = symcalc._todd_factor_coeffs(30), symcalc._log_todd_factor_coeffs(30)
+    g = [Fraction((-1) ** k, factorial(k + 1)) for k in range(31)]
+    for n in range(31):
+        assert sum(g[k] * h[n - k] for k in range(n + 1)) == (n == 0)
+    for n in range(1, 31):
+        assert h[n] == sum(Fraction(k, n) * a[k] * h[n - k] for k in range(1, n + 1))
 
 
 def test_todd_low_degrees_stable_in_m():
@@ -455,10 +476,7 @@ def _oracle_mul(a, b, series, order):
     raw = {e: q for e, q in raw.items() if q and degree(e) <= order}
     if not isinstance(series, chow.CohClass):
         return raw
-    out = {}
-    for e, q in raw.items():
-        series.model._reduce_into(e, q, out)
-    return {e: q for e, q in out.items() if q}
+    return reduce_raw(series.model, raw)
 
 
 def _oracle_inverse(a, series):
