@@ -46,8 +46,8 @@ MAX_CP_R = 18
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.10-0.14 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 1.3-1.9 s and 164 MiB
+#: is linear in its size, about 0.07-0.12 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 0.9-1.6 s and 156 MiB
 #: in a child process on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 

@@ -27,7 +27,10 @@ table of at least 64 strata and at least one per 4 subsets folds a cube
 of 2^l integers one component at a time; any other table is walked depth
 first, stratum by stratum.  The factor is 4, not 16, because the fold
 multiplies integers in every slot of its cube, where the presence cube
-sets one byte.
+sets one byte.  A table holds few distinct values, so the reader and the
+transforms share one immutable record per value (`_Records`): a large
+table gives the garbage collector a few records to walk, not one per
+stratum.
 
 A pair is validated once, when it is constructed: `SncPair` runs
 `validate` on itself, so an inconsistent table never becomes a pair.  A
@@ -73,9 +76,10 @@ Induced pairs
 The pairs induced on a stratum, on the center and on the blown-up space
 are all built by `_restrict` from their stratum table alone: it keeps the
 components whose singleton stratum survives in that table, which downward
-closure makes the right set.  The pair induced on the exceptional divisor
-is the blown-up pair restricted to E, so the projective-bundle rule above
-is written once, in `blowup_transform`.
+closure makes the right set, and squeezes each dropped bit out of every
+mask, one pass over the table per bit.  The pair induced on the
+exceptional divisor is the blown-up pair restricted to E, so the
+projective-bundle rule above is written once, in `blowup_transform`.
 """
 
 from __future__ import annotations
@@ -122,6 +126,18 @@ class Stratum(NamedTuple):
 #: A stratum table maps bitmask subsets to `Stratum` records; only
 #: nonempty strata appear.
 StratumTable = dict[int, Stratum]
+
+
+class _Records(dict):
+    """One shared `Stratum` per value: `records[chi, meet]` builds the
+    record on its first lookup and returns that record ever after."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> Stratum:
+        # what Stratum._make does, without its Python frame
+        record = self[key] = tuple.__new__(Stratum, key)
+        return record
 
 
 #: Sets a field of a new `SncPair`, whose own __setattr__ refuses.
@@ -471,27 +487,29 @@ def _restrict(d: int, components: tuple[Component, ...],
     the bits of `components`.
 
     The components kept, in order, are those whose singleton stratum is
-    in `entries`.  The result carries no center metadata.  When every kept
-    component keeps its bit (no component is dropped, or only the last
-    ones), no mask is remapped and `entries` itself becomes the new pair's
-    table, so callers pass a dict that nothing else holds.
+    in `entries`, and a kept component without the center flag is reused
+    as it is.  Every caller passes a table whose masks hold only kept
+    bits.  Each dropped bit below a kept one is squeezed out of every
+    mask, highest first, so the bits above it move down by one.  When no
+    dropped bit lies below a kept one, no mask moves and `entries` itself
+    becomes the new pair's table, so callers pass a dict that nothing else
+    holds.  The result carries no center metadata.
     """
-    new_bit: dict[int, int] = {}  # old bit -> new bit
     kept = []
+    dropped = []
+    below = 0  # the number of dropped bits below some kept bit
     for j, comp in enumerate(components):
-        if (1 << j) in entries:
-            new_bit[1 << j] = 1 << len(kept)
-            kept.append(Component(comp.id, comp.mult))
-    if all(old == new for old, new in new_bit.items()):
-        return SncPair(d=d, components=tuple(kept), strata=entries)
-    strata: StratumTable = {}
-    for mask, stratum in entries.items():
-        new = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            new |= new_bit[low]
-        strata[new] = stratum
+        if 1 << j in entries:
+            kept.append(Component(comp.id, comp.mult) if comp.contains_center else comp)
+            below = len(dropped)
+        else:
+            dropped.append(j)
+    strata = entries
+    for j in reversed(dropped[:below]):
+        low = (1 << j) - 1
+        # bit j is 0: the bits below it double, then the shift restores
+        # them and moves the bits above it down by one
+        strata = {(mask + (mask & low)) >> 1: stratum for mask, stratum in strata.items()}
     return SncPair(d=d, components=tuple(kept), strata=strata)
 
 
@@ -505,9 +523,10 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
     if subset not in pair.strata:
         raise PairValidationError(
             f"stratum {pair.subset_label(subset)} is empty; no induced pair")
+    records = _Records()
     entries = {
         mask & ~subset:
-            stratum if stratum.chi_meet_center is None else Stratum(stratum.chi)
+            stratum if stratum.chi_meet_center is None else records[stratum.chi, None]
         for mask, stratum in pair.strata.items()
         if mask & subset == subset
     }
@@ -655,27 +674,29 @@ def blowup_transform(pair: SncPair) -> SncPair:
     contains = pair.contains_mask
 
     e_bit = 1 << l
+    records = _Records()
     entries: StratumTable = {}
     for mask, stratum in pair.strata.items():
         fiber = r - (mask & contains).bit_count()
         meets = stratum.chi_meet_center
         if meets is None:
-            entries[mask] = stratum  # already a record without center data
+            entries[mask] = records[stratum]  # a record without center data
             continue
         if not (fiber == 0 and stratum.chi == meets):
-            entries[mask] = Stratum(stratum.chi + meets * (fiber - 1))
+            entries[mask] = records[stratum.chi + meets * (fiber - 1), None]
         if fiber >= 1:
-            entries[mask | e_bit] = Stratum(meets * fiber)
+            entries[mask | e_bit] = records[meets * fiber, None]
 
     dropped = sum(1 << j for j in range(l) if (1 << j) not in entries)
-    for mask in entries:
-        orphans = mask & dropped
-        if orphans:
-            orphan = (orphans & -orphans).bit_length() - 1
-            raise PairValidationError(
-                f"ambiguous center containment: stratum "
-                f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
-                f"although component {shown(pair.components[orphan].id)} does not")
+    if dropped:
+        for mask in entries:
+            orphans = mask & dropped
+            if orphans:
+                orphan = (orphans & -orphans).bit_length() - 1
+                raise PairValidationError(
+                    f"ambiguous center containment: stratum "
+                    f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
+                    f"although component {shown(pair.components[orphan].id)} does not")
     return _restrict(pair.d, pair.components + (Component(e_id, m0),), entries)
 
 
@@ -683,8 +704,9 @@ def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
     table = _center_table(pair.strata, pair.contains_mask)
+    records = _Records()
     return _restrict(pair.d, pair.components,
-                     {mask: Stratum(chi) for mask, chi in table.items()})
+                     {mask: records[chi, None] for mask, chi in table.items()})
 
 
 def _on_exceptional(blown: SncPair) -> SncPair:
@@ -948,6 +970,7 @@ def pair_from_obj(obj) -> SncPair:
     raw_strata = obj["strata"]
     if not isinstance(raw_strata, list):
         raise TableFormatError("strata: expected a list")
+    records = _Records()
     strata: StratumTable = {}
     for i, entry in enumerate(raw_strata):
         # the accept test; an entry that fails it takes the named checks
@@ -961,7 +984,7 @@ def pair_from_obj(obj) -> SncPair:
                     and (meet is None or type(meet) is int
                          and -INT_LIMIT < meet < INT_LIMIT)
                     and entry.get("nonempty", True) is True):
-                strata[mask] = Stratum(chi_value, meet)
+                strata[mask] = records[chi_value, meet]
                 continue
         where = f"strata[{i}]"
         expect_object(entry, where, {"subset", "chi"}, {"nonempty", "chi_meet_center"},
@@ -995,7 +1018,7 @@ def pair_from_obj(obj) -> SncPair:
                     f"{where}: an empty stratum must have chi 0 and no "
                     "chi_meet_center; omit the entry instead")
             continue
-        strata[mask] = Stratum(chi_value, meet)
+        strata[mask] = records[chi_value, meet]
 
     return SncPair(d=d, components=tuple(components), strata=strata, center=center)
 

@@ -499,6 +499,20 @@ def test_random_instances_of_every_width_match_recorded_digest():
     assert digest.hexdigest() == RANDOM_INSTANCE_WIDTHS_DIGEST
 
 
+# sha256 of repr(check_blowup_invariance(pair)) over the first 300 draws
+# from Random(5): chi_d before and after the blow-up and on the center and
+# on E, read through every restriction and transform of the module.
+RANDOM_CHECKS_DIGEST = "9dc5096c2cf4e2af46ea87133ebf4d2c35521c339b750c9aecc0b72934304aea"
+
+
+def test_blowup_checks_of_random_instances_match_recorded_digest():
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        digest.update(repr(check_blowup_invariance(random_blowup_instance(rng))).encode())
+    assert digest.hexdigest() == RANDOM_CHECKS_DIGEST
+
+
 @pytest.mark.parametrize("max_components", [-1, sncpair.MAX_RANDOM_COMPONENTS + 1, 40])
 def test_random_instance_refuses_max_components_before_drawing(max_components):
     rng = random.Random(1)
@@ -784,7 +798,7 @@ def _remapped_on_stratum(pair: SncPair, subset: int) -> SncPair:
 
 def test_identity_restriction_and_reused_records_change_no_table():
     rng = random.Random(1717)
-    dropped_by_blowup = missing_center = in_place = moved = 0
+    dropped_by_blowup = missing_center = in_place = moved = squeezed_twice = 0
     for _ in range(2000):
         pair = random_blowup_instance(rng)
         ids = [c.id for c in pair.components]
@@ -796,13 +810,16 @@ def test_identity_restriction_and_reused_records_change_no_table():
                      if s.chi_meet_center is not None
                      and not mask & pair.contains_mask}
         e_mask = 1 << (len(expected_blown.components) - 1)
+        blown_ids = [c.id for c in blown.components]
+        # (derived pair, its expected value, the ids it was restricted from)
         derived = [
-            (blown, expected_blown),
-            (center_pair(pair), _remapped(pair, on_center)),
-            (exceptional_pair(pair), _remapped_on_stratum(expected_blown, e_mask)),
-        ] + [(divisor_on_stratum(pair, mask), _remapped_on_stratum(pair, mask))
+            (blown, expected_blown, ids + blown_ids[-1:]),
+            (center_pair(pair), _remapped(pair, on_center), ids),
+            (exceptional_pair(pair), _remapped_on_stratum(expected_blown, e_mask),
+             blown_ids),
+        ] + [(divisor_on_stratum(pair, mask), _remapped_on_stratum(pair, mask), ids)
              for mask in pair.strata]
-        for got, expected in derived:
+        for got, expected, source in derived:
             assert got == expected, pair_to_json(pair)
             assert all(s.chi_meet_center is None for s in got.strata.values())
             # every mask keeps its bits when the kept components are the
@@ -812,14 +829,27 @@ def test_identity_restriction_and_reused_records_change_no_table():
                 in_place += 1
             else:
                 moved += 1
+            # dropped components below the last kept one: bits squeezed out
+            positions = [source.index(c.id) for c in got.components]
+            squeezed_twice += bool(positions) and positions[-1] + 1 - len(positions) >= 2
         dropped_by_blowup += len(blown.components) < l + 1
         missing_center += any(pair.strata[1 << j].chi_meet_center is None
                               for j in range(l))
     # both paths of `_restrict` run, with components dropped by the c_J = 0
-    # rule and components that miss the center
+    # rule and components that miss the center, and masks lose two or more
+    # bits below a kept one
     assert dropped_by_blowup >= 50
     assert missing_center >= 500
     assert in_place >= 1000 and moved >= 1000
+    assert squeezed_twice >= 100
+
+
+def test_tables_hold_one_record_per_value():
+    pair = pair_from_obj(coordinate_table(10, range(1, 11)))
+    for derived in (pair, blowup_transform(pair), center_pair(pair), exceptional_pair(pair)):
+        records = list(derived.strata.values())
+        assert len(set(records)) < len(records)
+        assert len(set(map(id, records))) == len(set(records))
 
 
 def oracle_chi_d(pair: SncPair) -> Fraction:
