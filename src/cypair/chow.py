@@ -496,7 +496,7 @@ def ch_cotangent_exterior(model: RingModel, p: int) -> CohClass:
     """ch of the p-th exterior power of the cotangent bundle."""
     if not 0 <= p <= model.dim:
         raise ValueError(f"exterior power {p} out of range 0..{model.dim}")
-    return model.genera.exterior[p]
+    return model.genera.exterior(p)
 
 
 def chi_twisted_hodge(n: int, p: int, s: int) -> Fraction:

@@ -26,9 +26,10 @@ from .inputs import (MAX_DIAMOND_DIM, MAX_INT_DIGITS, LongDecimal, bounded_dim,
 
 DEFAULT_SEED = 7
 
-#: Largest accepted `hrr cp --n`.  Td and every ch Lambda^p are built in
-#: the ring of P^n, in O(n^2) class products: `hrr cp --n 75 --p 37` with a
-#: 39-digit `--twist` takes 2.1-2.9 s and n = 80 takes 2.7-3.7 s on a 2-CPU
+#: Largest accepted `hrr cp --n`.  Td and ch Lambda^p are built in the
+#: ring of P^n, the latter from the graded pieces E_0..E_p alone, so
+#: --p n is the slowest: with a 39-digit `--twist`, `hrr cp --n 75 --p 75`
+#: takes 1.9-2.3 s (`--p 37` 0.9-1.7 s) and n = 80 takes 3.0 s on a 2-CPU
 #: Xeon VM; at 75 a machine 3x slower stays under 10 s.
 MAX_HRR_N = 75
 

@@ -24,13 +24,16 @@ subsets) has its closure decided at once on a presence cube; any other
 table, and any table that is not closed, is walked mask by mask, and the
 walk words every fault.  `chi_d` takes its sum in one of two ways: a
 table of at least 64 strata and at least one per 4 subsets folds a cube
-of 2^l integers one component at a time; any other table is walked depth
-first, stratum by stratum.  The factor is 4, not 16, because the fold
+of 2^l integers one component at a time (`_fold`); any other table is
+summed over its strata alone, in increasing mask order, which is depth
+first (`_ordered_sum`).  The factor is 4, not 16, because the fold
 multiplies integers in every slot of its cube, where the presence cube
-sets one byte.  A table holds few distinct values, so the reader and the
-transforms share one immutable record per value (`_Records`): a large
-table gives the garbage collector a few records to walk, not one per
-stratum.
+sets one byte.  Both sums take the values by mask, the factors m_j + d
+and the factors -m_j, and use only `*`, `+` and exact `//` on them, so
+they run over any exact ring, not just the integers.
+A table holds few distinct values, so the reader and the transforms
+share one immutable record per value (`_Records`): a large table gives
+the garbage collector a few records to walk, not one per stratum.
 
 A pair is validated once, when it is constructed: `SncPair` runs
 `validate` on itself, so an inconsistent table never becomes a pair.  A
@@ -89,6 +92,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
 
@@ -424,6 +428,29 @@ def _fold(values: list, shifted: list, negated: list):
     return values[0]
 
 
+def _ordered_sum(values: Mapping, shifted: list, negated: list):
+    """`_fold`'s sum over the masks of `values`, a downward closed mapping.
+
+    With j the lowest bit of J, num[J] = num[J - {j}] // shifted[j] *
+    negated[j] from num[empty] = prod shifted: exact, as shifted[j] divides
+    num[J - {j}].  Increasing order is a depth-first preorder (the children
+    J + {j} of J, j below lowbit(J), lie in [J, J + lowbit(J))), so only
+    the path of ancestors is kept: at most l + 1 numerators.  Only `*`,
+    `+` and exact `//` are used.
+    """
+    path = [(0, prod(shifted))]
+    total = values[0] * path[0][1]
+    for mask in sorted(values)[1:]:
+        low = mask & -mask
+        while path[-1][0] != mask ^ low:
+            path.pop()
+        j = low.bit_length() - 1
+        num = path[-1][1] // shifted[j] * negated[j]
+        path.append((mask, num))
+        total += values[mask] * num
+    return total
+
+
 def chi_d(pair: SncPair) -> Fraction:
     """The weighted Euler characteristic sum_J w_d^J chi(D_J), exactly.
 
@@ -431,33 +458,18 @@ def chi_d(pair: SncPair) -> Fraction:
     D = prod_j (m_j + d): the integer numerator of w_d^J is
     num[J] = prod_{j in J} (-m_j) prod_{j not in J} (m_j + d), the sum
     of chi(D_J) * num[J] is an integer, and one Fraction divides it by D.
-    That sum is taken one of two ways, chosen by the table's shape.
 
     A dense table (at least 64 strata, and at least one per 4 of the 2^l
     subsets) fills a cube of 2^l integers with chi by mask, 0 where a
-    stratum is empty, and folds it one component at a time with
-    `_fold`: the low `_BLOCK_BITS` components block by block, then the
-    per-block sums over the rest.  A fold does integer arithmetic on every
-    slot, present or not, so it pays only at a density 4 times that of
-    `_closed_on_cube`, which sets one byte per slot.
-
-    Any other table is walked depth first.  Each nonempty J is reached
-    from J minus its lowest bit j, which is in the table by downward
-    closure, and
-
-        num[empty] = D,   num[J] = num[J - {j}] // (m_j + d) * (-m_j),
-
-    where the division is exact whatever the signs, because the factor
-    m_j + d of D is still present in num[J - {j}].  Only the numerators
-    on the current path are alive.
+    stratum is empty, and folds it with `_fold`, the low `_BLOCK_BITS`
+    components block by block.  The fold works on every slot, present or
+    not, so it pays only at 4 times the density of `_closed_on_cube`,
+    which sets one byte a slot.  Any other table takes `_ordered_sum`:
+    one step per stratum, and no lookup of an absent mask.
     """
+    negated = [-comp.mult for comp in pair.components]
+    shifted = [pair.d - n for n in negated]
     strata = pair.strata
-    mults = pair.mults
-    shifted = [m + pair.d for m in mults]
-    negated = [-m for m in mults]
-    denominator = 1
-    for factor in shifted:
-        denominator *= factor
     l = len(shifted)
     if len(strata) >= 64 and 1 << l <= 4 * len(strata):
         cube = [0] * (1 << l)
@@ -467,18 +479,10 @@ def chi_d(pair: SncPair) -> Fraction:
         block = 1 << low
         sums = [_fold(cube[start:start + block], shifted[:low], negated[:low])
                 for start in range(0, len(cube), block)]
-        return Fraction(_fold(sums, shifted[low:], negated[low:]), denominator)
-    total = 0
-    # (mask, num[mask], bits below the lowest bit of mask)
-    stack = [(0, denominator, l)]
-    while stack:
-        mask, num, below = stack.pop()
-        total += strata[mask].chi * num
-        for j in range(below):
-            child = mask | 1 << j
-            if child in strata:
-                stack.append((child, num // shifted[j] * negated[j], j))
-    return Fraction(total, denominator)
+        total = _fold(sums, shifted[low:], negated[low:])
+    else:
+        total = _ordered_sum({m: stratum.chi for m, stratum in strata.items()}, shifted, negated)
+    return Fraction(total, prod(shifted))
 
 
 def _restrict(d: int, components: tuple[Component, ...],

@@ -603,15 +603,15 @@ def _log_todd_factor_coeffs(order: int) -> tuple[Fraction, ...]:
     return tuple(a for _, _, a in _todd_coeff_rows(order)[:order + 1])
 
 
-def _graded_exp(parts: list[_Series], unit: _Series) -> list[_Series]:
-    """The graded pieces E_0, ..., E_n of exp(X_1 t + ... + X_n t^n).
+def _graded_exp(parts: list[_Series], pieces: list[_Series]) -> list[_Series]:
+    """Extend `pieces`, the graded pieces E_0 = 1, E_1, ... of
+    exp(X_1 t + ... + X_n t^n), in place through E_n, and return it.
 
-    `parts` holds X_1..X_n.  E_0 = 1 and d E_d = sum_{k=1}^{d} k X_k E_{d-k},
-    the recurrence that d/dt exp(X) = X' exp(X) gives degree by degree:
+    `parts` holds X_1..X_n.  d E_d = sum_{k=1}^{d} k X_k E_{d-k}, the
+    recurrence that d/dt exp(X) = X' exp(X) gives degree by degree:
     E_d = X_d + sum_{k=1}^{d-1} (k / d) X_k E_{d-k}.
     """
-    pieces = [unit]
-    for d in range(1, len(parts) + 1):
+    for d in range(len(pieces), len(parts) + 1):
         pieces.append(_linear(parts[d - 1], (
             (parts[k - 1] * pieces[d - k], Fraction(k, d)) for k in range(1, d))))
     return pieces
@@ -628,6 +628,13 @@ class Genera:
     def __init__(self, chern: Iterable[_Series], order: int):
         self.chern = tuple(chern)
         self.order, self.rank = order, len(self.chern) - 1
+        self._zero = self.chern[0] * 0
+        # what `exterior` has built: ch Lambda^r by r, the parts X_1.., the
+        # Stirling numbers S(i, n) of the last part X_n, and the pieces E_0..
+        self._exterior: dict[int, _Series] = {}
+        self._parts: list[_Series] = []
+        self._stirling = [1] + [0] * order
+        self._pieces = [self.chern[0]]
 
     @cached_property
     def power_sums(self) -> tuple[_Series, ...]:
@@ -636,8 +643,7 @@ class Genera:
         Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
         + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
         """
-        chern, m = self.chern, self.rank
-        zero = chern[0] * 0
+        chern, m, zero = self.chern, self.rank, self._zero
         sums = [chern[0] * m]
         for k in range(1, self.order + 1):
             top = [(chern[k], (-1) ** (k - 1) * k)] if k <= m else []
@@ -653,11 +659,10 @@ class Genera:
         unit = self.chern[0]
         a = _log_todd_factor_coeffs(self.order)
         parts = [p * a_k for p, a_k in zip(self.power_sums[1:], a[1:])]
-        return _linear(unit, ((piece, 1) for piece in _graded_exp(parts, unit)[1:]))
+        return _linear(unit, ((piece, 1) for piece in _graded_exp(parts, [unit])[1:]))
 
-    @cached_property
-    def exterior(self) -> tuple[_Series, ...]:
-        """ch Lambda^r E*, r = 0..m, of the rank-m bundle E.
+    def exterior(self, r: int) -> _Series:
+        """ch Lambda^r E* of the rank-m bundle E, for 0 <= r <= m.
 
         ch Lambda^r E* = e_r(y) with y_j = exp(-x_j) = 1 + z_j.  The power
         sums of z are P_n = sum_i [x^i](exp(-x) - 1)^n p_i, where
@@ -665,25 +670,26 @@ class Genera:
         numbers of the second kind.  Newton's identities,
         k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} P_i, are the graded
         exponential of X_n = (-1)^{n-1} P_n / n, and e_k(z) starts in degree k.
-        Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).
+        Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z), k <= min(r, order).
+        Each X_n and E_k is built once, when the first r that needs it is read.
         """
-        sums, order, unit, m = self.power_sums, self.order, self.chern[0], self.rank
-        zero = unit * 0
-        top = min(m, order)
-        stirling = [1] + [0] * order  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
-        parts = []
-        for n in range(1, top + 1):
+        if r in self._exterior:
+            return self._exterior[r]
+        sums, order, m, zero = self.power_sums, self.order, self.rank, self._zero
+        top = min(r, order)
+        stirling = self._stirling  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
+        for n in range(len(self._parts) + 1, top + 1):
             stirling = list(itertools.accumulate(
                 stirling[:-1], lambda left, up: n * left + up, initial=0))
             sign = (-1) ** (n - 1) * factorial(n - 1)
-            parts.append(_linear(zero, (
+            self._parts.append(_linear(zero, (
                 (sums[i], Fraction((-1) ** i * sign * stirling[i], factorial(i)))
                 for i in range(n, order + 1))))
-        elementary = _graded_exp(parts, unit)
-        return tuple(
-            _linear(zero, ((elementary[k], comb(m - k, r - k)) for k in range(min(r, top) + 1)))
-            for r in range(m + 1)
-        )
+        self._stirling = stirling
+        pieces = _graded_exp(self._parts, self._pieces)
+        ch = self._exterior[r] = _linear(
+            zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
+        return ch
 
 
 @lru_cache(maxsize=None)
@@ -725,7 +731,7 @@ def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
     """
     if not 0 <= r <= num_roots:
         raise ValueError(f"exterior power {r} out of range 0..{num_roots}")
-    return _universal(num_roots, order).exterior[r]
+    return _universal(num_roots, order).exterior(r)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cypair import inputs, sncpair
@@ -952,7 +952,7 @@ def fold_spy(monkeypatch) -> list[int]:
 
 
 # l = 15 with k = 6 is dense (9,949 strata, 2^15 <= 4 N) and folds 32
-# blocks; k = 5 (4,944 strata) is walked.
+# blocks; k = 5 (4,944 strata) takes the ordered sum.
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 2 ** 32))
 @example(15, 6, 1)
@@ -988,6 +988,154 @@ def test_chi_d_folds_block_by_block(monkeypatch, l, k):
     pair = closed_table_pair(l, k, seed=l)
     assert chi_d(pair) == oracle_chi_d(pair)
     assert lengths == [1024] * (1 << (l - 10)) + [1 << (l - 10)]
+
+
+class CountingTable(dict):
+    """A stratum table that counts its lookups and its membership probes."""
+
+    lookups = probes = 0
+
+    def __getitem__(self, mask):
+        self.lookups += 1
+        return super().__getitem__(mask)
+
+    def __contains__(self, mask):
+        self.probes += 1
+        return super().__contains__(mask)
+
+
+def test_chi_d_reads_each_stratum_once_and_probes_no_absent_mask():
+    # every subset of at most 2 of 20 components: 211 strata, too sparse
+    # to fold.  A walk that tried each lower bit of each stratum made
+    # 1,350 membership probes here.
+    l = 20
+    rng = random.Random(20)
+    components = tuple(Component(f"D{j}", digits(rng)) for j in range(l))
+    strata = CountingTable(
+        (sum(1 << j for j in chosen), Stratum(digits(rng)))
+        for size in range(3) for chosen in itertools.combinations(range(l), size))
+    pair = SncPair(1, components, strata)
+    strata.lookups = strata.probes = 0
+    value = chi_d(pair)
+    assert strata.probes == 0
+    assert strata.lookups <= len(strata) == 211
+    assert value == oracle_chi_d(pair)
+
+
+class IntPoly:
+    """An integer polynomial in d, its coefficients from the constant term
+    up.  `//` is exact division: it raises on a remainder."""
+
+    __slots__ = ("coeffs",)
+    __hash__ = None
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def lift(value):
+        return value if isinstance(value, IntPoly) else IntPoly([value])
+
+    def __add__(self, other):
+        a, b = self.coeffs, IntPoly.lift(other).coeffs
+        return IntPoly(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        a, b = self.coeffs, IntPoly.lift(other).coeffs
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return IntPoly(out)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        rest, divisor = list(self.coeffs), IntPoly.lift(other).coeffs
+        quotient = [0] * max(len(rest) - len(divisor) + 1, 0)
+        for k in reversed(range(len(quotient))):
+            # a remainder here stays in rest[k + len(divisor) - 1]
+            q = quotient[k] = rest[k + len(divisor) - 1] // divisor[-1]
+            for i, c in enumerate(divisor):
+                rest[k + i] -= q * c
+        if any(rest):
+            raise ArithmeticError(f"{self.coeffs} // {divisor} leaves a remainder")
+        return IntPoly(quotient)
+
+    def __eq__(self, other):
+        return self.coeffs == IntPoly.lift(other).coeffs
+
+    def at(self, d):
+        return sum(c * d ** k for k, c in enumerate(self.coeffs))
+
+
+@st.composite
+def ring_test_pairs(draw):
+    """A `random_blowup_instance` pair, or a dense coordinate-hyperplane
+    pair on P^2..P^7 with multiplicities of up to 38 digits."""
+    if draw(st.booleans()):
+        return random_blowup_instance(random.Random(draw(st.integers(0, 2 ** 32))))
+    r = draw(st.integers(2, 7))
+    mults = draw(st.lists(st.integers(1, 10 ** 38), min_size=r, max_size=r))
+    return pair_from_obj(coordinate_table(r, mults))
+
+
+# The fold and the ordered sum use only *, + and exact //, so over Z[d],
+# with shifted[j] = m_j + d, each gives sum_J chi(D_J) num[J] as a
+# polynomial, and chi_d is its value at the pair's d over prod_j (m_j + d).
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ring_test_pairs())
+def test_both_sums_run_over_integer_polynomials_in_d(pair):
+    shifted = [IntPoly([m, 1]) for m in pair.mults]
+    negated = [-m for m in pair.mults]
+    chis = {mask: stratum.chi for mask, stratum in pair.strata.items()}
+    cube = [chis.get(mask, 0) for mask in range(1 << len(shifted))]
+    folded = IntPoly.lift(sncpair._fold(cube, shifted, negated))
+    ordered = IntPoly.lift(sncpair._ordered_sum(chis, shifted, negated))
+    assert folded == ordered
+    denominator = IntPoly.lift(math.prod(shifted))
+    assert Fraction(ordered.at(pair.d), denominator.at(pair.d)) == chi_d(pair)
+
+
+def toric_surface(rays: list, u: tuple, d: int) -> SncPair:
+    """The smooth complete toric surface of a fan, listed in cyclic order,
+    with its toric boundary curves as components, m_rho = <u, v_rho> - d.
+
+    X has Euler number k (one per ray), each curve is a P^1, and each two
+    adjacent curves meet in one point."""
+    k = len(rays)
+    components = tuple(Component(f"D{j}", u[0] * x + u[1] * y - d)
+                       for j, (x, y) in enumerate(rays))
+    strata = {0: Stratum(k)}
+    for j in range(k):
+        strata[1 << j] = Stratum(2)
+        strata[1 << j | 1 << (j + 1) % k] = Stratum(1)
+    return SncPair(d, components, strata)
+
+
+# Inserting v_i + v_(i+1) between adjacent rays blows up a torus-fixed
+# point, so every fan grown from P^2's this way is smooth and complete.
+# With m_rho = <u, v_rho> - d the divisor is div(x^u) + d K_X, and chi_d
+# is 0 exactly; at k = 30 the table has the most components allowed.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, inputs.MAX_COMPONENTS), st.integers(0, 2 ** 32),
+       st.tuples(st.integers(-10 ** 7, 10 ** 7), st.integers(-10 ** 7, 10 ** 7)),
+       st.integers(-10 ** 7, 10 ** 7).filter(bool))
+@example(inputs.MAX_COMPONENTS, 1, (9_999_999, -1_234_567), 3)
+def test_toric_surfaces_have_chi_d_zero(k, seed, u, d):
+    rng = random.Random(seed)
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < k:
+        i = rng.randrange(len(rays))
+        (a, b), (c, e) = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a + c, b + e))
+    assume(all(u[0] * x + u[1] * y not in (d, 0) for x, y in rays))
+    assert chi_d(toric_surface(rays, u, d)) == 0
 
 
 def test_blowup_check_validates_each_pair_once(monkeypatch):

@@ -323,6 +323,23 @@ def test_ch_exterior_matches_root_oracle(m):
                 ch_exterior_roots(m, r, order))
 
 
+def test_exterior_builds_its_pieces_once_and_only_up_to_the_power_read():
+    # ch Lambda^r needs the parts X_1..X_r and the pieces E_0..E_r alone
+    m, order = 8, 10
+    chern = [ChernSeries.chern_class(m, order, k) for k in range(m + 1)]
+    genera = symcalc.Genera(chern, order)
+    assert genera.exterior(3) == ch_exterior(m, 3, order)
+    assert (len(genera._parts), len(genera._pieces)) == (3, 4)
+    parts, pieces = genera._parts[:], genera._pieces[:]
+    assert genera.exterior(1) == ch_exterior(m, 1, order)
+    assert genera._parts == parts and genera._pieces == pieces
+    for r in reversed(range(m + 1)):
+        assert genera.exterior(r) == ch_exterior(m, r, order)
+    assert (len(genera._parts), len(genera._pieces)) == (m, m + 1)
+    assert all(map(operator.is_, parts + pieces, genera._parts[:3] + genera._pieces[:4]))
+    assert genera.exterior(3) is genera.exterior(3)
+
+
 def test_chern_product_matches_root_product():
     # The graded product stops at the smaller truncation order; multiplying
     # the root expansions and symmetrizing must give the same series.
