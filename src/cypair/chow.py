@@ -224,6 +224,7 @@ class CohClass(symcalc._Series):
 
     __slots__ = ("model",)
     _degree = staticmethod(sum)
+    _error = ModelError
     # Own entry: the benchmark's tracer times it as `chow.mul`.
     __mul__ = __rmul__ = symcalc._Series.__mul__
 

@@ -18,6 +18,16 @@ denominator in lowest terms: nothing here ever rounds, equal series have
 equal representations and a zero series has no terms.  Series of
 different classes never combine.
 
+Exponents are non-negative ints, and a term's exponents are at most its
+degree, so at most the order, which is at most `MAX_ORDER`.  A product
+therefore adds exponent vectors packed into one int each, `SLOT_BITS` bits
+per variable (`_Packing`, one per root count): one integer addition per
+term pair, with no carry between slots.  Each series packs its terms,
+sorted by degree, once, on its first product, and keeps that view for
+every later one; both loops of a product stop at the first term past the
+order.  Only the product's distinct exponent vectors are unpacked, so
+terms, reductions and memos stay keyed by tuples.
+
 Generators implemented here:
 
 * the Todd series prod_j x_j / (1 - exp(-x_j));
@@ -58,15 +68,22 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
-from operator import add
 
 Exponents = tuple[int, ...]
 Coeffs = Mapping[Exponents, Fraction]
 
+#: Bits per variable of a packed exponent vector (see `_Packing`).
+SLOT_BITS = 16
+#: Largest truncation order a series accepts.  Every exponent of a term is
+#: at most its degree, so at most the order, and so is every exponent of a
+#: product's term: with the order below 2^SLOT_BITS no slot carries over.
+MAX_ORDER = (1 << SLOT_BITS) - 1
+
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2: `cypair identities --max-m 15`
-#: takes 3.9-4.4 s and 16 takes 6.5-6.6 s on a 2-CPU Xeon VM.
+#: takes 0.8-1.3 s (35 MiB peak RSS) and 16 takes 1.3-1.8 s on a 2-CPU Xeon
+#: VM, in child processes, with CPython 3.11.
 MAX_VERIFY_ROOTS = 15
 
 
@@ -77,6 +94,45 @@ class SymmetryError(ValueError):
 @lru_cache(maxsize=None)
 def _weighted_degree(expo: Exponents) -> int:
     return sum((k + 1) * e for k, e in enumerate(expo))
+
+
+class _Packing:
+    """Exponent vectors of one length as ints, and back, both ways memoized.
+
+    The vector (e_1, ..., e_m) is the int sum_i e_i * 2^(SLOT_BITS * (m - i)):
+    one slot per variable, the first variable in the highest, so keys
+    compare as their vectors do.  While every entry and every entry of a sum
+    stays within a slot, adding two keys adds their vectors.
+    """
+
+    __slots__ = ("keys", "vectors", "_shifts")
+
+    def __init__(self, num_roots: int):
+        self.keys: dict[Exponents, int] = {}
+        self.vectors: dict[int, Exponents] = {}
+        self._shifts = range(SLOT_BITS * (num_roots - 1), -1, -SLOT_BITS)
+
+    def key(self, expo: Exponents) -> int:
+        """The key of expo, which `keys` then holds."""
+        key = self.keys[expo] = sum(e << s for e, s in zip(expo, self._shifts))
+        return key
+
+    def vector(self, key: int) -> Exponents:
+        """The vector of key, which `vectors` then holds, as a tuple of ints."""
+        # MAX_ORDER = 2^SLOT_BITS - 1 masks one slot
+        expo = self.vectors[key] = tuple((key >> s) & MAX_ORDER for s in self._shifts)
+        self.keys[expo] = key
+        return expo
+
+
+@lru_cache(maxsize=None)
+def _packing(num_roots: int) -> _Packing:
+    return _Packing(num_roots)
+
+
+@lru_cache(maxsize=None)
+def _slot_names(cls) -> tuple[str, ...]:
+    return tuple(name for c in cls.__mro__ for name in getattr(c, "__slots__", ()))
 
 
 class _Terms(Mapping):
@@ -131,31 +187,64 @@ class _Series:
     of series, goes through one linear pass, `_linear`, which reduces to
     lowest terms once.  A subclass may replace these
     rules (`_compatible`), the product's result (`_settle`), the printed
-    variable names (`_names`) and what equal series share (`_space`).
+    variable names (`_names`), what equal series share (`_space`) and the
+    error its constructor raises (`_error`).
+
+    A product runs over packed exponent vectors: every exponent is a
+    non-negative int no larger than the order, at most `MAX_ORDER`, so a
+    vector packs into one int (`_Packing`) and a sum of vectors is one
+    integer addition.  Each series builds its packed terms, sorted by
+    degree, once, on its first product (`_graded_terms`), and keeps them in
+    the slot `_graded` for every later product.  The view is a cache, not
+    state: equality, hashing, copies and pickles ignore it.
     """
 
-    __slots__ = ("num_roots", "order", "_num", "_den")
+    __slots__ = ("num_roots", "order", "_num", "_den", "_graded")
+    _error = ValueError
 
     def __init__(self, num_roots: int, order: int, terms: Coeffs | None = None):
         if num_roots < 0 or order < 0:
-            raise ValueError("num_roots and order must be non-negative")
+            raise self._error("num_roots and order must be non-negative")
+        if order > MAX_ORDER:
+            raise self._error(f"order {order} exceeds the limit {MAX_ORDER}")
         degree = self._degree
         kept = {}
         for expo, q in (terms or {}).items():
             if len(expo) != num_roots:
-                raise ValueError(f"exponent vector {expo} has wrong length")
+                raise self._error(f"exponent vector {expo} has wrong length")
+            if not all(type(e) is int and e >= 0 for e in expo):
+                raise self._error(
+                    f"exponent vector {expo} has an entry that is not a non-negative int")
             if degree(expo) <= order:
                 kept[expo] = q
         self.num_roots = num_roots
         self.order = order
         self._num, self._den = _integer_form(kept)
+        self._graded = None
 
     @classmethod
     def _make(cls, num_roots: int, order: int, num: dict, den: int) -> "_Series":
         """A series from numerators already in lowest terms, unchecked."""
         out = object.__new__(cls)
         out.num_roots, out.order, out._num, out._den = num_roots, order, num, den
+        out._graded = None
         return out
+
+    def __getstate__(self):
+        """Every slot but the cached view, which a copy builds again on use."""
+        state = {name: getattr(self, name) for name in _slot_names(type(self))}
+        state["_graded"] = None
+        return None, state
+
+    def _graded_terms(self) -> list[tuple[int, int, int]]:
+        """(degree, packed exponent vector, numerator) of each term, by degree."""
+        view = self._graded
+        if view is None:
+            packing, degree = _packing(self.num_roots), self._degree
+            known, key = packing.keys.get, packing.key
+            view = self._graded = sorted(
+                (degree(e), known(e) or key(e), n) for e, n in self._num.items())
+        return view
 
     # -- hooks a subclass may replace ----------------------------------
 
@@ -214,21 +303,24 @@ class _Series:
             scaled = {e: c * n for e, c in self._num.items()}
             return self._new(self.order, *_lowest(scaled, self._den * q.denominator))
         order = self._compatible(other)
-        degree = self._degree
-        a, b = self._num, other._num
-        if len(b) < len(a):
-            a, b = b, a
-        graded_b = sorted((degree(eb), eb, nb) for eb, nb in b.items())
-        out: dict[Exponents, int] = {}
+        outer, inner = self._graded_terms(), other._graded_terms()
+        if len(inner) < len(outer):
+            outer, inner = inner, outer
+        out: dict[int, int] = {}
         get = out.get
-        for ea, na in a.items():
-            room = order - degree(ea)
-            for db, eb, nb in graded_b:
+        for da, ka, na in outer:
+            room = order - da
+            if room < 0:
+                break
+            for db, kb, nb in inner:
                 if db > room:
                     break
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + na * nb
-        return self._settle(order, out, self._den * other._den)
+                k = ka + kb
+                out[k] = get(k, 0) + na * nb
+        packing = _packing(self.num_roots)
+        known, vector = packing.vectors.get, packing.vector
+        raw = {known(k) or vector(k): n for k, n in out.items()}
+        return self._settle(order, raw, self._den * other._den)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._space() == other._space()

@@ -710,6 +710,14 @@ GUARDS = {
         "exterior power -1 out of range 0..2"),
     "form degree too high": (lambda: chi_twisted_hodge(2, 3, 0), ValueError,
                              "form degree 3 out of range 0..2"),
+    "negative exponent": (lambda: CohClass(projective_space(2), {(-1,): 1}), ModelError,
+                          "exponent vector (-1,) has an entry that is not a non-negative int"),
+    "fractional exponent": (
+        lambda: CohClass(projective_space(2), {(Fraction(1, 2),): 1}), ModelError,
+        "exponent vector (Fraction(1, 2),) has an entry that is not a non-negative int"),
+    "dimension past the slot limit": (
+        lambda: RingModel(("h",), (symcalc.MAX_ORDER + 1,), {}), ModelError,
+        "order 65536 exceeds the limit 65535"),
 }
 
 

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import itertools
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, gcd
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cypair import chow, symcalc
+from cypair import chow, inputs, symcalc
 from cypair.symcalc import (
     ChernSeries,
     RootSeries,
@@ -26,6 +29,7 @@ from cypair.symcalc import (
     verify_total_class_identities,
 )
 
+import product_oracle
 from ring_oracle import reduce_raw
 
 
@@ -639,6 +643,129 @@ def test_linear_keeps_the_rules_of_addition():
 
 
 # ---------------------------------------------------------------------------
+# packed products, against the tuple-keyed oracle
+# ---------------------------------------------------------------------------
+
+
+TOP = symcalc.MAX_ORDER
+#: Models whose exponents reach the slot limit: one generator of cap TOP, and
+#: two whose volume monomial has degree TOP.
+WIDE_MODELS = [chow.RingModel(("h",), (TOP,), {}), chow.RingModel(("a", "b"), (TOP - 1, 1), {})]
+
+
+def _near(top):
+    """Integers 0..top, drawn near both ends."""
+    return st.one_of(st.integers(0, min(top, 3)), st.integers(max(top - 3, 0), top))
+
+
+@st.composite
+def product_operands(draw):
+    """Two series of one kind, of unequal orders, maybe empty, with
+    fractional coefficients; some have exponents at the slot limit."""
+    kind = draw(st.sampled_from(["roots", "chern", "ring"]))
+    if kind == "ring":
+        model = draw(st.sampled_from([chow.point()] + RING_MODELS + WIDE_MODELS))
+        keys = st.tuples(*map(_near, model.caps))
+
+        def make(terms):
+            return chow.CohClass(model, terms).truncate(draw(_near(model.dim)))
+    else:
+        cls = RootSeries if kind == "roots" else ChernSeries
+        m, top = draw(st.integers(0, 3)), draw(st.sampled_from([5, TOP]))
+        keys = st.tuples(*[_near(top)] * m)
+
+        def make(terms):
+            return cls(m, draw(_near(top)), terms)
+    return [make(draw(st.dictionaries(keys, RATIONALS, max_size=6))) for _ in range(2)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(product_operands())
+def test_products_match_the_tuple_oracle(operands):
+    a, b = operands
+    expected = product_oracle.product(a, b)
+    for result in (a * b, b * a):
+        assert type(result) is type(a) and result.order == expected.order
+        assert result == expected
+        assert dict(result.terms) == dict(expected.terms)
+
+
+def test_products_at_the_slot_limit_do_not_carry():
+    a = RootSeries(2, TOP, {(TOP - 1, 0): 1, (0, TOP - 1): 2, (0, 0): 3})
+    b = RootSeries(2, TOP, {(1, 0): 5, (0, 1): 7})
+    assert (a * b).terms == {(TOP, 0): 5, (TOP - 1, 1): 7, (1, TOP - 1): 10, (0, TOP): 14,
+                             (1, 0): 15, (0, 1): 21}
+    c1 = ChernSeries(1, TOP, {(TOP - 2,): 1}) * ChernSeries(1, TOP, {(2,): 3, (3,): 1})
+    assert c1.terms == {(TOP,): 3}
+
+
+def test_the_graded_view_is_built_once_and_is_no_part_of_the_value():
+    def fresh():
+        return ChernSeries(2, 5, {(0, 0): 1, (1, 0): Fraction(1, 2), (0, 2): -3})
+
+    series, twin = fresh(), fresh()
+    digest = pickle.dumps(twin)
+    assert series._graded is None
+    product = series * twin
+    view = series._graded
+    assert view is not None
+    for other in (twin, series, product, 2 * series):
+        series * other
+        other * series
+        assert series._graded is view
+    assert series == twin and hash(series) == hash(twin)
+    assert pickle.dumps(series) == digest
+    for copied in (copy.copy(series), pickle.loads(pickle.dumps(series))):
+        assert copied == series and hash(copied) == hash(series)
+        assert copied._graded is None
+        assert copied * twin == product
+    model = RING_MODELS[2]
+    cls = model.tangent_chern
+    cls * cls
+    assert cls._graded is not None
+    for copied in (copy.copy(cls), pickle.loads(pickle.dumps(cls))):
+        assert copied._graded is None
+        assert copied.terms == cls.terms and copied.order == cls.order
+    assert copy.copy(cls) == cls
+
+
+#: sha256 of the reprs of the products of `_seeded_operands()`, one a line,
+#: recorded with the tuple-keyed product.
+PRODUCT_DIGEST = "d4717e73df7b20ae6a55c1d0eb9377630a3bf39efcb626ee515d7dc33655aeaf"
+
+
+def _seeded_operands():
+    """Pairs of root series, Chern series and ring classes, from a fixed seed."""
+    bits = random.Random(2024).getrandbits
+
+    def num(low, high):
+        return inputs.draw(bits, low, high)
+
+    def terms(keys):
+        return {keys(): Fraction(num(-40, 40), num(1, 30)) for _ in range(num(0, 12))}
+
+    pairs = []
+    for cls in (RootSeries, ChernSeries):
+        for _ in range(40):
+            m = num(0, 4)
+            orders = num(1, 8), num(1, 8)
+            pairs.append(tuple(
+                cls(m, order, terms(lambda: tuple(num(0, 2) for _ in range(m))))
+                for order in orders))
+    for model in [chow.point()] + RING_MODELS:
+        for _ in range(10):
+            pairs.append(tuple(
+                chow.CohClass(model, terms(lambda: tuple(num(0, c) for c in model.caps)))
+                .truncate(num(0, model.dim)) for _ in range(2)))
+    return pairs
+
+
+def test_seeded_products_match_recorded_digest():
+    reprs = "\n".join(repr(a * b) for a, b in _seeded_operands())
+    assert hashlib.sha256(reprs.encode()).hexdigest() == PRODUCT_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
 
@@ -725,6 +852,17 @@ GUARDS = {
                                      "Todd series needs at least one root"),
     "root exterior power too high": (lambda: ch_exterior_roots(2, 3, 2),
                                      "exterior power 3 out of range 0..2"),
+    "negative exponent": (
+        lambda: RootSeries(1, 3, {(-1,): 1, (2,): 1}),
+        "exponent vector (-1,) has an entry that is not a non-negative int"),
+    "fractional exponent": (
+        lambda: RootSeries(1, 3, {(1.5,): 1}),
+        "exponent vector (1.5,) has an entry that is not a non-negative int"),
+    "negative Chern exponent": (
+        lambda: ChernSeries(2, 3, {(0, 0): 1, (3, -1): 1}),
+        "exponent vector (3, -1) has an entry that is not a non-negative int"),
+    "order past the slot limit": (lambda: ChernSeries(2, symcalc.MAX_ORDER + 1),
+                                  "order 65536 exceeds the limit 65535"),
 }
 
 
