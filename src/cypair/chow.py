@@ -108,7 +108,7 @@ class RingModel:
         return self.constant(1)
 
     def constant(self, value) -> "CohClass":
-        return CohClass(self, {(0,) * len(self.generators): Fraction(value)})
+        return CohClass(self, {(0,) * len(self.generators): value})
 
     def gen_class(self, which) -> "CohClass":
         """The degree-one class of a generator, by index or by name."""
@@ -382,13 +382,10 @@ def projective_bundle(base: RingModel, chern_n: CohClass, rank: int) -> RingMode
     # for a bundle of rank rank+1 with c_i = c_i(N) (Fulton, Intersection
     # Theory, 3.2): sum_{i=0..rank} c_i(N) (1 + xi)^{rank+1-i}.
     one_plus_xi = model.one() + model.gen_class(nb)
-    relative = model.zero()
-    power = model.one()
-    for i in reversed(range(rank + 1)):
-        power = power * one_plus_xi
-        ci = chern_n.component(i)
-        if not ci.is_zero():
-            relative = relative + lift_from_base(model, ci) * power
+    powers = accumulate(repeat(one_plus_xi, rank + 1), mul)  # (1 + xi)^1, ..., ^(rank+1)
+    relative = symcalc._sum_of_products(model.zero(), (
+        (lift_from_base(model, chern_n.component(i)), power, 1)
+        for i, power in zip(reversed(range(rank + 1)), powers)))
     model.tangent_chern = lift_from_base(model, base.tangent_chern) * relative
     return model
 

@@ -29,9 +29,9 @@ DEFAULT_SEED = 7
 #: Largest accepted `hrr cp --n`.  Td and ch Lambda^p are built in the
 #: ring of P^n, the latter from the graded pieces E_0..E_p alone, so
 #: --p n is the slowest: with a 39-digit `--twist`, `hrr cp --n 75 --p 75`
-#: takes 0.56-0.84 s (`--p 37` 0.39-0.44 s) and n = 80 takes 0.75-0.79 s on
-#: a 2-CPU Xeon VM, in child processes, with CPython 3.11; at 75 a machine
-#: 10x slower stays under 10 s.
+#: takes 0.7-1.3 s (`--p 37` 0.84-0.93 s) and n = 80 takes 1.6 s on a 2-CPU
+#: Xeon VM, in child processes, with CPython 3.11; at 75 a machine 7x slower
+#: stays under 10 s.
 MAX_HRR_N = 75
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space

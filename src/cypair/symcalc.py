@@ -28,6 +28,16 @@ every later one; both loops of a product stop at the first term past the
 order.  Only the product's distinct exponent vectors are unpacked, so
 terms, reductions and memos stay keyed by tuples.
 
+Every genus below is a sum of products, and one kernel,
+`_sum_of_products(start, triples)`, returns start + sum q * (a * b) in one
+pass: each product's pair loop, the one `*` runs too (`_add_product`),
+adds into one dict of packed keys over one common denominator, the
+distinct keys are unpacked once, and the sum is settled once, as a single
+product is: brought to lowest terms, or, for a ring class, reduced by one
+call of the model's reducer, which is linear.  The graded exponential
+(Td and ch Lambda^r), Newton's identities and `chow`'s relative tangent
+class call it.
+
 Generators implemented here:
 
 * the Todd series prod_j x_j / (1 - exp(-x_j));
@@ -82,9 +92,12 @@ MAX_ORDER = (1 << SLOT_BITS) - 1
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2: `cypair identities --max-m 15`
-#: takes 0.8-1.3 s (35 MiB peak RSS) and 16 takes 1.3-1.8 s on a 2-CPU Xeon
+#: takes 1.1-1.5 s (32 MiB peak RSS) and 16 takes 1.5-1.8 s on a 2-CPU Xeon
 #: VM, in child processes, with CPython 3.11.
 MAX_VERIFY_ROOTS = 15
+
+#: What a series combines with besides a series of its own kind: exact scalars.
+_SCALARS = (int, Fraction)
 
 
 class SymmetryError(ValueError):
@@ -188,7 +201,10 @@ class _Series:
     lowest terms once.  A subclass may replace these
     rules (`_compatible`), the product's result (`_settle`), the printed
     variable names (`_names`), what equal series share (`_space`) and the
-    error its constructor raises (`_error`).
+    error its constructor raises (`_error`).  Besides a series of its own
+    class, a series combines with the exact scalars, `int` and `Fraction`,
+    only: any other operand is a `TypeError`, and any other coefficient
+    the constructor's `_error`.
 
     A product runs over packed exponent vectors: every exponent is a
     non-negative int no larger than the order, at most `MAX_ORDER`, so a
@@ -196,7 +212,11 @@ class _Series:
     integer addition.  Each series builds its packed terms, sorted by
     degree, once, on its first product (`_graded_terms`), and keeps them in
     the slot `_graded` for every later product.  The view is a cache, not
-    state: equality, hashing, copies and pickles ignore it.
+    state: equality, hashing, copies and pickles ignore it.  One pair loop,
+    `_add_product`, runs over those views for `*` and for the kernel
+    `_sum_of_products`, which adds a weighted sum of products into one
+    packed dict and settles it once (`_settle`), however many products it
+    adds.
     """
 
     __slots__ = ("num_roots", "order", "_num", "_den", "_graded")
@@ -215,6 +235,8 @@ class _Series:
             if not all(type(e) is int and e >= 0 for e in expo):
                 raise self._error(
                     f"exponent vector {expo} has an entry that is not a non-negative int")
+            if not isinstance(q, _SCALARS):
+                raise self._error(f"coefficient {q!r} of {expo} is not an int or a Fraction")
             if degree(expo) <= order:
                 kept[expo] = q
         self.num_roots = num_roots
@@ -280,9 +302,10 @@ class _Series:
 
     def __add__(self, other):
         if type(other) is not type(self):
-            q = Fraction(other)
-            const = {(0,) * self.num_roots: q.numerator} if q else {}
-            other = self._new(self.order, const, q.denominator)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            const = {(0,) * self.num_roots: other.numerator} if other else {}
+            other = self._new(self.order, const, other.denominator)
         return _linear(self, [(other, 1)])
 
     __radd__ = __add__
@@ -291,36 +314,26 @@ class _Series:
         return self._new(self.order, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
+        if type(other) is not type(self) and not isinstance(other, _SCALARS):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not type(self):
-            q = Fraction(other)
-            n = q.numerator
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            n = other.numerator
             scaled = {e: c * n for e, c in self._num.items()}
-            return self._new(self.order, *_lowest(scaled, self._den * q.denominator))
+            return self._new(self.order, *_lowest(scaled, self._den * other.denominator))
         order = self._compatible(other)
-        outer, inner = self._graded_terms(), other._graded_terms()
-        if len(inner) < len(outer):
-            outer, inner = inner, outer
         out: dict[int, int] = {}
-        get = out.get
-        for da, ka, na in outer:
-            room = order - da
-            if room < 0:
-                break
-            for db, kb, nb in inner:
-                if db > room:
-                    break
-                k = ka + kb
-                out[k] = get(k, 0) + na * nb
-        packing = _packing(self.num_roots)
-        known, vector = packing.vectors.get, packing.vector
-        raw = {known(k) or vector(k): n for k, n in out.items()}
-        return self._settle(order, raw, self._den * other._den)
+        _add_product(out, self, other, order, 1)
+        return self._settle(order, _unpacked(self.num_roots, out), self._den * other._den)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._space() == other._space()
@@ -391,11 +404,7 @@ def _linear(start: _Series, pairs: Iterable[tuple[_Series, int | Fraction]]) -> 
     classes is a basis class, so the result is built by `start._new`.
     """
     pairs = list(pairs)
-    order = start.order
-    for s, _ in pairs:
-        if type(s) is not type(start):
-            raise TypeError(f"cannot combine {type(start).__name__} with {type(s).__name__}")
-        order = min(order, start._compatible(s))
+    order = _combined_order(start, (s for s, _ in pairs))
     wide = start.order > order or any(s.order > order for s, _ in pairs)
     scaled = [(s._num, s._den * q.denominator, q.numerator) for s, q in pairs if q]
     den = lcm(start._den, *(d for _, d, _ in scaled))
@@ -410,6 +419,73 @@ def _linear(start: _Series, pairs: Iterable[tuple[_Series, int | Fraction]]) -> 
         degree = start._degree
         num = {e: n for e, n in num.items() if degree(e) <= order}
     return start._new(order, *_lowest(num, den))
+
+
+def _combined_order(start: _Series, operands: Iterable[_Series]) -> int:
+    """The order of a combination of start with operands that must combine with it."""
+    order = start.order
+    for s in operands:
+        if type(s) is not type(start):
+            raise TypeError(f"cannot combine {type(start).__name__} with {type(s).__name__}")
+        order = min(order, start._compatible(s))
+    return order
+
+
+def _add_product(out: dict[int, int], a: _Series, b: _Series, order: int, scale: int) -> None:
+    """Add scale times the numerators of a * b through degree `order` into out,
+    keyed by packed exponent vectors: the one pair loop of every product.
+
+    Both graded views are sorted by degree, so the outer loop, over the
+    shorter view, and the inner loop stop at the first term past the order.
+    """
+    outer, inner = a._graded_terms(), b._graded_terms()
+    if len(inner) < len(outer):
+        outer, inner = inner, outer
+    get = out.get
+    for da, ka, na in outer:
+        room = order - da
+        if room < 0:
+            break
+        na *= scale
+        for db, kb, nb in inner:
+            if db > room:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + na * nb
+
+
+def _unpacked(num_roots: int, packed: dict[int, int]) -> dict[Exponents, int]:
+    """The numerators of packed, keyed by exponent vectors."""
+    packing = _packing(num_roots)
+    known, vector = packing.vectors.get, packing.vector
+    return {known(k) or vector(k): n for k, n in packed.items()}
+
+
+def _sum_of_products(start: _Series,
+                     triples: Iterable[tuple[_Series, _Series, int | Fraction]]) -> _Series:
+    """start + sum of q * (a * b) over the (a, b, q) triples, in one pass.
+
+    Equal to `_linear(start, [(a * b, q), ...])`: every a and b must combine
+    with start, the result is truncated at the smallest order of them all,
+    and a zero q adds no terms.  Each product's pair loop (`_add_product`)
+    adds into one dict of packed keys, already scaled to one common
+    denominator; its distinct keys are unpacked once, start's terms added,
+    and the sum settled once by `_settle`: brought to lowest terms, or, for
+    a ring class, reduced by one `reduce_terms` call, as reduction is linear.
+    """
+    triples = list(triples)
+    order = _combined_order(start, (s for a, b, _ in triples for s in (a, b)))
+    live = [(a, b, q, a._den * b._den * q.denominator) for a, b, q in triples if q]
+    den = lcm(start._den, *(d for *_, d in live))
+    out: dict[int, int] = {}
+    for a, b, q, d in live:
+        _add_product(out, a, b, order, q.numerator * (den // d))
+    raw = _unpacked(start.num_roots, out)
+    get, scale, degree = raw.get, den // start._den, start._degree
+    for e, n in start._num.items():
+        if start.order <= order or degree(e) <= order:  # start's terms through the order
+            raw[e] = get(e, 0) + n * scale
+    return start._settle(order, raw, den)
 
 
 def _zero(cls, num_roots: int, order: int):
@@ -451,7 +527,7 @@ class RootSeries(_Series):
             if k > order:
                 break
             expo = tuple(k if i == j else 0 for i in range(num_roots))
-            terms[expo] = Fraction(q)
+            terms[expo] = q
         return cls(num_roots, order, terms)
 
 
@@ -704,8 +780,8 @@ def _graded_exp(parts: list[_Series], pieces: list[_Series]) -> list[_Series]:
     E_d = X_d + sum_{k=1}^{d-1} (k / d) X_k E_{d-k}.
     """
     for d in range(len(pieces), len(parts) + 1):
-        pieces.append(_linear(parts[d - 1], (
-            (parts[k - 1] * pieces[d - k], Fraction(k, d)) for k in range(1, d))))
+        pieces.append(_sum_of_products(parts[d - 1], (
+            (parts[k - 1], pieces[d - k], Fraction(k, d)) for k in range(1, d))))
     return pieces
 
 
@@ -738,9 +814,9 @@ class Genera:
         chern, m, zero = self.chern, self.rank, self._zero
         sums = [chern[0] * m]
         for k in range(1, self.order + 1):
-            top = [(chern[k], (-1) ** (k - 1) * k)] if k <= m else []
-            sums.append(_linear(zero, top + [
-                (chern[i] * sums[k - i], (-1) ** (i - 1)) for i in range(1, min(k - 1, m) + 1)]))
+            top = chern[k] * ((-1) ** (k - 1) * k) if k <= m else zero
+            sums.append(_sum_of_products(top, (
+                (chern[i], sums[k - i], (-1) ** (i - 1)) for i in range(1, min(k - 1, m) + 1))))
         return tuple(sums)
 
     @cached_property

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -558,6 +559,56 @@ def test_ring_genera_match_universal_series():
         assert ring == [chow.evaluate_chern_series(s, chern) for s in universal], model
 
 
+#: The model shapes of the riemann-roch benchmark workload (dimensions 3-5).
+RR_SHAPES = [
+    ((1, 1, 1), ()), ((1, 2), ()), ((1, 1), (1,)), ((1,), (2,)),
+    ((1, 1, 1, 1), ()), ((2, 2), ()), ((1, 1, 2), ()), ((1, 1), (2,)),
+    ((1, 2), (1,)), ((1,), (1, 2)),
+    ((1, 1, 1, 1, 1), ()), ((1,), (1, 1, 1, 1)), ((1, 1, 1, 2), ()),
+    ((1, 1, 2), (1,)), ((2, 2), (1,)),
+]
+
+#: sha256 of the reprs, one a line, of c(T), Td(T) and every ch Lambda^p T*
+#: of the `RR_SHAPES` models at seeds 3 and 8, recorded with the genera built
+#: product by product, each product reduced on its own.
+RING_GENERA_DIGEST = "55aa1fe6f30f88d61ed858747c63d4fbaa648602f9be46ca4810af805cd63bc4"
+
+
+def test_ring_genera_match_recorded_digest():
+    lines = []
+    for seed in (3, 8):
+        rng = random.Random(seed)
+        for shape in RR_SHAPES:
+            model = shape_model(shape, rng, [])
+            lines += [repr(model.tangent_chern), repr(model.genera.todd)]
+            lines += [repr(ch_cotangent_exterior(model, p)) for p in range(model.dim + 1)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RING_GENERA_DIGEST
+
+
+def test_ring_genera_reduce_once_per_power_sum_and_graded_piece(monkeypatch):
+    model = shape_model(((1, 1), (1, 2)), random.Random(5), [])
+    assert model.dim == 5
+    calls, depth = [], [0]
+    original = RingModel.reduce_terms
+
+    def counting(self, raw, den, order=None):
+        # the reducer fills its memo through itself: count outside calls only
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return original(self, raw, den, order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RingModel, "reduce_terms", counting)
+    model.genera.todd
+    model.genera.exterior(model.dim)
+    monkeypatch.undo()
+    # p_1..p_5, then the pieces E_1..E_5 of Td and of ch Lambda^5; reducing
+    # each product on its own took 30 calls.
+    assert calls.count(0) == 15
+
+
 # ---------------------------------------------------------------------------
 # classes as truncated series: inverses and models
 # ---------------------------------------------------------------------------
@@ -715,6 +766,12 @@ GUARDS = {
     "fractional exponent": (
         lambda: CohClass(projective_space(2), {(Fraction(1, 2),): 1}), ModelError,
         "exponent vector (Fraction(1, 2),) has an entry that is not a non-negative int"),
+    "float constant": (lambda: projective_space(2).constant(0.1), ModelError,
+                       "coefficient 0.1 of (0,) is not an int or a Fraction"),
+    "text coefficient": (lambda: CohClass(projective_space(2), {(1,): "1/2"}), ModelError,
+                         "coefficient '1/2' of (1,) is not an int or a Fraction"),
+    "float factor": (lambda: projective_space(2).gen_class(0) * 0.5, TypeError,
+                     "unsupported operand type(s) for *: 'CohClass' and 'float'"),
     "dimension past the slot limit": (
         lambda: RingModel(("h",), (symcalc.MAX_ORDER + 1,), {}), ModelError,
         "order 65536 exceeds the limit 65535"),

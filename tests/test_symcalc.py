@@ -690,6 +690,59 @@ def test_products_match_the_tuple_oracle(operands):
         assert dict(result.terms) == dict(expected.terms)
 
 
+@st.composite
+def sums_of_products(draw):
+    """A start series and up to three (a, b, q) triples of its kind: unequal
+    orders, maybe empty operands, fractional coefficients and zero q."""
+    kind = draw(st.sampled_from(["roots", "chern", "ring"]))
+    if kind == "ring":
+        model = draw(st.sampled_from([chow.point()] + RING_MODELS))
+        keys, top = st.sampled_from(model.basis()), model.dim
+
+        def make():
+            terms = draw(st.dictionaries(keys, RATIONALS, max_size=6))
+            return chow.CohClass(model, terms).truncate(draw(st.integers(0, top)))
+    else:
+        cls = RootSeries if kind == "roots" else ChernSeries
+        m = draw(st.integers(0, 3))
+        keys = st.tuples(*[st.integers(0, 3)] * m)
+
+        def make():
+            return cls(m, draw(st.integers(0, 5)), draw(st.dictionaries(keys, RATIONALS, max_size=6)))
+    start = make()
+    scalars = st.one_of(st.just(0), st.integers(-3, 3), RATIONALS)
+    return start, [(make(), make(), draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sums_of_products())
+def test_sum_of_products_matches_the_linear_pass_over_products(case):
+    start, triples = case
+    result = symcalc._sum_of_products(start, triples)
+    expected = symcalc._linear(start, [(a * b, q) for a, b, q in triples])
+    assert type(result) is type(start) and result.order == expected.order
+    assert result == expected and hash(result) == hash(expected)
+    # again with the products of the tuple-keyed oracle, which has its own pair loop
+    assert result == symcalc._linear(
+        start, [(product_oracle.product(a, b), q) for a, b, q in triples])
+    _assert_lowest_terms(result)
+
+
+def test_sum_of_products_keeps_the_rules_of_addition():
+    x = ChernSeries.chern_class(2, 4, 1)
+    assert symcalc._sum_of_products(x, []) == x
+    # a zero coefficient adds no terms but still truncates
+    low = symcalc._sum_of_products(x, [(x, ChernSeries.chern_class(2, 1, 1), 0)])
+    assert low.order == 1 and low == x.truncate(1)
+    with pytest.raises(ValueError, match="different root counts"):
+        symcalc._sum_of_products(x, [(x, ChernSeries.chern_class(3, 4, 1), 1)])
+    with pytest.raises(TypeError):
+        symcalc._sum_of_products(x, [(RootSeries.variable(2, 4, 0), x, 1)])
+    p2, p1p1 = RING_MODELS[:2]  # two models of dimension 2
+    with pytest.raises(chow.ModelError, match="different ring models"):
+        symcalc._sum_of_products(p2.one(), [(p2.one(), p1p1.one(), 0)])
+
+
 def test_products_at_the_slot_limit_do_not_carry():
     a = RootSeries(2, TOP, {(TOP - 1, 0): 1, (0, TOP - 1): 2, (0, 0): 3})
     b = RootSeries(2, TOP, {(1, 0): 5, (0, 1): 7})
@@ -830,49 +883,81 @@ def test_identity_suites_read_each_exterior_character_once():
 # ---------------------------------------------------------------------------
 
 
-#: Calls that a guard refuses, each with its exact ValueError message.
+#: Calls that a guard refuses: the exception class and its exact message.
 GUARDS = {
-    "negative root count": (lambda: RootSeries(-1, 2), "num_roots and order must be non-negative"),
-    "negative order": (lambda: ChernSeries(1, -1), "num_roots and order must be non-negative"),
-    "exponent vector too short": (lambda: RootSeries(2, 2, {(1,): 1}),
+    "negative root count": (lambda: RootSeries(-1, 2), ValueError,
+                            "num_roots and order must be non-negative"),
+    "negative order": (lambda: ChernSeries(1, -1), ValueError,
+                       "num_roots and order must be non-negative"),
+    "exponent vector too short": (lambda: RootSeries(2, 2, {(1,): 1}), ValueError,
                                   "exponent vector (1,) has wrong length"),
     "different root counts": (
-        lambda: RootSeries.variable(2, 2, 0) + RootSeries.variable(3, 2, 0),
+        lambda: RootSeries.variable(2, 2, 0) + RootSeries.variable(3, 2, 0), ValueError,
         "series live over different root counts"),
-    "variable index out of range": (lambda: RootSeries.variable(2, 2, 2),
+    "variable index out of range": (lambda: RootSeries.variable(2, 2, 2), ValueError,
                                     "root index 2 out of range for 2 roots"),
     "univariate index out of range": (lambda: RootSeries.from_univariate(2, 2, -1, [1]),
-                                      "root index -1 out of range for 2 roots"),
-    "c_k past the root count": (lambda: ChernSeries.chern_class(2, 3, 3),
+                                      ValueError, "root index -1 out of range for 2 roots"),
+    "c_k past the root count": (lambda: ChernSeries.chern_class(2, 3, 3), ValueError,
                                 "c_3 undefined with 2 roots"),
-    "todd of no roots": (lambda: todd(0, 2), "Todd series needs at least one root"),
-    "todd_prime of no roots": (lambda: todd_prime(0, 2), "Todd series needs at least one root"),
-    "todd_roots of no roots": (lambda: todd_roots(0, 2), "Todd series needs at least one root"),
-    "todd_prime_roots of no roots": (lambda: todd_prime_roots(0, 2),
+    "todd of no roots": (lambda: todd(0, 2), ValueError, "Todd series needs at least one root"),
+    "todd_prime of no roots": (lambda: todd_prime(0, 2), ValueError,
+                               "Todd series needs at least one root"),
+    "todd_roots of no roots": (lambda: todd_roots(0, 2), ValueError,
+                               "Todd series needs at least one root"),
+    "todd_prime_roots of no roots": (lambda: todd_prime_roots(0, 2), ValueError,
                                      "Todd series needs at least one root"),
-    "root exterior power too high": (lambda: ch_exterior_roots(2, 3, 2),
+    "root exterior power too high": (lambda: ch_exterior_roots(2, 3, 2), ValueError,
                                      "exterior power 3 out of range 0..2"),
     "negative exponent": (
-        lambda: RootSeries(1, 3, {(-1,): 1, (2,): 1}),
+        lambda: RootSeries(1, 3, {(-1,): 1, (2,): 1}), ValueError,
         "exponent vector (-1,) has an entry that is not a non-negative int"),
     "fractional exponent": (
-        lambda: RootSeries(1, 3, {(1.5,): 1}),
+        lambda: RootSeries(1, 3, {(1.5,): 1}), ValueError,
         "exponent vector (1.5,) has an entry that is not a non-negative int"),
     "negative Chern exponent": (
-        lambda: ChernSeries(2, 3, {(0, 0): 1, (3, -1): 1}),
+        lambda: ChernSeries(2, 3, {(0, 0): 1, (3, -1): 1}), ValueError,
         "exponent vector (3, -1) has an entry that is not a non-negative int"),
-    "order past the slot limit": (lambda: ChernSeries(2, symcalc.MAX_ORDER + 1),
+    "order past the slot limit": (lambda: ChernSeries(2, symcalc.MAX_ORDER + 1), ValueError,
                                   "order 65536 exceeds the limit 65535"),
+    "float coefficient": (lambda: ChernSeries(1, 2, {(1,): 0.1}), ValueError,
+                          "coefficient 0.1 of (1,) is not an int or a Fraction"),
+    "text coefficient": (lambda: RootSeries(1, 2, {(0,): "1/2"}), ValueError,
+                         "coefficient '1/2' of (0,) is not an int or a Fraction"),
+    "float constant": (lambda: ChernSeries.constant(2, 3, 0.5), ValueError,
+                       "coefficient 0.5 of (0, 0) is not an int or a Fraction"),
+    "float univariate coefficient": (
+        lambda: RootSeries.from_univariate(1, 2, 0, [1, 0.5]), ValueError,
+        "coefficient 0.5 of (1,) is not an int or a Fraction"),
+    "text factor": (lambda: ChernSeries.chern_class(2, 3, 1) * "2", TypeError,
+                    "can't multiply sequence by non-int of type 'ChernSeries'"),
+    "float factor": (lambda: ChernSeries.chern_class(2, 3, 1) * 0.1, TypeError,
+                     "unsupported operand type(s) for *: 'ChernSeries' and 'float'"),
+    "infinite factor": (lambda: float("inf") * ChernSeries.chern_class(2, 3, 1), TypeError,
+                        "unsupported operand type(s) for *: 'float' and 'ChernSeries'"),
+    "float summand": (lambda: RootSeries.variable(2, 2, 0) + 0.5, TypeError,
+                      "unsupported operand type(s) for +: 'RootSeries' and 'float'"),
+    "text subtrahend": (lambda: RootSeries.variable(2, 2, 0) - "1", TypeError,
+                        "unsupported operand type(s) for -: 'RootSeries' and 'str'"),
+    "float minuend": (lambda: 0.5 - RootSeries.variable(2, 2, 0), TypeError,
+                      "unsupported operand type(s) for -: 'float' and 'RootSeries'"),
 }
 
 
 @pytest.mark.parametrize("name", GUARDS)
 def test_guard_message(name):
-    call, message = GUARDS[name]
-    with pytest.raises(ValueError) as info:
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as info:
         call()
-    assert type(info.value) is ValueError
+    assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_exact_scalars_combine_and_bool_counts_as_an_int():
+    c1 = ChernSeries.chern_class(2, 3, 1)
+    assert c1 * Fraction(1, 2) == c1 * Fraction(2, 4) == Fraction(1, 2) * c1
+    assert c1 * True == c1 and c1 + False == c1 and 1 - c1 == -(c1 - 1)
+    assert ChernSeries(2, 3, {(1, 0): True}) == c1
 
 
 def test_from_univariate_drops_coefficients_past_the_order():
