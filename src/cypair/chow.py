@@ -383,7 +383,7 @@ def projective_bundle(base: RingModel, chern_n: CohClass, rank: int) -> RingMode
     # Theory, 3.2): sum_{i=0..rank} c_i(N) (1 + xi)^{rank+1-i}.
     one_plus_xi = model.one() + model.gen_class(nb)
     powers = accumulate(repeat(one_plus_xi, rank + 1), mul)  # (1 + xi)^1, ..., ^(rank+1)
-    relative = symcalc._sum_of_products(model.zero(), (
+    relative = symcalc._linear(model.zero(), products=(
         (lift_from_base(model, chern_n.component(i)), power, 1)
         for i, power in zip(reversed(range(rank + 1)), powers)))
     model.tangent_chern = lift_from_base(model, base.tangent_chern) * relative
@@ -492,8 +492,6 @@ def ch_line(model: RingModel, divisor: CohClass) -> CohClass:
 
 def ch_cotangent_exterior(model: RingModel, p: int) -> CohClass:
     """ch of the p-th exterior power of the cotangent bundle."""
-    if not 0 <= p <= model.dim:
-        raise ValueError(f"exterior power {p} out of range 0..{model.dim}")
     return model.genera.exterior(p)
 
 

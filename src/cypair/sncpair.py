@@ -428,8 +428,9 @@ def _fold(values: list, shifted: list, negated: list):
     return values[0]
 
 
-def _ordered_sum(values: Mapping, shifted: list, negated: list):
-    """`_fold`'s sum over the masks of `values`, a downward closed mapping.
+def _ordered_sum(items: Iterable[tuple[int, object]], shifted: list, negated: list):
+    """`_fold`'s sum over (mask, value) items, given in increasing mask
+    order, whose masks form a downward closed set.
 
     With j the lowest bit of J, num[J] = num[J - {j}] // shifted[j] *
     negated[j] from num[empty] = prod shifted: exact, as shifted[j] divides
@@ -438,16 +439,18 @@ def _ordered_sum(values: Mapping, shifted: list, negated: list):
     the path of ancestors is kept: at most l + 1 numerators.  Only `*`,
     `+` and exact `//` are used.
     """
+    items = iter(items)
+    _, value = next(items)  # the empty mask's
     path = [(0, prod(shifted))]
-    total = values[0] * path[0][1]
-    for mask in sorted(values)[1:]:
+    total = value * path[0][1]
+    for mask, value in items:
         low = mask & -mask
         while path[-1][0] != mask ^ low:
             path.pop()
         j = low.bit_length() - 1
         num = path[-1][1] // shifted[j] * negated[j]
         path.append((mask, num))
-        total += values[mask] * num
+        total += value * num
     return total
 
 
@@ -481,7 +484,7 @@ def chi_d(pair: SncPair) -> Fraction:
                 for start in range(0, len(cube), block)]
         total = _fold(sums, shifted[low:], negated[low:])
     else:
-        total = _ordered_sum({m: stratum.chi for m, stratum in strata.items()}, shifted, negated)
+        total = _ordered_sum(((m, strata[m].chi) for m in sorted(strata)), shifted, negated)
     return Fraction(total, prod(shifted))
 
 

@@ -28,15 +28,16 @@ every later one; both loops of a product stop at the first term past the
 order.  Only the product's distinct exponent vectors are unpacked, so
 terms, reductions and memos stay keyed by tuples.
 
-Every genus below is a sum of products, and one kernel,
-`_sum_of_products(start, triples)`, returns start + sum q * (a * b) in one
-pass: each product's pair loop, the one `*` runs too (`_add_product`),
-adds into one dict of packed keys over one common denominator, the
-distinct keys are unpacked once, and the sum is settled once, as a single
-product is: brought to lowest terms, or, for a ring class, reduced by one
-call of the model's reducer, which is linear.  The graded exponential
-(Td and ch Lambda^r), Newton's identities and `chow`'s relative tangent
-class call it.
+Every genus below is a weighted sum of series and of products of series,
+and one kernel, `_linear(start, pairs, products)`, returns
+start + sum q * s + sum q * (a * b) in one pass: each product's pair
+loop, the one `*` runs too (`_add_product`), adds into one dict of packed
+keys over one common denominator, the distinct keys are unpacked once,
+and a sum with products is settled once, as a single product is: brought
+to lowest terms, or, for a ring class, reduced by one call of the model's
+reducer, which is linear.  `+`, the graded exponential (Td and
+ch Lambda^r), Newton's identities and `chow`'s relative tangent class
+call it.
 
 Generators implemented here:
 
@@ -197,8 +198,8 @@ class _Series:
     every operation builds its result through `_new`.  Addition and
     multiplication truncate at the smaller of the two operand orders, and
     only series of the same class combine.  A sum, and every weighted sum
-    of series, goes through one linear pass, `_linear`, which reduces to
-    lowest terms once.  A subclass may replace these
+    of series and of products, goes through one kernel, `_linear`, which
+    settles once.  A subclass may replace these
     rules (`_compatible`), the product's result (`_settle`), the printed
     variable names (`_names`), what equal series share (`_space`) and the
     error its constructor raises (`_error`).  Besides a series of its own
@@ -213,10 +214,9 @@ class _Series:
     degree, once, on its first product (`_graded_terms`), and keeps them in
     the slot `_graded` for every later product.  The view is a cache, not
     state: equality, hashing, copies and pickles ignore it.  One pair loop,
-    `_add_product`, runs over those views for `*` and for the kernel
-    `_sum_of_products`, which adds a weighted sum of products into one
-    packed dict and settles it once (`_settle`), however many products it
-    adds.
+    `_add_product`, runs over those views for `*` and for `_linear`, which
+    adds all of its products into one packed dict and settles the sum once
+    (`_settle`), however many products it adds.
     """
 
     __slots__ = ("num_roots", "order", "_num", "_den", "_graded")
@@ -394,41 +394,55 @@ class _Series:
         return " + ".join(bits)
 
 
-def _linear(start: _Series, pairs: Iterable[tuple[_Series, int | Fraction]]) -> _Series:
-    """start + sum of q * s over the (s, q) pairs, by the rules of `+`, in one pass.
+def _linear(start: _Series, pairs: Iterable[tuple[_Series, int | Fraction]] = (),
+            products: Iterable[tuple[_Series, _Series, int | Fraction]] = ()) -> _Series:
+    """start + sum of q * s over the (s, q) pairs + sum of q * (a * b) over
+    the (a, b, q) products, by the rules of `+` and `*`, in one pass.
 
-    Every s must combine with start, and the result is truncated at the
-    smallest order of them all; a zero q adds no terms.  The numerators
-    are summed over one common denominator and brought to lowest terms
-    once, not once per scalar product and sum.  A combination of basis
-    classes is a basis class, so the result is built by `start._new`.
+    Every s, a and b must combine with start, and the result is truncated
+    at the smallest order of them all; a zero q adds no terms.  Over one
+    common denominator, start's numerators are copied, each s's added, and
+    the products' pair loops (`_add_product`) fill one packed dict that is
+    unpacked once.  A sum of basis classes is a basis class, so a sum with
+    no product is only brought to lowest terms; one with a product is
+    settled by `_settle`, for a ring class one (linear) `reduce_terms` call.
     """
-    pairs = list(pairs)
-    order = _combined_order(start, (s for s, _ in pairs))
-    wide = start.order > order or any(s.order > order for s, _ in pairs)
-    scaled = [(s._num, s._den * q.denominator, q.numerator) for s, q in pairs if q]
-    den = lcm(start._den, *(d for _, d, _ in scaled))
+    kind, order, top = type(start), start.order, start.order
+    operands, scaled, live = [], [], []
+    for s, q in pairs:
+        operands.append(s)
+        top = max(top, s.order)  # a product's pair loop stops at the order itself
+        if q:
+            scaled.append((s._den * q.denominator, q.numerator, s._num))
+    for a, b, q in products:
+        operands += a, b
+        if q:
+            live.append((a._den * b._den * q.denominator, q.numerator, a, b))
+    for s in operands:
+        if type(s) is not kind:
+            raise TypeError(f"cannot combine {kind.__name__} with {type(s).__name__}")
+        order = min(order, start._compatible(s))
+    den = lcm(start._den, *[t[0] for t in scaled + live])
     scale = den // start._den
     num = {e: n * scale for e, n in start._num.items()} if scale > 1 else dict(start._num)
     get = num.get
-    for terms, d, q in scaled:
+    for d, q, terms in scaled:
         scale = q * (den // d)
         for e, n in terms.items():
             num[e] = get(e, 0) + n * scale
-    if wide:
+    if top > order:
         degree = start._degree
         num = {e: n for e, n in num.items() if degree(e) <= order}
-    return start._new(order, *_lowest(num, den))
-
-
-def _combined_order(start: _Series, operands: Iterable[_Series]) -> int:
-    """The order of a combination of start with operands that must combine with it."""
-    order = start.order
-    for s in operands:
-        if type(s) is not type(start):
-            raise TypeError(f"cannot combine {type(start).__name__} with {type(s).__name__}")
-        order = min(order, start._compatible(s))
-    return order
+    if not live:
+        return start._new(order, *_lowest(num, den))
+    out: dict[int, int] = {}
+    for d, q, a, b in live:
+        _add_product(out, a, b, order, q * (den // d))
+    raw = _unpacked(start.num_roots, out)
+    get = raw.get
+    for e, n in num.items():
+        raw[e] = get(e, 0) + n
+    return start._settle(order, raw, den)
 
 
 def _add_product(out: dict[int, int], a: _Series, b: _Series, order: int, scale: int) -> None:
@@ -459,33 +473,6 @@ def _unpacked(num_roots: int, packed: dict[int, int]) -> dict[Exponents, int]:
     packing = _packing(num_roots)
     known, vector = packing.vectors.get, packing.vector
     return {known(k) or vector(k): n for k, n in packed.items()}
-
-
-def _sum_of_products(start: _Series,
-                     triples: Iterable[tuple[_Series, _Series, int | Fraction]]) -> _Series:
-    """start + sum of q * (a * b) over the (a, b, q) triples, in one pass.
-
-    Equal to `_linear(start, [(a * b, q), ...])`: every a and b must combine
-    with start, the result is truncated at the smallest order of them all,
-    and a zero q adds no terms.  Each product's pair loop (`_add_product`)
-    adds into one dict of packed keys, already scaled to one common
-    denominator; its distinct keys are unpacked once, start's terms added,
-    and the sum settled once by `_settle`: brought to lowest terms, or, for
-    a ring class, reduced by one `reduce_terms` call, as reduction is linear.
-    """
-    triples = list(triples)
-    order = _combined_order(start, (s for a, b, _ in triples for s in (a, b)))
-    live = [(a, b, q, a._den * b._den * q.denominator) for a, b, q in triples if q]
-    den = lcm(start._den, *(d for *_, d in live))
-    out: dict[int, int] = {}
-    for a, b, q, d in live:
-        _add_product(out, a, b, order, q.numerator * (den // d))
-    raw = _unpacked(start.num_roots, out)
-    get, scale, degree = raw.get, den // start._den, start._degree
-    for e, n in start._num.items():
-        if start.order <= order or degree(e) <= order:  # start's terms through the order
-            raw[e] = get(e, 0) + n * scale
-    return start._settle(order, raw, den)
 
 
 def _zero(cls, num_roots: int, order: int):
@@ -780,7 +767,7 @@ def _graded_exp(parts: list[_Series], pieces: list[_Series]) -> list[_Series]:
     E_d = X_d + sum_{k=1}^{d-1} (k / d) X_k E_{d-k}.
     """
     for d in range(len(pieces), len(parts) + 1):
-        pieces.append(_sum_of_products(parts[d - 1], (
+        pieces.append(_linear(parts[d - 1], products=(
             (parts[k - 1], pieces[d - k], Fraction(k, d)) for k in range(1, d))))
     return pieces
 
@@ -811,11 +798,11 @@ class Genera:
         Newton's identities: p_k = sum_{i=1}^{k-1} (-1)^{i-1} c_i p_{k-i}
         + (-1)^{k-1} k c_k, where c_i = 0 for i > m.
         """
-        chern, m, zero = self.chern, self.rank, self._zero
+        chern, m = self.chern, self.rank
         sums = [chern[0] * m]
         for k in range(1, self.order + 1):
-            top = chern[k] * ((-1) ** (k - 1) * k) if k <= m else zero
-            sums.append(_sum_of_products(top, (
+            top = [(chern[k], (-1) ** (k - 1) * k)] if k <= m else []
+            sums.append(_linear(self._zero, top, (
                 (chern[i], sums[k - i], (-1) ** (i - 1)) for i in range(1, min(k - 1, m) + 1))))
         return tuple(sums)
 
@@ -841,6 +828,8 @@ class Genera:
         Finally e_r(1 + z) = sum_k C(m - k, r - k) e_k(z), k <= min(r, order).
         Each X_n and E_k is built once, when the first r that needs it is read.
         """
+        if not 0 <= r <= self.rank:
+            raise ValueError(f"exterior power {r} out of range 0..{self.rank}")
         if r in self._exterior:
             return self._exterior[r]
         sums, order, m, zero = self.power_sums, self.order, self.rank, self._zero
@@ -897,8 +886,6 @@ def ch_exterior(num_roots: int, r: int, order: int) -> ChernSeries:
 
     Equals e_r(exp(-x_1), ..., exp(-x_m)); r = 0 gives the constant 1.
     """
-    if not 0 <= r <= num_roots:
-        raise ValueError(f"exterior power {r} out of range 0..{num_roots}")
     return _universal(num_roots, order).exterior(r)
 
 

@@ -604,9 +604,48 @@ def test_ring_genera_reduce_once_per_power_sum_and_graded_piece(monkeypatch):
     model.genera.todd
     model.genera.exterior(model.dim)
     monkeypatch.undo()
-    # p_1..p_5, then the pieces E_1..E_5 of Td and of ch Lambda^5; reducing
-    # each product on its own took 30 calls.
-    assert calls.count(0) == 15
+    # p_2..p_5, then the pieces E_2..E_5 of Td and of ch Lambda^5; p_1 and
+    # both E_1 are sums without a product and reduce nothing.  Reducing each
+    # product on its own took 30 calls, and settling every kernel call 15.
+    assert calls.count(0) == 12
+
+
+def test_ring_sums_without_products_reach_no_reduction(monkeypatch):
+    model = shape_model(((1, 1), (1, 2)), random.Random(5), [])
+    divisor = model.gen_class(0) * 2 + model.gen_class(1)
+    reductions, depth = [0], [0]
+    plain, with_products = [], []
+    reduce_terms, linear = RingModel.reduce_terms, symcalc._linear
+
+    def counting(self, raw, den, order=None):
+        # the reducer fills its memo through itself: count outside calls only
+        reductions[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return reduce_terms(self, raw, den, order)
+        finally:
+            depth[0] -= 1
+
+    def watched(start, pairs=(), products=()):
+        # operands built lazily, as ch_line's powers are, are built first
+        pairs, products = list(pairs), list(products)
+        before = reductions[0]
+        result = linear(start, pairs, products)
+        (with_products if products else plain).append(reductions[0] - before)
+        return result
+
+    monkeypatch.setattr(RingModel, "reduce_terms", counting)
+    monkeypatch.setattr(symcalc, "_linear", watched)
+    model.genera.todd
+    td_sums = len(plain)
+    model.genera.exterior(model.dim)
+    ch_line(model, divisor)
+    monkeypatch.undo()
+    # Td: p_1, E_1 and the final sum of pieces; ch Lambda^5: E_1, the five
+    # parts X_n and the final sum; then ch_line's sum of powers
+    assert td_sums == 3 and len(plain) == 11
+    assert plain == [0] * 11
+    assert with_products == [1] * 12
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +797,12 @@ GUARDS = {
         "exterior power 3 out of range 0..2"),
     "cotangent exterior power negative": (
         lambda: ch_cotangent_exterior(projective_space(2), -1), ValueError,
+        "exterior power -1 out of range 0..2"),
+    "ring genera exterior power too high": (
+        lambda: projective_space(2).genera.exterior(3), ValueError,
+        "exterior power 3 out of range 0..2"),
+    "ring genera exterior power negative": (
+        lambda: projective_space(2).genera.exterior(-1), ValueError,
         "exterior power -1 out of range 0..2"),
     "form degree too high": (lambda: chi_twisted_hodge(2, 3, 0), ValueError,
                              "form degree 3 out of range 0..2"),

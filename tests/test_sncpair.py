@@ -6,6 +6,8 @@ import json
 import math
 import pickle
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1096,10 +1098,28 @@ def test_both_sums_run_over_integer_polynomials_in_d(pair):
     chis = {mask: stratum.chi for mask, stratum in pair.strata.items()}
     cube = [chis.get(mask, 0) for mask in range(1 << len(shifted))]
     folded = IntPoly.lift(sncpair._fold(cube, shifted, negated))
-    ordered = IntPoly.lift(sncpair._ordered_sum(chis, shifted, negated))
+    ordered = IntPoly.lift(sncpair._ordered_sum(sorted(chis.items()), shifted, negated))
     assert folded == ordered
     denominator = IntPoly.lift(math.prod(shifted))
     assert Fraction(ordered.at(pair.d), denominator.at(pair.d)) == chi_d(pair)
+
+
+def test_the_sparse_sum_reads_the_table_without_a_copy():
+    """On a wide table (22 components, every stratum of depth at most 4),
+    `chi_d` takes the sparse sum with less memory than a dict with one
+    entry per stratum."""
+    l = 22
+    strata = {sum(1 << j for j in subset): Stratum(10 ** 39 + sum(subset))
+              for k in range(5) for subset in itertools.combinations(range(l), k)}
+    pair = SncPair(3, tuple(Component(f"D{j}", 10 ** 39 + j) for j in range(l)), strata)
+    assert len(strata) >= 64 and 1 << l > 4 * len(strata)  # not dense: no fold
+    tracemalloc.start()
+    try:
+        chi_d(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(dict.fromkeys(strata))
 
 
 def toric_surface(rays: list, u: tuple, d: int) -> SncPair:

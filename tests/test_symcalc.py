@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import itertools
@@ -6,6 +7,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -642,6 +644,24 @@ def test_linear_keeps_the_rules_of_addition():
         symcalc._linear(p2.one(), [(p2.gen_class(0), 2), (p1p1.gen_class(0), 1)])
 
 
+def test_sum_of_products_keeps_the_rules_of_addition():
+    """The rules of addition hold for the (a, b, q) products of `_linear`."""
+    x = ChernSeries.chern_class(2, 4, 1)
+    assert symcalc._linear(x, products=[]) == x
+    # a zero coefficient adds no terms but still truncates
+    low = symcalc._linear(x, products=[(x, ChernSeries.chern_class(2, 1, 1), 0)])
+    assert low.order == 1 and low == x.truncate(1)
+    with pytest.raises(ValueError, match="different root counts"):
+        symcalc._linear(x, products=[(x, ChernSeries.chern_class(3, 4, 1), 1)])
+    with pytest.raises(TypeError):
+        symcalc._linear(x, products=[(RootSeries.variable(2, 4, 0), x, 1)])
+    p2, p1p1 = RING_MODELS[:2]  # two models of dimension 2
+    with pytest.raises(chow.ModelError, match="different ring models"):
+        symcalc._linear(p2.one(), products=[(p2.one(), p1p1.one(), 0)])
+    with pytest.raises(chow.ModelError, match="different ring models"):
+        symcalc._linear(p2.one(), [(p2.gen_class(0), 1)], [(p2.one(), p1p1.one(), 1)])
+
+
 # ---------------------------------------------------------------------------
 # packed products, against the tuple-keyed oracle
 # ---------------------------------------------------------------------------
@@ -691,17 +711,21 @@ def test_products_match_the_tuple_oracle(operands):
 
 
 @st.composite
-def sums_of_products(draw):
-    """A start series and up to three (a, b, q) triples of its kind: unequal
-    orders, maybe empty operands, fractional coefficients and zero q."""
+def weighted_sums(draw):
+    """A start series, up to three (s, q) pairs and up to three (a, b, q)
+    products of its kind: unequal orders, maybe empty operands, fractional
+    coefficients and zero q."""
     kind = draw(st.sampled_from(["roots", "chern", "ring"]))
     if kind == "ring":
         model = draw(st.sampled_from([chow.point()] + RING_MODELS))
         keys, top = st.sampled_from(model.basis()), model.dim
+        # one lowest order for the case, so that the products of a case at
+        # the top order reach monomials that the model reduces
+        low = draw(st.integers(0, top))
 
         def make():
             terms = draw(st.dictionaries(keys, RATIONALS, max_size=6))
-            return chow.CohClass(model, terms).truncate(draw(st.integers(0, top)))
+            return chow.CohClass(model, terms).truncate(draw(st.integers(low, top)))
     else:
         cls = RootSeries if kind == "roots" else ChernSeries
         m = draw(st.integers(0, 3))
@@ -711,36 +735,55 @@ def sums_of_products(draw):
             return cls(m, draw(st.integers(0, 5)), draw(st.dictionaries(keys, RATIONALS, max_size=6)))
     start = make()
     scalars = st.one_of(st.just(0), st.integers(-3, 3), RATIONALS)
-    return start, [(make(), make(), draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
+    pairs = [(make(), draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
+    return start, pairs, [(make(), make(), draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(sums_of_products())
-def test_sum_of_products_matches_the_linear_pass_over_products(case):
-    start, triples = case
-    result = symcalc._sum_of_products(start, triples)
-    expected = symcalc._linear(start, [(a * b, q) for a, b, q in triples])
-    assert type(result) is type(start) and result.order == expected.order
-    assert result == expected and hash(result) == hash(expected)
+@given(weighted_sums())
+def test_linear_mixes_pairs_and_products_like_pairwise_arithmetic_and_the_oracle(case):
+    start, pairs, products = case
+    # iterators, as the genera pass: each is read once
+    result = symcalc._linear(start, iter(pairs), iter(products))
+    pairwise = start
+    for s, q in pairs:
+        pairwise = pairwise + s * q
+    for a, b, q in products:
+        pairwise = pairwise + a * b * q
+    assert type(result) is type(start) and result.order == pairwise.order
+    assert result == pairwise and hash(result) == hash(pairwise)
     # again with the products of the tuple-keyed oracle, which has its own pair loop
     assert result == symcalc._linear(
-        start, [(product_oracle.product(a, b), q) for a, b, q in triples])
+        start, pairs + [(product_oracle.product(a, b), q) for a, b, q in products])
     _assert_lowest_terms(result)
 
 
-def test_sum_of_products_keeps_the_rules_of_addition():
-    x = ChernSeries.chern_class(2, 4, 1)
-    assert symcalc._sum_of_products(x, []) == x
-    # a zero coefficient adds no terms but still truncates
-    low = symcalc._sum_of_products(x, [(x, ChernSeries.chern_class(2, 1, 1), 0)])
-    assert low.order == 1 and low == x.truncate(1)
-    with pytest.raises(ValueError, match="different root counts"):
-        symcalc._sum_of_products(x, [(x, ChernSeries.chern_class(3, 4, 1), 1)])
-    with pytest.raises(TypeError):
-        symcalc._sum_of_products(x, [(RootSeries.variable(2, 4, 0), x, 1)])
-    p2, p1p1 = RING_MODELS[:2]  # two models of dimension 2
-    with pytest.raises(chow.ModelError, match="different ring models"):
-        symcalc._sum_of_products(p2.one(), [(p2.one(), p1p1.one(), 0)])
+def _callers(names: set[str]) -> dict[str, set[str]]:
+    """The functions of the cypair modules, by qualified name, that call
+    each of names, as a function or as a method."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in found:
+                    found[name].add(scope)
+            visit(child, inner)
+
+    for path in sorted(Path(symcalc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_linear_is_the_one_weighted_sum_kernel():
+    """Only a product and `_linear` run the pair loop, unpack packed keys
+    and settle raw numerators."""
+    for name, callers in _callers({"_add_product", "_unpacked", "_settle"}).items():
+        assert callers == {"symcalc._Series.__mul__", "symcalc._linear"}, name
 
 
 def test_products_at_the_slot_limit_do_not_carry():
@@ -909,6 +952,12 @@ GUARDS = {
                                      "Todd series needs at least one root"),
     "root exterior power too high": (lambda: ch_exterior_roots(2, 3, 2), ValueError,
                                      "exterior power 3 out of range 0..2"),
+    "exterior power too high": (lambda: ch_exterior(2, 3, 2), ValueError,
+                                "exterior power 3 out of range 0..2"),
+    "genera exterior power too high": (lambda: symcalc._universal(2, 5).exterior(3), ValueError,
+                                       "exterior power 3 out of range 0..2"),
+    "genera exterior power negative": (lambda: symcalc._universal(2, 5).exterior(-1),
+                                       ValueError, "exterior power -1 out of range 0..2"),
     "negative exponent": (
         lambda: RootSeries(1, 3, {(-1,): 1, (2,): 1}), ValueError,
         "exponent vector (-1,) has an entry that is not a non-negative int"),
