@@ -29,9 +29,9 @@ DEFAULT_SEED = 7
 #: Largest accepted `hrr cp --n`.  Td and ch Lambda^p are built in the
 #: ring of P^n, the latter from the graded pieces E_0..E_p alone, so
 #: --p n is the slowest: with a 39-digit `--twist`, `hrr cp --n 75 --p 75`
-#: takes 0.7-1.3 s (`--p 37` 0.84-0.93 s) and n = 80 takes 1.6 s on a 2-CPU
-#: Xeon VM, in child processes, with CPython 3.11; at 75 a machine 7x slower
-#: stays under 10 s.
+#: takes 0.58-0.92 s (`--p 37` 0.43-0.54 s) and n = 80 takes 0.79-1.33 s on a
+#: 2-CPU Xeon VM, in child processes, with CPython 3.11; at 75 a machine 7x
+#: slower stays under 10 s.
 MAX_HRR_N = 75
 
 #: Largest accepted `chi-d cp --r`.  The model pair on projective r-space
@@ -161,8 +161,10 @@ def cmd_identities(args) -> Report:
         raise CliInputError(
             f"--max-m must lie in 1..{symcalc.MAX_VERIFY_ROOTS}, got {args.max_m}")
 
+    # From the largest root count down: its genera are built once and every
+    # smaller count restricts them (`symcalc._universal`); `_emit` sorts.
     checks = []
-    for m in range(1, args.max_m + 1):
+    for m in range(args.max_m, 0, -1):
         for i, residual in enumerate(symcalc.verify_total_class_identities(m), 1):
             checks.append(_check(f"m{m}-todd-identity-{i}", repr(residual), "0"))
         for i, residual in enumerate(symcalc.verify_shifted_class_identities(m), 1):

@@ -58,6 +58,16 @@ e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  One memo, `Genera`, runs these
 steps on given Chern classes and builds each result once: the universal
 series read one per root count and order, and `chow` one per ring model.
 
+The universal series are stable in the rank: c_k = 0 for k > m makes the
+extra roots 0, which add nothing to p_1, p_2, ..., so Td, every p_k with
+k >= 1, the parts and the pieces e_k(z) of m roots are those of M > m roots
+with every term in c_{m+1}..c_M dropped.  Only p_0 = m, the binomials
+C(m - k, r - k) and, through p_0, Td' see m.  So `_universal` builds the
+genera of the most roots asked for once and restricts them to every
+smaller root count and order (`_restricted`), to exactly the series a
+direct build gives; the identity suite verifies m from the largest down.
+The genera of a ring model are never restricted.
+
 `todd_roots`, `todd_prime_roots` (with a nilpotent shift variable,
 t^2 = 0) and `ch_exterior_roots` build the same series in root
 coordinates, with C(m + n, m) monomials; `symmetrize_to_chern` folds them
@@ -92,9 +102,10 @@ MAX_ORDER = (1 << SLOT_BITS) - 1
 
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
-#: partitions of the truncation order m + 2: `cypair identities --max-m 15`
-#: takes 1.1-1.5 s (32 MiB peak RSS) and 16 takes 1.5-1.8 s on a 2-CPU Xeon
-#: VM, in child processes, with CPython 3.11.
+#: partitions of the truncation order m + 2, and the largest m is the one
+#: built: `cypair identities --max-m 15` takes 0.49-0.67 s (28 MiB peak RSS)
+#: and 16 takes 0.73-1.22 s on a 2-CPU Xeon VM, in child processes, with
+#: CPython 3.11.
 MAX_VERIFY_ROOTS = 15
 
 #: What a series combines with besides a series of its own kind: exact scalars.
@@ -832,8 +843,16 @@ class Genera:
             raise ValueError(f"exterior power {r} out of range 0..{self.rank}")
         if r in self._exterior:
             return self._exterior[r]
-        sums, order, m, zero = self.power_sums, self.order, self.rank, self._zero
-        top = min(r, order)
+        top, m = min(r, self.order), self.rank
+        pieces = self._graded_pieces(top)
+        ch = self._exterior[r] = _linear(
+            self._zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
+        return ch
+
+    def _graded_pieces(self, top: int) -> list[_Series]:
+        """The pieces E_0..E_top of `exterior`, each built once, and the parts
+        X_1..X_top they need."""
+        sums, order, zero = self.power_sums, self.order, self._zero
         stirling = self._stirling  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
         for n in range(len(self._parts) + 1, top + 1):
             stirling = list(itertools.accumulate(
@@ -843,17 +862,71 @@ class Genera:
                 (sums[i], Fraction((-1) ** i * sign * stirling[i], factorial(i)))
                 for i in range(n, order + 1))))
         self._stirling = stirling
-        pieces = _graded_exp(self._parts, self._pieces)
-        ch = self._exterior[r] = _linear(
-            zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
-        return ch
+        return _graded_exp(self._parts, self._pieces)
+
+
+#: The universal genera with the most roots that `_universal` has built
+#: directly (at most one entry; of equal root counts, the last built).
+_LARGEST: list[Genera] = []
+
+
+def _restricted(series: ChernSeries, num_roots: int, order: int) -> ChernSeries:
+    """series with c_k = 0 for k > num_roots, over c_1..c_num_roots, through
+    degree `order`, in lowest terms.
+
+    Read off the graded view: it is sorted by degree, and c_k, k > num_roots,
+    fill the lowest slots of a packed key (`_Packing`), so a term is kept
+    when those slots are zero, and shifting them out gives its key over
+    num_roots roots.
+    """
+    shift = SLOT_BITS * (series.num_roots - num_roots)
+    dropped = (1 << shift) - 1
+    packing = _packing(num_roots)
+    known, vector = packing.vectors.get, packing.vector
+    num = {}
+    for d, key, n in series._graded_terms():
+        if d > order:
+            break
+        if not key & dropped:
+            key >>= shift
+            num[known(key) or vector(key)] = n
+    return ChernSeries._make(num_roots, order, *_lowest(num, series._den))
 
 
 @lru_cache(maxsize=None)
 def _universal(num_roots: int, order: int) -> Genera:
-    """The genera of m roots in the c-basis, through degree `order`."""
-    return Genera([ChernSeries.chern_class(num_roots, order, k)
-                   for k in range(num_roots + 1)], order)
+    """The genera of m roots in the c-basis, through degree `order`.
+
+    The universal series are stable in the rank: a bundle of rank M with
+    c_k = 0 for k > m has M - m roots 0, and a zero root adds nothing to a
+    power sum p_k, k >= 1, so nothing to Td, to the parts X_n or to the
+    pieces E_k = e_k(exp(-x) - 1).  Only p_0 = m, the binomials
+    C(m - k, r - k) of ch Lambda^r and, through p_0, Td' see m.  So when
+    the genera in `_LARGEST` have at least m roots and at least this order,
+    p_1.., Td, X_n and E_0..E_min(m, order) are theirs with every term in a
+    c_k, k > m, dropped, truncated at the order and in lowest terms
+    (`_restricted`), the same representation a direct build has.  p_0 is
+    set to m, and `Genera.exterior` sums the restricted pieces with m's
+    binomials; its parts are complete, so it builds none.  Otherwise the
+    genera are built directly, and become the record if they have at least
+    as many roots.  Only these c-basis genera are restricted: a ring
+    model's `Genera` (`chow`) is always built from its own classes.
+    """
+    chern = [ChernSeries.chern_class(num_roots, order, k) for k in range(num_roots + 1)]
+    genera = Genera(chern, order)
+    source = _LARGEST[0] if _LARGEST else None
+    if source is None or source.rank < num_roots or source.order < order:
+        if source is None or source.rank <= num_roots:
+            _LARGEST[:] = [genera]
+        return genera
+    top = min(num_roots, order)
+    pieces = source._graded_pieces(top)
+    genera.power_sums = (chern[0] * num_roots,) + tuple(
+        _restricted(p, num_roots, order) for p in source.power_sums[1:order + 1])
+    genera.todd = _restricted(source.todd, num_roots, order)
+    genera._parts = [_restricted(x, num_roots, order) for x in source._parts[:top]]
+    genera._pieces = [_restricted(e, num_roots, order) for e in pieces[:top + 1]]
+    return genera
 
 
 @lru_cache(maxsize=None)

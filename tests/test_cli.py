@@ -240,6 +240,31 @@ IDENTITIES_M8_DIGEST = "f38ec16aeb06a9242d0199074e48ab58699b0292dd44eaa56f638894
 HRR_CP_N10_DIGEST = "1d38ecf4f2a5191f13745003e6d1d47dbb689e620e0b8abb518f3a16fda108be"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_identities_report_does_not_depend_on_the_order_of_root_counts(capsys, flags):
+    # `identities` verifies m = max_m..1 so that smaller root counts restrict
+    # the first build; `_emit` sorts the checks, so the report reads as if
+    # each m were verified from scratch in increasing order.
+    code, out, _ = run_cli(["identities", "--max-m", "5", *flags], capsys)
+    assert code == 0
+    for memo in (symcalc._universal, symcalc.todd, symcalc.todd_prime,
+                 symcalc.ch_exterior, symcalc._alternating_sums):
+        memo.cache_clear()
+    symcalc._LARGEST.clear()
+    ascending = []
+    for m in range(1, 6):
+        for i, residual in enumerate(symcalc.verify_total_class_identities(m), 1):
+            ascending.append(cli._check(f"m{m}-todd-identity-{i}", repr(residual), "0"))
+        for i, residual in enumerate(symcalc.verify_shifted_class_identities(m), 1):
+            ascending.append(cli._check(f"m{m}-todd-prime-identity-{i}", repr(residual), "0"))
+    shuffled = ascending[:]
+    random.Random(5).shuffle(shuffled)
+    args = argparse.Namespace(json=bool(flags), out=None)
+    for checks in (ascending, ascending[::-1], shuffled):
+        assert cli._emit(cli.Report("identities", checks, []), args) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_identities_report_matches_recorded_digest(capsys):
     code, out, _ = run_cli(["identities", "--max-m", "8", "--json"], capsys)
     assert code == 0

@@ -2,10 +2,12 @@ import ast
 import copy
 import hashlib
 import itertools
+import json
 import operator
 import pickle
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cypair import chow, inputs, symcalc
+from cypair import chow, cli, inputs, symcalc
 from cypair.symcalc import (
     ChernSeries,
     RootSeries,
@@ -344,6 +346,70 @@ def test_exterior_builds_its_pieces_once_and_only_up_to_the_power_read():
     assert (len(genera._parts), len(genera._pieces)) == (m, m + 1)
     assert all(map(operator.is_, parts + pieces, genera._parts[:3] + genera._pieces[:4]))
     assert genera.exterior(3) is genera.exterior(3)
+
+
+#: The memos that hold universal genera or series read from them.
+GENUS_MEMOS = (symcalc._universal, symcalc.todd, symcalc.todd_prime, symcalc.ch_exterior,
+               symcalc._alternating_sums)
+
+
+def _universal_from(source, m, order):
+    """`_universal(m, order)` and `todd_prime(m, order)` (None for m = 0) from
+    empty memos, with `source` the only genera to restrict, or none."""
+    symcalc._universal.cache_clear()
+    symcalc.todd_prime.cache_clear()
+    symcalc._LARGEST[:] = [] if source is None else [source]
+    genera = symcalc._universal(m, order)
+    return genera, todd_prime(m, order) if m else None
+
+
+def _representation(series):
+    return type(series), series.num_roots, series.order, series._den, series._num
+
+
+@pytest.mark.parametrize("big", range(1, 9))
+def test_restricted_universal_genera_equal_direct_builds(big):
+    # Setting c_k = 0 for k > m in the genera of `big` roots must give exactly
+    # what a direct build of m roots gives: p_0 = m, and ch Lambda^r summed
+    # with C(m - k, r - k), not with big's binomials.
+    for top in (big, big + 2):
+        source, _ = _universal_from(None, big, top)
+        for m in range(big + 1):
+            for order in range(top + 1):
+                direct, direct_prime = _universal_from(None, m, order)
+                restricted, prime = _universal_from(source, m, order)
+                assert restricted is not source and symcalc._LARGEST[0] is source
+                pairs = [(restricted.todd, direct.todd)]
+                if m:  # Td' needs a root
+                    pairs.append((prime, direct_prime))
+                pairs += itertools.zip_longest(restricted.power_sums, direct.power_sums)
+                pairs += [(restricted.exterior(r), direct.exterior(r)) for r in range(m + 1)]
+                for got, want in pairs:
+                    assert _representation(got) == _representation(want), (big, top, m, order)
+                # the restricted parts cover every power: exterior built none
+                assert len(restricted._parts) == min(m, order)
+
+
+def test_identity_suite_builds_todd_by_the_graded_exponential_once(monkeypatch, capsys):
+    # `identities --max-m 6` verifies m = 6 first; Td of every smaller m is
+    # restricted from that build, so only Td of 6 roots runs the graded
+    # exponential (one build per root count would be six).
+    built = []
+    todd_property = symcalc.Genera.todd
+
+    def counted(genera):
+        built.append((genera.rank, genera.order))
+        return todd_property.func(genera)
+
+    counting = cached_property(counted)
+    counting.__set_name__(symcalc.Genera, "todd")
+    monkeypatch.setattr(symcalc.Genera, "todd", counting)
+    monkeypatch.setattr(symcalc, "_LARGEST", [])
+    for memo in GENUS_MEMOS:
+        memo.cache_clear()
+    assert cli.main(["identities", "--max-m", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+    assert built == [(6, 8)]
 
 
 def test_chern_product_matches_root_product():
