@@ -200,8 +200,8 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
 
 
 def cmd_chi_d_cp(args) -> Report:
-    if args.r > MAX_CP_R:
-        raise CliInputError(f"--r must be at most {MAX_CP_R}, got {args.r}")
+    if not 1 <= args.r <= MAX_CP_R:
+        raise CliInputError(f"--r must lie in 1..{MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
     model, pair = sncpair.cp_pair(args.r, args.s, args.d, mults)
     by_enumeration = sncpair.chi_d(pair)
@@ -254,7 +254,7 @@ def cmd_hrr_cp(args) -> Report:
     if not 0 <= args.n <= MAX_HRR_N:
         raise CliInputError(f"--n must lie in 0..{MAX_HRR_N}, got {args.n}")
     if not 0 <= args.p <= args.n:
-        raise CliInputError(f"--p must lie in 0..{args.n}")
+        raise CliInputError(f"--p must lie in 0..{args.n}, got {args.p}")
     value = chow.chi_twisted_hodge(args.n, args.p, args.twist)
     checks = []
     if 1 <= args.twist <= args.p:

@@ -582,7 +582,7 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
     """
     mults = tuple(mults)
     if r < 1:
-        raise PairValidationError(f"fiber dimension r must be >= 1, got {r}")
+        raise PairValidationError(f"ambient dimension r must be >= 1, got {r}")
     if not 0 <= s <= r:
         raise PairValidationError(f"need 0 <= s <= r, got s={s}, r={r}")
     if len(mults) != s:

@@ -78,8 +78,11 @@ the independent reference the tests compare the Chern-basis series with.
 multiply the Chern-basis generators out and return the residuals of the
 five closed-form identities they satisfy; a residual is an ordinary
 result, so a nonzero residual is reported, not raised.  Both read every
-series from the one memo of order m + 2, and the weighted sums of the
-exterior characters from one memo of sums per root count.
+series from the one memo of order m + 2, and the alternating sums
+S_w = sum_r (-1)^r w(r) ch Lambda^r, w(r) = 1, r, r(r - 1), from one memo of
+sums per root count.  As ch Lambda^r = sum_k C(m - k, r - k) E_k, each is
+S_w = sum_k q_k(w) E_k with integer weights q_k(w) that vanish for k < m - 2:
+a sum of at most three pieces E_k, and no ch Lambda^r is built.
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ MAX_ORDER = (1 << SLOT_BITS) - 1
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2, and the largest m is the one
-#: built: `cypair identities --max-m 15` takes 0.49-0.67 s (28 MiB peak RSS)
-#: and 16 takes 0.73-1.22 s on a 2-CPU Xeon VM, in child processes, with
-#: CPython 3.11.
+#: built: `cypair identities --max-m 15` takes 0.35-0.49 s (24 MiB peak RSS)
+#: and 16 takes 0.51-0.56 s (29 MiB) on a 2-CPU Xeon VM, in child processes,
+#: with CPython 3.11.
 MAX_VERIFY_ROOTS = 15
 
 #: What a series combines with besides a series of its own kind: exact scalars.
@@ -975,18 +978,32 @@ def _guard_verify_roots(m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _alternating_sums(m: int) -> tuple[ChernSeries, ...]:
-    """S_1, S_r and S_{r(r-1)} of m roots through degree m + 2, from one read of each ch."""
+    """S_1, S_r and S_{r(r-1)} of m roots through degree m + 2, each one sum
+    of the pieces E_k of `Genera.exterior`.
+
+    ch Lambda^r = sum_k C(m - k, r - k) E_k (every k <= r, as r <= m < m + 2),
+    so S_w = sum_r (-1)^r w(r) ch Lambda^r = sum_k q_k(w) E_k with
+    q_k(w) = sum_{r=k}^{m} (-1)^r w(r) C(m - k, r - k).  That is (-1)^m times
+    the (m - k)-th forward difference of w at k, zero for k < m - 2 as w has
+    degree <= 2: each S_w sums at most three pieces, and S_1 = (-1)^m E_m.
+    No ch Lambda^r is built.
+    """
     order = m + 2
-    chs = [ch_exterior(m, r, order) for r in range(m + 1)]
-    return tuple(
-        _linear(ChernSeries.zero(m, order), ((ch, (-1) ** r * w(r)) for r, ch in enumerate(chs)))
-        for w in (lambda r: 1, lambda r: r, lambda r: r * (r - 1)))
+    pieces = _universal(m, order)._graded_pieces(m)
+    sums = []
+    for w in (lambda r: 1, lambda r: r, lambda r: r * (r - 1)):
+        weights = (sum((-1) ** r * w(r) * comb(m - k, r - k) for r in range(k, m + 1))
+                   for k in range(m + 1))
+        sums.append(_linear(ChernSeries.zero(m, order),
+                            [(e, q) for e, q in zip(pieces, weights) if q]))
+    return tuple(sums)
 
 
 def verify_total_class_identities(m: int) -> tuple[ChernSeries, ChernSeries, ChernSeries]:
     """Residuals of the three Todd / exterior-character identities.
 
-    With S_w = sum_r (-1)^r w(r) ch of the r-th exterior dual power:
+    With S_w = sum_r (-1)^r w(r) ch of the r-th exterior dual power, read
+    as S_w = sum_k q_k(w) E_k from the pieces E_k (`_alternating_sums`):
 
       (i)   Td * S_1                 =  c_m               (all degrees);
       (ii)  {Td * S_r}^[<= m]        = -c_{m-1} + (m/2) c_m;

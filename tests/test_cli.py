@@ -271,6 +271,38 @@ def test_identities_report_matches_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_M8_DIGEST
 
 
+# sha256 of `identities --max-m K --json` for K = 1..15: each report is its
+# checks for m = 1..K, so every root count the suite admits is pinned.
+IDENTITIES_DIGESTS = {
+    1: "9d03569c7ab8379dd528fe306b1f947ad37fc5be2dd8c092798da6d816257cba",
+    2: "bc47d4f780475885cadd39c7f12f9007eb565ff0dac7e4cb4913453b20af01d5",
+    3: "17b5a88ca22deaa1405b2ecc93cd402ca0e4a915d499b754da72082caa888d33",
+    4: "f41df0fda2aa48c38c59db78e28030821da580013e0c1760f7fa633944645c45",
+    5: "9d2f73e898c71d302f00cb58ce3a4b261b9dea4dc586ff94d27bfb9733d0c822",
+    6: "e12f641afbfeb5d1f8ca13e21900491b854056aae2aa5b9917975c8e5be3b39a",
+    7: "ed1a5238b77989310836a6d4fd5acb550d39c98912d85341c78c0c1932f92b01",
+    8: "f38ec16aeb06a9242d0199074e48ab58699b0292dd44eaa56f638894b0c0b0d3",
+    9: "6f3e5f7c3b8e849b749a5e3767fd2a474b05e72134fb0fff1b6d8098a96f5cbd",
+    10: "76d5a821f64a020b9da901724db8651ba21971a0a27049aca7318f534dfcf234",
+    11: "0b6104421b6fd2f453d6f2a9a5fb6ff4b940c9f630e9f2f3b992263fc3b8a324",
+    12: "d1c1fbdf96e8e1753f6e2e0cc2122341d4c97c900b9ac5a646eee348c8e577de",
+    13: "f07dc7ca1464594000eaf08e19bb16654ed9d7709d615e0684966849830fd677",
+    14: "6ac3a7c15c3153c2664fb827ed06ce2d112edd0ce03941e3ffdd7c2f4ec415b4",
+    15: "66c226f7db4a7b3e78680a0f08284c4771deae15b11b46e729ea63478bab1f03",
+}
+
+
+def test_identities_reports_of_every_root_count_match_recorded_digests(capsys):
+    # The largest K first: its genera serve every smaller one by restriction.
+    assert max(IDENTITIES_DIGESTS) == symcalc.MAX_VERIFY_ROOTS
+    digests = {}
+    for k in sorted(IDENTITIES_DIGESTS, reverse=True):
+        code, out, _ = run_cli(["identities", "--max-m", str(k), "--json"], capsys)
+        assert code == 0
+        digests[k] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == IDENTITIES_DIGESTS
+
+
 def test_hrr_cp_reports_match_recorded_digest(capsys):
     outs = []
     for n in range(11):
@@ -526,8 +558,9 @@ def test_hrr_cp_untwisted(capsys):
 
 
 def test_hrr_cp_bad_flags(capsys):
-    code, _, _ = run_cli(["hrr", "cp", "--n", "2", "--p", "5"], capsys)
+    code, _, err = run_cli(["hrr", "cp", "--n", "2", "--p", "5"], capsys)
     assert code == 2
+    assert "--p must lie in 0..2, got 5" in err
 
 
 @pytest.mark.parametrize("n", [-1, MAX_HRR_N + 1])
@@ -556,7 +589,17 @@ def test_chi_d_cp_rejects_oversize_r(capsys, monkeypatch):
     code, out, err = run_cli(["chi-d", "cp", "--r", r, "--s", r, "--d", "1"], capsys)
     assert code == 2
     assert out == ""
-    assert f"--r must be at most {MAX_CP_R}, got {MAX_CP_R + 1}" in err
+    assert f"--r must lie in 1..{MAX_CP_R}, got {MAX_CP_R + 1}" in err
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_chi_d_cp_rejects_r_below_one(capsys, monkeypatch, r):
+    # --r is the ambient dimension: the CLI names the flag and its range
+    monkeypatch.setattr(sncpair, "cp_pair", _refuse)
+    code, out, err = run_cli(["chi-d", "cp", "--r", str(r), "--s", "0", "--d", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--r must lie in 1..{MAX_CP_R}, got {r}" in err
 
 
 def test_chi_d_cp_accepts_largest_r(capsys):

@@ -1727,7 +1727,7 @@ GUARDS = {
     "weight with d = 0": (lambda: weight(0, [1], 1), PairValidationError,
                           "d must be a non-zero integer"),
     "cp_pair with r = 0": (lambda: cp_pair(0, 0, 1, []), PairValidationError,
-                           "fiber dimension r must be >= 1, got 0"),
+                           "ambient dimension r must be >= 1, got 0"),
 }
 
 

@@ -974,17 +974,49 @@ def test_verify_builds_the_genera_once_per_root_count():
         assert res1.order == m + 2
 
 
-def test_identity_suites_read_each_exterior_character_once():
-    # One memo of the weighted sums per root count serves both suites: m + 1
-    # lookups of ch Lambda^r for each m, 27 for m = 1..6 (one per sum and
-    # suite would be 111).
-    symcalc._alternating_sums.cache_clear()
-    before = ch_exterior.cache_info()
-    for m in range(1, 7):
-        verify_total_class_identities(m)
-        verify_shifted_class_identities(m)
-    after = ch_exterior.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 27
+def test_identity_suites_build_no_exterior_character(monkeypatch):
+    # Both suites read S_w as sums of the pieces E_k alone: verifying m = 1..6
+    # in increasing order (direct builds) or in decreasing order (restricted
+    # from 6 roots) looks up no ch Lambda^r, and no universal genera builds one.
+    for ms in (range(1, 7), range(6, 0, -1)):
+        for memo in GENUS_MEMOS:
+            memo.cache_clear()
+        monkeypatch.setattr(symcalc, "_LARGEST", [])
+        for m in ms:
+            verify_total_class_identities(m)
+            verify_shifted_class_identities(m)
+        assert ch_exterior.cache_info()[:2] == (0, 0)
+        assert symcalc._universal.cache_info().currsize == 6
+        built = [symcalc._universal(m, m + 2) for m in ms] + symcalc._LARGEST
+        assert all(genera._exterior == {} for genera in built)
+
+
+#: The weights w(r) of the alternating sums S_w = sum_r (-1)^r w(r) ch Lambda^r.
+SUM_WEIGHTS = (lambda r: 1, lambda r: r, lambda r: r * (r - 1))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_alternating_sums_equal_the_weighted_exterior_characters(monkeypatch, m):
+    # S_w = sum_k q_k(w) E_k must be the sum of the ch Lambda^r that it skips,
+    # from a direct build and from genera restricted from 8 roots, and
+    # S_1 = (-1)^m E_m.
+    order = m + 2
+    big = symcalc.Genera([ChernSeries.chern_class(8, 10, k) for k in range(9)], 10)
+    for source in (None, big):
+        for memo in (symcalc._universal, ch_exterior, symcalc._alternating_sums):
+            memo.cache_clear()
+        monkeypatch.setattr(symcalc, "_LARGEST", [] if source is None else [source])
+        sums = symcalc._alternating_sums(m)
+        genera = symcalc._universal(m, order)
+        assert symcalc._LARGEST == [source or genera]
+        chs = [ch_exterior(m, r, order) for r in range(m + 1)]
+        for w, got in zip(SUM_WEIGHTS, sums):
+            want = ChernSeries.zero(m, order)
+            for r, ch in enumerate(chs):
+                want = want + ch * ((-1) ** r * w(r))
+            assert _representation(got) == _representation(want), (m, source)
+        s1 = genera._pieces[m] * (-1) ** m
+        assert _representation(sums[0]) == _representation(s1)
 
 
 # ---------------------------------------------------------------------------
