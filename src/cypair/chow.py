@@ -19,7 +19,7 @@ Chern classes of tangent bundles are carried along: (1+h)^{n+1} for
 projective space, Whitney products across products, and the relative
 Euler sequence for projective bundles.  `hrr_chi` integrates
 Td(T) * ch(E).  Td(T) and every ch Lambda^p T* come from `RingModel.genera`,
-the `symcalc.Genera` of the model's classes c_k(T): the same memo, and the
+the `symcalc.Genera` of the model's classes c_k(T): the same class, and the
 same algorithms, that build `symcalc`'s universal series.
 
 A class is a `symcalc` series in the model's generators, graded by total
@@ -91,7 +91,7 @@ class RingModel:
 
     @cached_property
     def genera(self) -> symcalc.Genera:
-        """Td and every ch Lambda^p of the tangent bundle, built on first use."""
+        """Td and the ch Lambda^p of the tangent bundle, each piece built on first use."""
         return symcalc.Genera(map(self.tangent_chern.component, range(self.dim + 1)), self.dim)
 
     @cached_property

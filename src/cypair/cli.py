@@ -271,7 +271,7 @@ def cmd_hrr_cp(args) -> Report:
 def cmd_hodge_bundle(args) -> Report:
     base = _load_diamond(args.base, "--base")
     if args.fiber_dim < 0:
-        raise CliInputError("--fiber-dim must be non-negative")
+        raise CliInputError(f"--fiber-dim must be non-negative, got {args.fiber_dim}")
     bounded_dim(base.n + args.fiber_dim, "--fiber-dim", CliInputError)
     total = hodge.projective_bundle_diamond(base, args.fiber_dim)
     checks = [

@@ -54,19 +54,21 @@ coefficients of log(x / (1 - exp(-x))), is a graded exponential.  The
 uniform shift acts on power sums as the derivation p_k -> k p_{k-1}, so
 Td' = Td * sum_k k a_k p_{k-1}.  ch Lambda^r E* = e_r(exp(-x)) comes from
 Newton's identities for z_j = exp(-x_j) - 1 and
-e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  One memo, `Genera`, runs these
-steps on given Chern classes and builds each result once: the universal
-series read one per root count and order, and `chow` one per ring model.
+e_r(1 + z) = sum_k C(m - k, r - k) e_k(z).  `Genera` runs these steps on
+given Chern classes: it builds the p_k, Td and each piece e_k(z) once and
+sums a ch Lambda^r from the pieces on each read.  The universal series are
+read one per root count and order (`todd`, `todd_prime` and `ch_exterior`
+memoize them), and `chow` reads one `Genera` per ring model.
 
 The universal series are stable in the rank: c_k = 0 for k > m makes the
 extra roots 0, which add nothing to p_1, p_2, ..., so Td, every p_k with
-k >= 1, the parts and the pieces e_k(z) of m roots are those of M > m roots
-with every term in c_{m+1}..c_M dropped.  Only p_0 = m, the binomials
+k >= 1 and the pieces e_k(z) of m roots are those of M > m roots with
+every term in c_{m+1}..c_M dropped.  Only p_0 = m, the binomials
 C(m - k, r - k) and, through p_0, Td' see m.  So `_universal` builds the
-genera of the most roots asked for once and restricts them to every
-smaller root count and order (`_restricted`), to exactly the series a
-direct build gives; the identity suite verifies m from the largest down.
-The genera of a ring model are never restricted.
+genera of the most roots asked for once and restricts p_1.., Td and the
+pieces to every smaller root count and order (`_restricted`), to exactly
+the series a direct build gives; the identity suite verifies m from the
+largest down.  The genera of a ring model are never restricted.
 
 `todd_roots`, `todd_prime_roots` (with a nilpotent shift variable,
 t^2 = 0) and `ch_exterior_roots` build the same series in root
@@ -106,9 +108,9 @@ MAX_ORDER = (1 << SLOT_BITS) - 1
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2, and the largest m is the one
-#: built: `cypair identities --max-m 15` takes 0.35-0.49 s (24 MiB peak RSS)
-#: and 16 takes 0.51-0.56 s (29 MiB) on a 2-CPU Xeon VM, in child processes,
-#: with CPython 3.11.
+#: built: `cypair identities --max-m 15` takes 0.30-0.42 s (22 MiB peak RSS)
+#: and 16 takes 0.43-0.47 s (25 MiB) on a 2-CPU Intel Xeon VM, in child
+#: processes, with CPython 3.11.7.
 MAX_VERIFY_ROOTS = 15
 
 #: What a series combines with besides a series of its own kind: exact scalars.
@@ -787,20 +789,22 @@ def _graded_exp(parts: list[_Series], pieces: list[_Series]) -> list[_Series]:
 
 
 class Genera:
-    """The genera of a bundle with m Chern roots, each built once on first use.
+    """The genera of a bundle with m Chern roots, built on first use.
 
     `chern` holds its Chern classes [c_0 = 1, c_1, ..., c_m], all
     `ChernSeries` (the universal series) or all classes of one ring model;
-    every genus is computed through degree `order` from them alone.
+    every genus is computed through degree `order` from them alone.  The
+    power sums, Td and each graded piece are built once; each read of
+    `exterior` sums the pieces again.
     """
 
     def __init__(self, chern: Iterable[_Series], order: int):
         self.chern = tuple(chern)
         self.order, self.rank = order, len(self.chern) - 1
         self._zero = self.chern[0] * 0
-        # what `exterior` has built: ch Lambda^r by r, the parts X_1.., the
-        # Stirling numbers S(i, n) of the last part X_n, and the pieces E_0..
-        self._exterior: dict[int, _Series] = {}
+        # what `_graded_pieces` has built: the parts X_1.., the Stirling
+        # numbers S(i, n) of the last part X_n, and the pieces E_0..; a
+        # restricted universal genera holds pieces alone (`_universal`)
         self._parts: list[_Series] = []
         self._stirling = [1] + [0] * order
         self._pieces = [self.chern[0]]
@@ -844,20 +848,16 @@ class Genera:
         """
         if not 0 <= r <= self.rank:
             raise ValueError(f"exterior power {r} out of range 0..{self.rank}")
-        if r in self._exterior:
-            return self._exterior[r]
         top, m = min(r, self.order), self.rank
         pieces = self._graded_pieces(top)
-        ch = self._exterior[r] = _linear(
-            self._zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
-        return ch
+        return _linear(self._zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
 
     def _graded_pieces(self, top: int) -> list[_Series]:
-        """The pieces E_0..E_top of `exterior`, each built once, and the parts
-        X_1..X_top they need."""
+        """The pieces E_0..E_top of `exterior` at least, each built once: a
+        part X_n is built only to extend the pieces through E_n."""
         sums, order, zero = self.power_sums, self.order, self._zero
         stirling = self._stirling  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
-        for n in range(len(self._parts) + 1, top + 1):
+        for n in range(len(self._pieces), top + 1):
             stirling = list(itertools.accumulate(
                 stirling[:-1], lambda left, up: n * left + up, initial=0))
             sign = (-1) ** (n - 1) * factorial(n - 1)
@@ -900,20 +900,13 @@ def _restricted(series: ChernSeries, num_roots: int, order: int) -> ChernSeries:
 def _universal(num_roots: int, order: int) -> Genera:
     """The genera of m roots in the c-basis, through degree `order`.
 
-    The universal series are stable in the rank: a bundle of rank M with
-    c_k = 0 for k > m has M - m roots 0, and a zero root adds nothing to a
-    power sum p_k, k >= 1, so nothing to Td, to the parts X_n or to the
-    pieces E_k = e_k(exp(-x) - 1).  Only p_0 = m, the binomials
-    C(m - k, r - k) of ch Lambda^r and, through p_0, Td' see m.  So when
-    the genera in `_LARGEST` have at least m roots and at least this order,
-    p_1.., Td, X_n and E_0..E_min(m, order) are theirs with every term in a
-    c_k, k > m, dropped, truncated at the order and in lowest terms
-    (`_restricted`), the same representation a direct build has.  p_0 is
-    set to m, and `Genera.exterior` sums the restricted pieces with m's
-    binomials; its parts are complete, so it builds none.  Otherwise the
-    genera are built directly, and become the record if they have at least
-    as many roots.  Only these c-basis genera are restricted: a ring
-    model's `Genera` (`chow`) is always built from its own classes.
+    When the genera in `_LARGEST` have at least m roots and at least this
+    order, p_1.., Td and the pieces E_0..E_min(m, order) are theirs
+    restricted (`_restricted`, exact by the rank stability of the module
+    docstring), and p_0 is set to m.  `Genera.exterior` sums those pieces
+    with m's binomials; they reach every r <= m, so it builds no part.
+    Otherwise the genera are built directly, and become the record if they
+    have at least as many roots.
     """
     chern = [ChernSeries.chern_class(num_roots, order, k) for k in range(num_roots + 1)]
     genera = Genera(chern, order)
@@ -927,7 +920,6 @@ def _universal(num_roots: int, order: int) -> Genera:
     genera.power_sums = (chern[0] * num_roots,) + tuple(
         _restricted(p, num_roots, order) for p in source.power_sums[1:order + 1])
     genera.todd = _restricted(source.todd, num_roots, order)
-    genera._parts = [_restricted(x, num_roots, order) for x in source._parts[:top]]
     genera._pieces = [_restricted(e, num_roots, order) for e in pieces[:top + 1]]
     return genera
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -653,6 +654,35 @@ def test_hrr_cp_accepts_largest_twist(capsys):
     assert json.loads(out)["overall"] == "pass"
 
 
+#: CPython's default limit on the digits of an int converted to a string.
+INT_STR_DIGITS = 4300
+
+
+def chi_omega_integers(n: int, s: int) -> list[int]:
+    """chi(Omega^p(s)) on P^n for p = 0..n, in integers, by the Euler sequence:
+    chi(Omega^p(s)) = C(n+1, p) chi(O(s - p)) - chi(Omega^(p-1)(s)), with
+    chi(O(k)) = (k + 1)(k + 2)...(k + n) / n!."""
+    def chi_o(k: int) -> int:
+        return math.prod(range(k + 1, k + n + 1)) // math.factorial(n)
+
+    values = [chi_o(s)]
+    for p in range(1, n + 1):
+        values.append(math.comb(n + 1, p) * chi_o(s - p) - values[-1])
+    return values
+
+
+def test_hrr_cp_values_stay_below_the_int_string_limit():
+    # The report prints each value; past INT_STR_DIGITS digits printing it
+    # would raise.  The digits grow with n, so the largest --n and the
+    # largest twists bound every value `hrr cp` can print.
+    for n, p, s in [(2, 1, 1), (3, 2, -5), (4, 0, 7), (5, 3, -1)]:
+        assert chi_omega_integers(n, s)[p] == chow.chi_twisted_hodge(n, p, s)
+    largest = inputs.INT_LIMIT - 1
+    for s in (largest, -largest):
+        for p, value in enumerate(chi_omega_integers(MAX_HRR_N, s)):
+            assert len(str(abs(value))) < INT_STR_DIGITS, (p, s)
+
+
 def _set_meet(table, value):
     # H1 and H2 contain the center, so all four strata inside H1 + H2
     # share its Euler number; keep them consistent.
@@ -1063,7 +1093,7 @@ def test_diamond_file_message(capsys, tmp_path, fault):
 
 def test_hodge_bundle_rejects_negative_fiber_dim(capsys):
     assert run_cli(["hodge", "bundle", "--base", "cp1", "--fiber-dim", "-1"], capsys) == (
-        2, "", "error: --fiber-dim must be non-negative\n")
+        2, "", "error: --fiber-dim must be non-negative, got -1\n")
 
 
 def test_hodge_bundle_rejects_oversize_result(capsys, monkeypatch):
