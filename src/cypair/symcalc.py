@@ -108,8 +108,8 @@ MAX_ORDER = (1 << SLOT_BITS) - 1
 #: Largest number of roots the identity-verification entry points accept.
 #: The series live in the Chern basis, so cost grows with the number of
 #: partitions of the truncation order m + 2, and the largest m is the one
-#: built: `cypair identities --max-m 15` takes 0.30-0.42 s (22 MiB peak RSS)
-#: and 16 takes 0.43-0.47 s (25 MiB) on a 2-CPU Intel Xeon VM, in child
+#: built: `cypair identities --max-m 15` takes 0.31-0.34 s (20 MiB peak RSS)
+#: and 16 takes 0.45-0.50 s (22 MiB) on a 2-CPU Intel Xeon VM, in child
 #: processes, with CPython 3.11.7.
 MAX_VERIFY_ROOTS = 15
 
@@ -803,7 +803,8 @@ class Genera:
         self.order, self.rank = order, len(self.chern) - 1
         self._zero = self.chern[0] * 0
         # what `_graded_pieces` has built: the parts X_1.., the Stirling
-        # numbers S(i, n) of the last part X_n, and the pieces E_0..; a
+        # numbers S(i, n) of the last part X_n, and the pieces E_0..; the
+        # parts and numbers are dropped once the pieces are complete, and a
         # restricted universal genera holds pieces alone (`_universal`)
         self._parts: list[_Series] = []
         self._stirling = [1] + [0] * order
@@ -853,8 +854,10 @@ class Genera:
         return _linear(self._zero, ((pieces[k], comb(m - k, r - k)) for k in range(top + 1)))
 
     def _graded_pieces(self, top: int) -> list[_Series]:
-        """The pieces E_0..E_top of `exterior` at least, each built once: a
-        part X_n is built only to extend the pieces through E_n."""
+        """The pieces E_0..E_top of `exterior` at least, top <= min(m, order),
+        each built once: a part X_n is built only to extend the pieces
+        through E_n.  Once the pieces reach E_min(m, order), which every
+        r <= m reads, the parts and the Stirling numbers are dropped."""
         sums, order, zero = self.power_sums, self.order, self._zero
         stirling = self._stirling  # S(i, n), i = 0..order: n S(i-1, n) + S(i-1, n-1)
         for n in range(len(self._pieces), top + 1):
@@ -865,7 +868,10 @@ class Genera:
                 (sums[i], Fraction((-1) ** i * sign * stirling[i], factorial(i)))
                 for i in range(n, order + 1))))
         self._stirling = stirling
-        return _graded_exp(self._parts, self._pieces)
+        pieces = _graded_exp(self._parts, self._pieces)
+        if len(pieces) > min(self.rank, order):
+            self._parts, self._stirling = [], []
+        return pieces
 
 
 #: The universal genera with the most roots that `_universal` has built

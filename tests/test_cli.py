@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,13 @@ import re
 import string
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cypair import chow, cli, hodge, inputs, sncpair, symcalc
 from cypair.cli import MAX_CP_R, MAX_DIAMOND_DIM, MAX_HRR_N, MAX_RANDOM, main
@@ -1340,6 +1346,100 @@ def test_json_report_is_byte_stable(capsys, triangle_table_path):
     for check in payload["checks"]:
         assert set(check) == {"name", "status", "expected", "actual"}
         assert isinstance(check["actual"], str)
+
+
+def _dumped(report: cli.Report) -> str:
+    """The report as `json.dumps` writes the whole payload at once."""
+    payload = {"command": report.command, "overall": report.overall,
+               "checks": [c._asdict() for c in report.checks]}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _streamed(report: cli.Report, as_json: bool) -> tuple[int, str]:
+    """`_emit`'s exit code and stdout text for the report."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli._emit(report, argparse.Namespace(json=as_json, out=None))
+    return code, buffer.getvalue()
+
+
+# every category, so quotes, backslashes, control characters, non-ASCII
+# and lone surrogates all occur
+ANY_TEXT = st.text(st.characters(blacklist_categories=()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ANY_TEXT, ANY_TEXT, ANY_TEXT, ANY_TEXT, ANY_TEXT)
+def test_json_check_template_writes_the_bytes_of_json_dumps(
+        command, name, status, expected, actual):
+    report = cli.Report(command, [cli.Check(name, status, expected, actual)], [])
+    code, out = _streamed(report, as_json=True)
+    assert out == _dumped(report)
+    assert code == (0 if status == "pass" else 1)
+
+
+def test_json_report_without_checks_is_json_dumps():
+    report = cli.Report("demo", [], ["a note"])
+    code, out = _streamed(report, as_json=True)
+    assert (code, out) == (0, _dumped(report))
+    assert out == '{"checks":[],"command":"demo","overall":"pass"}\n'
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_checks_of_one_name_are_ordered_by_their_other_fields(as_json):
+    checks = [cli.Check("b", "pass", "2", "2"), cli.Check("a", "pass", "1", "1"),
+              cli.Check("a", "fail", "1", "0")]
+    first = _streamed(cli.Report("demo", checks[:], []), as_json)
+    assert _streamed(cli.Report("demo", checks[::-1], []), as_json) == first
+    assert first[0] == 1
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_emit_holds_no_copy_of_the_report(monkeypatch, flags):
+    # `_emit` writes one check at a time: its peak is a small fraction of the
+    # report's text, where building the text whole took 4 (text) to 11
+    # (--json) times that text.
+    argv = ["blowup-check", "--random", "1400", *flags]
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    report = args.func(args)
+    lengths = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(
+        write=lambda text: lengths.append(len(text))))
+    assert cli._emit(report, args) == 0
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))  # discards
+    tracemalloc.start()
+    try:
+        assert cli._emit(report, args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(lengths) / 10
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_out_flag_writes_the_bytes_of_stdout(capsys, tmp_path, flags):
+    argv = ["blowup-check", "--random", "300", "--seed", "3", *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    target = tmp_path / "report"
+    assert run_cli([*argv, "--out", str(target)], capsys) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_failed_report_writes_the_same_bytes_to_out_and_stdout(capsys, tmp_path, as_json):
+    target = tmp_path / "report"
+    codes = []
+    for out in (None, str(target)):
+        report = cli.Report("demo", [cli.Check("fine", "pass", "1", "1"),
+                                     cli.Check("broken", "fail", "0", "1")], ["a note"])
+        codes.append(cli._emit(report, argparse.Namespace(json=as_json, out=out)))
+    stdout = capsys.readouterr().out
+    assert codes == [1, 1]
+    assert target.read_bytes() == stdout.encode()
+    assert stdout == (_dumped(report) if as_json else
+                      "a note\n[FAIL] broken: expected 0, actual 1\n"
+                      "[PASS] fine: expected 1, actual 1\noverall: fail\n")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -343,8 +343,9 @@ def test_exterior_builds_its_pieces_once_and_only_up_to_the_power_read():
     assert genera._parts == parts and genera._pieces == pieces
     for r in reversed(range(m + 1)):
         assert genera.exterior(r) == ch_exterior(m, r, order)
-    assert (len(genera._parts), len(genera._pieces)) == (m, m + 1)
-    assert all(map(operator.is_, parts + pieces, genera._parts[:3] + genera._pieces[:4]))
+    # the pieces are complete, so no part is read again, and none is kept
+    assert (genera._parts, len(genera._pieces)) == ([], m + 1)
+    assert all(map(operator.is_, pieces, genera._pieces[:4]))
 
 
 #: The memos that hold universal genera or series read from them.
