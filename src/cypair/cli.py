@@ -46,14 +46,14 @@ MAX_CP_R = 18
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
 #: On a 2-CPU Xeon VM, in child processes, text or `--json`,
-#: `blowup-check --random 10000` takes 0.9-1.3 s and 19-20 MiB peak RSS and
+#: `blowup-check --random 10000` takes 0.8-1.2 s and 19 MiB peak RSS and
 #: `hodge ledger --random 10000` 0.15-0.18 s and 19 MiB: `_emit` writes the
 #: report one check at a time, where a whole `--json` text took 6 MiB more.
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
-#: is linear in its size, about 0.07-0.12 s per MB: `blowup-check --file`
-#: on a 13.4 MB table (r = 16, 131,071 strata) takes 0.9-1.6 s and 156 MiB
+#: is linear in its size, about 0.05-0.1 s per MB: `blowup-check --file`
+#: on a 13.4 MB table (r = 16, 131,071 strata) takes 0.7-1.3 s and 156 MiB
 #: in a child process on a 2-CPU Xeon VM.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
 

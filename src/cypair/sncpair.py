@@ -31,9 +31,14 @@ multiplies integers in every slot of its cube, where the presence cube
 sets one byte.  Both sums take the values by mask, the factors m_j + d
 and the factors -m_j, and use only `*`, `+` and exact `//` on them, so
 they run over any exact ring, not just the integers.
-A table holds few distinct values, so the reader and the transforms
-share one immutable record per value (`_Records`): a large table gives
-the garbage collector a few records to walk, not one per stratum.
+A table holds few distinct values, so every record that the reader, the
+transforms, the model pairs and the random tables build comes from one
+process-wide intern table (`_RECORDS`): equal records of int values are
+one object, within a table and across tables, and a large table gives
+the garbage collector a few records to walk, not one per stratum.  The
+table holds at most `_MAX_RECORDS` records and is emptied when full, so a
+table of more distinct values holds equal records that are not all one
+object, with no other change.
 
 A pair is validated once, when it is constructed: `SncPair` runs
 `validate` on itself, so an inconsistent table never becomes a pair.  A
@@ -88,7 +93,6 @@ projective-bundle rule above is written once, in `blowup_transform`.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -132,16 +136,38 @@ class Stratum(NamedTuple):
 StratumTable = dict[int, Stratum]
 
 
-class _Records(dict):
-    """One shared `Stratum` per value: `records[chi, meet]` builds the
-    record on its first lookup and returns that record ever after."""
+#: Builds a record without the Python frame of a NamedTuple's __new__.
+_new_record = tuple.__new__
+
+#: Most records the intern table holds.
+_MAX_RECORDS = 4096
+
+
+class _InternTable(dict):
+    """The process-wide table of shared `Stratum` records:
+    `_RECORDS[chi, meet]` is the one record of those values.
+
+    A record is kept under itself, since it equals and hashes as the tuple
+    of its fields, so a lookup that finds it runs no Python code.  Only a
+    record of an int chi and an int or None meet is kept, so an int lookup
+    never gets a record of another type; a lookup by equal values of
+    another type, such as a Fraction, may get the int record.  The table
+    is emptied when it holds `_MAX_RECORDS` records.
+    """
 
     __slots__ = ()
 
     def __missing__(self, key) -> Stratum:
-        # what Stratum._make does, without its Python frame
-        record = self[key] = tuple.__new__(Stratum, key)
+        record = _new_record(Stratum, key)
+        chi, meet = key
+        if chi.__class__ is int and (meet is None or meet.__class__ is int):
+            if len(self) >= _MAX_RECORDS:
+                self.clear()
+            self[record] = record
         return record
+
+
+_RECORDS = _InternTable()
 
 
 #: Sets a field of a new `SncPair`, whose own __setattr__ refuses.
@@ -484,7 +510,8 @@ def chi_d(pair: SncPair) -> Fraction:
                 for start in range(0, len(cube), block)]
         total = _fold(sums, shifted[low:], negated[low:])
     else:
-        total = _ordered_sum(((m, strata[m].chi) for m in sorted(strata)), shifted, negated)
+        order = sorted(strata)
+        total = _ordered_sum(zip(order, [strata[m].chi for m in order]), shifted, negated)
     return Fraction(total, prod(shifted))
 
 
@@ -507,7 +534,8 @@ def _restrict(d: int, components: tuple[Component, ...],
     below = 0  # the number of dropped bits below some kept bit
     for j, comp in enumerate(components):
         if 1 << j in entries:
-            kept.append(Component(comp.id, comp.mult) if comp.contains_center else comp)
+            kept.append(_new_record(Component, (comp.id, comp.mult, False))
+                        if comp.contains_center else comp)
             below = len(dropped)
         else:
             dropped.append(j)
@@ -530,10 +558,9 @@ def divisor_on_stratum(pair: SncPair, subset: int) -> SncPair:
     if subset not in pair.strata:
         raise PairValidationError(
             f"stratum {pair.subset_label(subset)} is empty; no induced pair")
-    records = _Records()
     entries = {
         mask & ~subset:
-            stratum if stratum.chi_meet_center is None else records[stratum.chi, None]
+            stratum if stratum.chi_meet_center is None else _RECORDS[stratum.chi, None]
         for mask, stratum in pair.strata.items()
         if mask & subset == subset
     }
@@ -597,7 +624,7 @@ def cp_pair(r: int, s: int, d: int, mults: Iterable[int]) -> tuple[CpPairModel, 
         [Component(f"H{j + 1}", m) for j, m in enumerate(mults)]
         + [Component("Hinf", m_inf)]
     )
-    by_size = [Stratum(r + 1 - size) for size in range(s + 2)]
+    by_size = [_RECORDS[r + 1 - size, None] for size in range(s + 2)]
     strata: StratumTable = {}
     for mask in range(1 << (s + 1)):
         size = mask.bit_count()
@@ -681,18 +708,18 @@ def blowup_transform(pair: SncPair) -> SncPair:
     contains = pair.contains_mask
 
     e_bit = 1 << l
-    records = _Records()
     entries: StratumTable = {}
     for mask, stratum in pair.strata.items():
         fiber = r - (mask & contains).bit_count()
         meets = stratum.chi_meet_center
         if meets is None:
-            entries[mask] = records[stratum]  # a record without center data
+            # interned too, so a pair built from its own records shares them
+            entries[mask] = _RECORDS[stratum]
             continue
         if not (fiber == 0 and stratum.chi == meets):
-            entries[mask] = records[stratum.chi + meets * (fiber - 1), None]
+            entries[mask] = _RECORDS[stratum.chi + meets * (fiber - 1), None]
         if fiber >= 1:
-            entries[mask | e_bit] = records[meets * fiber, None]
+            entries[mask | e_bit] = _RECORDS[meets * fiber, None]
 
     dropped = sum(1 << j for j in range(l) if (1 << j) not in entries)
     if dropped:
@@ -704,16 +731,16 @@ def blowup_transform(pair: SncPair) -> SncPair:
                     f"ambiguous center containment: stratum "
                     f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                     f"although component {shown(pair.components[orphan].id)} does not")
-    return _restrict(pair.d, pair.components + (Component(e_id, m0),), entries)
+    return _restrict(pair.d, pair.components + (_new_record(Component, (e_id, m0, False)),),
+                     entries)
 
 
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
     _require_center(pair)
     table = _center_table(pair.strata, pair.contains_mask)
-    records = _Records()
     return _restrict(pair.d, pair.components,
-                     {mask: records[chi, None] for mask, chi in table.items()})
+                     {mask: _RECORDS[chi, None] for mask, chi in table.items()})
 
 
 def _on_exceptional(blown: SncPair) -> SncPair:
@@ -795,28 +822,23 @@ def check_blowup_invariance(pair: SncPair) -> BlowupCheck:
 # ---------------------------------------------------------------------------
 
 
-#: Largest `max_components` of `random_blowup_instance`.  The subsets of
-#: range(l) that it walks are cached per l: on a 2-CPU Xeon VM, the first
-#: pair with l = 16 takes 0.18-0.27 s and 30 MiB, and each two more
-#: components take about 5x the time and 4x the memory (l = 18: 0.8-1.1 s
-#: and 131 MiB).
+#: Largest `max_components` of `random_blowup_instance`.  Its walks visit
+#: only the strata a table may hold, not all 2^l subsets, so a draw costs
+#: time and memory in the size of its table: on a 2-CPU Xeon VM, 200
+#: draws at 16 from `random.Random(7)` take 0.03-0.05 s and raise the peak
+#: RSS by 0.25 MiB, where a walk over all 2^16 subsets took 0.48-0.61 s
+#: and 57 MiB.
 MAX_RANDOM_COMPONENTS = 16
 
 #: The chance that `random_blowup_instance` keeps a stratum of a given size
 #: of at least 2 whose one-smaller subsets are all kept.
 _KEEP = tuple(max(0.25, 0.95 - 0.2 * size) for size in range(MAX_RANDOM_COMPONENTS + 1))
 
+#: The component ids of the random tables.
+_RANDOM_IDS = tuple(f"D{j + 1}" for j in range(MAX_RANDOM_COMPONENTS))
 
-@functools.lru_cache(maxsize=None)
-def _subsets_in_order(l: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(size, mask, masks one element smaller) for every nonempty subset of
-    range(l), in the order of `itertools.combinations` taken size by size."""
-    out = []
-    for size in range(1, l + 1):
-        for chosen in itertools.combinations(range(l), size):
-            mask = sum(1 << j for j in chosen)
-            out.append((size, mask, tuple(mask ^ (1 << j) for j in chosen)))
-    return tuple(out)
+#: The single bits of the random tables' masks.
+_BITS = tuple(1 << j for j in range(MAX_RANDOM_COMPONENTS))
 
 
 def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPair:
@@ -852,16 +874,38 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
     contained = list(_submasks(contains))
 
     chi = functools.partial(draw, bits, -9, 9)
-    subsets = _subsets_in_order(l)
+    # The strata are drawn size by size, in the order of
+    # itertools.combinations, on which a seed's pairs depend, and only
+    # those whose one-smaller subsets are all kept are visited.  A singleton
+    # is always kept and draws no float; from size 2 on, each kept stratum
+    # is extended by every component above its top one.  A stratum is
+    # reached from one kept stratum, itself without its top component, and
+    # extending the kept strata in order, by increasing components, keeps
+    # the order of itertools.combinations.
+    singles = _BITS[:l]
     present: dict[int, int] = {0: chi()}
-    for size, mask, lower in subsets:
-        for sub in lower:
-            if sub not in present:
-                break
-        else:
-            # a singleton draws no float; a seed's pairs depend on it
-            if size == 1 or rng.random() < _KEEP[size]:
-                present[mask] = chi()
+    for bit in singles:
+        present[bit] = chi()
+    level = singles
+    for size in range(2, l + 1):
+        if not level:
+            break
+        keep = _KEEP[size]
+        kept = []
+        for low in level:
+            for bit in singles[low.bit_length():]:
+                mask = low | bit
+                rest = low
+                while rest:
+                    sub = rest & -rest
+                    if mask ^ sub not in present:
+                        break
+                    rest ^= sub
+                else:
+                    if rng.random() < keep:
+                        present[mask] = chi()
+                        kept.append(mask)
+        level = kept
     # the center sits inside every intersection of its containing components
     for sub in contained:
         if sub not in present:
@@ -875,14 +919,18 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
             if not mask & contains and (mask | contains) in present
         }
     else:
-        # the subsets of the non-containing components, in the same order
+        # the strata off the containing components, in the order above:
+        # the strata added for the center all meet a containing component
         meets = {0: chi()}
-        for _, mask, lower in subsets:
-            if mask & contains or mask not in present:
+        for mask in present:
+            if not mask or mask & contains:
                 continue
-            for sub in lower:
-                if sub not in meets:
+            rest = mask
+            while rest:
+                sub = rest & -rest
+                if mask ^ sub not in meets:
                     break
+                rest ^= sub
             else:
                 if rng.random() < 0.75:
                     meets[mask] = chi()
@@ -898,15 +946,14 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
                 if present[mask | contains] == meets[mask]:
                     present[mask | contains] += 1
 
-    strata: StratumTable = {}
-    for mask, value in present.items():
-        meet = meets.get(mask & ~contains)
-        strata[mask] = Stratum(value, meet)
-    components = tuple(
-        Component(f"D{j + 1}", mults[j], bool((contains >> j) & 1))
+    strata: StratumTable = {mask: _RECORDS[value, meets.get(mask & ~contains)]
+                            for mask, value in present.items()}
+    components = tuple([
+        _new_record(Component, (_RANDOM_IDS[j], mults[j], contains >> j & 1 == 1))
         for j in range(l)
-    )
-    return SncPair(d=d, components=components, strata=strata, center=Center(codim=r))
+    ])
+    return SncPair(d=d, components=components, strata=strata,
+                   center=_new_record(Center, (r,)))
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1024,6 @@ def pair_from_obj(obj) -> SncPair:
     raw_strata = obj["strata"]
     if not isinstance(raw_strata, list):
         raise TableFormatError("strata: expected a list")
-    records = _Records()
     strata: StratumTable = {}
     for i, entry in enumerate(raw_strata):
         # the accept test; an entry that fails it takes the named checks
@@ -991,7 +1037,7 @@ def pair_from_obj(obj) -> SncPair:
                     and (meet is None or type(meet) is int
                          and -INT_LIMIT < meet < INT_LIMIT)
                     and entry.get("nonempty", True) is True):
-                strata[mask] = records[chi_value, meet]
+                strata[mask] = _RECORDS[chi_value, meet]
                 continue
         where = f"strata[{i}]"
         expect_object(entry, where, {"subset", "chi"}, {"nonempty", "chi_meet_center"},
@@ -1025,7 +1071,7 @@ def pair_from_obj(obj) -> SncPair:
                     f"{where}: an empty stratum must have chi 0 and no "
                     "chi_meet_center; omit the entry instead")
             continue
-        strata[mask] = records[chi_value, meet]
+        strata[mask] = _RECORDS[chi_value, meet]
 
     return SncPair(d=d, components=tuple(components), strata=strata, center=center)
 

@@ -501,6 +501,36 @@ def test_random_instances_of_every_width_match_recorded_digest():
     assert digest.hexdigest() == RANDOM_INSTANCE_WIDTHS_DIGEST
 
 
+# sha256 of the pair_to_json texts of 20 draws at each max_components 9..16,
+# in that order, from one Random(1), recorded when every draw walked all
+# 2^l subsets: the walk over the kept strata alone draws the same tables.
+RANDOM_INSTANCE_WIDE_DIGEST = (
+    "de13c270a2c153a43e4e7d85d0b163c1af1b6a703242b690a09054dd0cbd00ed")
+
+
+def test_random_instances_of_widths_9_to_16_match_recorded_digest():
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for max_components in range(9, sncpair.MAX_RANDOM_COMPONENTS + 1):
+        for _ in range(20):
+            pair = random_blowup_instance(rng, max_components)
+            digest.update(pair_to_json(pair).encode())
+    assert digest.hexdigest() == RANDOM_INSTANCE_WIDE_DIGEST
+
+
+def test_wide_random_instances_hold_no_table_of_all_subsets():
+    # a walk over all 2^16 subsets, cached per width, took tens of MiB
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            random_blowup_instance(rng, sncpair.MAX_RANDOM_COMPONENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 # sha256 of repr(check_blowup_invariance(pair)) over the first 300 draws
 # from Random(5): chi_d before and after the blow-up and on the center and
 # on E, read through every restriction and transform of the module.
@@ -519,13 +549,11 @@ def test_blowup_checks_of_random_instances_match_recorded_digest():
 def test_random_instance_refuses_max_components_before_drawing(max_components):
     rng = random.Random(1)
     state = rng.getstate()
-    cached = sncpair._subsets_in_order.cache_info().currsize
     with pytest.raises(ValueError) as info:
         random_blowup_instance(rng, max_components)
     assert str(info.value) == (f"max_components must lie in "
                                f"0..{sncpair.MAX_RANDOM_COMPONENTS}, got {max_components}")
     assert rng.getstate() == state
-    assert sncpair._subsets_in_order.cache_info().currsize == cached
 
 
 def test_random_component_bound_leaves_room_for_the_exceptional_component():
@@ -847,11 +875,57 @@ def test_identity_restriction_and_reused_records_change_no_table():
 
 
 def test_tables_hold_one_record_per_value():
+    # an intern table filled by earlier tests is not emptied halfway
+    sncpair._RECORDS.clear()
     pair = pair_from_obj(coordinate_table(10, range(1, 11)))
-    for derived in (pair, blowup_transform(pair), center_pair(pair), exceptional_pair(pair)):
-        records = list(derived.strata.values())
-        assert len(set(records)) < len(records)
-        assert len(set(map(id, records))) == len(set(records))
+    blown = blowup_transform(pair)
+    records = []
+    for derived in (pair, blown, center_pair(pair), exceptional_pair(pair)):
+        own = list(derived.strata.values())
+        assert len(set(own)) < len(own)
+        records += own
+    # equal records are one object across the pair and the pairs derived from it
+    assert len(set(map(id, records))) == len(set(records))
+    # and a pair built from records of its own shares them once blown up
+    fresh = SncPair(pair.d, pair.components,
+                    {mask: Stratum(*stratum) for mask, stratum in pair.strata.items()},
+                    pair.center)
+    assert not any(fresh.strata[mask] is stratum for mask, stratum in pair.strata.items())
+    fresh_blown = blowup_transform(fresh)
+    assert fresh_blown == blown
+    assert all(fresh_blown.strata[mask] is stratum for mask, stratum in blown.strata.items())
+
+
+def test_a_table_of_more_values_than_the_intern_table_holds_reads_back():
+    l = 13
+    ids = [f"D{j}" for j in range(l)]
+    document = {
+        "d": 1,
+        "components": [{"id": name, "mult": j + 1} for j, name in enumerate(ids)],
+        "strata": [{"subset": [ids[j] for j in range(l) if mask >> j & 1],
+                    "chi": 1000 + mask}
+                   for mask in range(1 << l)],
+    }
+    pair = pair_from_obj(document)
+    assert len(pair.strata) > sncpair._MAX_RECORDS
+    assert {mask: s.chi for mask, s in pair.strata.items()} == {
+        mask: 1000 + mask for mask in range(1 << l)}
+    assert pair_from_json(pair_to_json(pair)) == pair
+    assert chi_d(pair) == oracle_chi_d(pair)
+
+
+def test_only_int_records_are_interned():
+    # a blow-up looks up the records of a pair built by hand, whatever type
+    # its values have, but keeps no record of a Fraction: an equal int
+    # record read later is still an int
+    odd = SncPair(1, (Component("A", 1),),
+                  {0: Stratum(3, 1), 1: Stratum(Fraction(-987654))}, Center(2))
+    assert type(blowup_transform(odd).strata[1].chi) is Fraction
+    pair = pair_from_obj({"d": 1, "components": [{"id": "A", "mult": 1}],
+                          "strata": [{"subset": [], "chi": 3},
+                                     {"subset": ["A"], "chi": -987654}]})
+    assert type(pair.strata[1].chi) is int
+    assert json.loads(pair_to_json(pair))["strata"][1]["chi"] == -987654
 
 
 def oracle_chi_d(pair: SncPair) -> Fraction:
