@@ -46,9 +46,10 @@ MAX_CP_R = 18
 #: Largest accepted `--random COUNT`.  Check names carry the index in four
 #: digits, so up to 10,000 of them still sort in numeric order in `--json`.
 #: On a 2-CPU Xeon VM, in child processes, text or `--json`,
-#: `blowup-check --random 10000` takes 0.8-1.2 s and 19 MiB peak RSS and
-#: `hodge ledger --random 10000` 0.15-0.18 s and 19 MiB: `_emit` writes the
-#: report one check at a time, where a whole `--json` text took 6 MiB more.
+#: `blowup-check --random 10000` takes 0.73-1.26 s (medians 0.77-0.94 s)
+#: and 19 MiB peak RSS and `hodge ledger --random 10000` 0.16-0.26 s
+#: (medians 0.17-0.18 s) and 19 MiB: `_emit` writes the report one check
+#: at a time, where a whole `--json` text took 6 MiB more.
 MAX_RANDOM = 10_000
 
 #: Largest accepted stratum-table or diamond file, in bytes.  A table's cost
@@ -140,21 +141,24 @@ def _parse_file(path: str, parse):
 
     Every failure, from reading, decoding or parsing, names the path.
     """
+    chunks, size = [], 0
     try:
         with open(path, "rb") as handle:
-            data = handle.read(MAX_INPUT_BYTES + 1)
+            # by the MiB: read(MAX_INPUT_BYTES + 1) allocates that many bytes
+            while size <= MAX_INPUT_BYTES and (chunk := handle.read(1 << 20)):
+                chunks.append(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}")
-    if len(data) > MAX_INPUT_BYTES:
+    if size > MAX_INPUT_BYTES:
         raise CliInputError(
             f"{path}: file is larger than the limit of {MAX_INPUT_BYTES} bytes")
     try:
-        data = data.decode("utf-8")  # the bytes are freed before parsing
-        return parse(data)
+        text = b"".join(chunks).decode("utf-8")
+        chunks.clear()  # the bytes are freed before parsing
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except CliInputError:
-        raise
     # ValueError is also a UnicodeDecodeError; RecursionError is JSON
     # nested deeper than the decoder's stack
     except (ValueError, RecursionError) as exc:

@@ -22,15 +22,11 @@ presence is downward closed: a superset of an empty stratum must be empty.
 A dense table (at least 64 strata, and at least one per 16 of the 2^l
 subsets) has its closure decided at once on a presence cube; any other
 table, and any table that is not closed, is walked mask by mask, and the
-walk words every fault.  `chi_d` takes its sum in one of two ways: a
-table of at least 64 strata and at least one per 4 subsets folds a cube
-of 2^l integers one component at a time (`_fold`); any other table is
-summed over its strata alone, in increasing mask order, which is depth
-first (`_ordered_sum`).  The factor is 4, not 16, because the fold
-multiplies integers in every slot of its cube, where the presence cube
-sets one byte.  Both sums take the values by mask, the factors m_j + d
-and the factors -m_j, and use only `*`, `+` and exact `//` on them, so
-they run over any exact ring, not just the integers.
+walk words every fault.  `chi_d` sums a table in one of three ways, by
+its width and density (see there).  All three take the values by mask,
+the factors m_j + d and the factors -m_j, and use only `*`, `+` and
+exact `//` on them, so they run over any exact ring, not just the
+integers.
 A table holds few distinct values, so every record that the reader, the
 transforms, the model pairs and the random tables build comes from one
 process-wide intern table (`_RECORDS`): equal records of int values are
@@ -275,7 +271,10 @@ def validate(pair: SncPair) -> None:
         raise PairValidationError(
             f"{l} components exceed the supported maximum of {MAX_COMPONENTS}")
     seen = set()
+    contains = 0
     for i, comp in enumerate(pair.components):
+        if comp.contains_center:
+            contains |= 1 << i
         if not comp.id or not isinstance(comp.id, str):
             raise PairValidationError(f"component {i} must have a non-empty string id")
         if comp.id in seen:
@@ -312,7 +311,6 @@ def validate(pair: SncPair) -> None:
                 f"component {shown(comp.id)} has an empty singleton stratum; "
                 "divisor components must be nonempty")
 
-    contains = pair.contains_mask
     if pair.center is None:
         if contains:
             raise PairValidationError(
@@ -335,7 +333,7 @@ def validate(pair: SncPair) -> None:
         raise PairValidationError(
             "chi_meet_center of the empty subset (the Euler number of the "
             "center itself) is required when a center is declared")
-    for mask, stratum in strata.items():
+    for mask, stratum in strata.items() if contains else ():  # else each is reduced
         reduced = mask & ~contains
         expected = strata[reduced].chi_meet_center
         if stratum.chi_meet_center != expected:
@@ -454,6 +452,18 @@ def _fold(values: list, shifted: list, negated: list):
     return values[0]
 
 
+def _mask_sum(strata: Mapping[int, Stratum], shifted: list, negated: list):
+    """`_fold`'s sum over a stratum table, from the numerators of all masks:
+    component j doubles the list, times shifted[j] or negated[j]."""
+    nums = [1]
+    for s, n in zip(shifted, negated):
+        nums = [x * f for f in (s, n) for x in nums]
+    total = 0
+    for mask, stratum in strata.items():
+        total += nums[mask] * stratum.chi
+    return total
+
+
 def _ordered_sum(items: Iterable[tuple[int, object]], shifted: list, negated: list):
     """`_fold`'s sum over (mask, value) items, given in increasing mask
     order, whose masks form a downward closed set.
@@ -488,19 +498,25 @@ def chi_d(pair: SncPair) -> Fraction:
     num[J] = prod_{j in J} (-m_j) prod_{j not in J} (m_j + d), the sum
     of chi(D_J) * num[J] is an integer, and one Fraction divides it by D.
 
-    A dense table (at least 64 strata, and at least one per 4 of the 2^l
-    subsets) fills a cube of 2^l integers with chi by mask, 0 where a
-    stratum is empty, and folds it with `_fold`, the low `_BLOCK_BITS`
-    components block by block.  The fold works on every slot, present or
-    not, so it pays only at 4 times the density of `_closed_on_cube`,
-    which sets one byte a slot.  Any other table takes `_ordered_sum`:
-    one step per stratum, and no lookup of an absent mask.
+    A dense table (at least one stratum per 4 of the 2^l subsets) of up
+    to 8 components takes `_mask_sum`, which with 1-digit values beats the
+    fold there and loses from 9 on.  A wider one fills a cube of 2^l
+    integers with chi by mask, 0 where a stratum is empty, and folds it
+    with `_fold`, the low `_BLOCK_BITS` components block by block.  Both
+    work on every slot, so they pay only at 4 times the density of
+    `_closed_on_cube`, which sets one byte a slot.  Any other table takes
+    `_ordered_sum`: one step per stratum, and no lookup of an absent mask.
     """
     negated = [-comp.mult for comp in pair.components]
     shifted = [pair.d - n for n in negated]
     strata = pair.strata
     l = len(shifted)
-    if len(strata) >= 64 and 1 << l <= 4 * len(strata):
+    if 1 << l > 4 * len(strata):
+        order = sorted(strata)
+        total = _ordered_sum(zip(order, [strata[m].chi for m in order]), shifted, negated)
+    elif l <= 8:
+        total = _mask_sum(strata, shifted, negated)
+    else:
         cube = [0] * (1 << l)
         for mask, stratum in strata.items():
             cube[mask] = stratum.chi
@@ -509,9 +525,6 @@ def chi_d(pair: SncPair) -> Fraction:
         sums = [_fold(cube[start:start + block], shifted[:low], negated[:low])
                 for start in range(0, len(cube), block)]
         total = _fold(sums, shifted[low:], negated[low:])
-    else:
-        order = sorted(strata)
-        total = _ordered_sum(zip(order, [strata[m].chi for m in order]), shifted, negated)
     return Fraction(total, prod(shifted))
 
 
@@ -709,6 +722,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
 
     e_bit = 1 << l
     entries: StratumTable = {}
+    dropped = 0
     for mask, stratum in pair.strata.items():
         fiber = r - (mask & contains).bit_count()
         meets = stratum.chi_meet_center
@@ -718,10 +732,11 @@ def blowup_transform(pair: SncPair) -> SncPair:
             continue
         if not (fiber == 0 and stratum.chi == meets):
             entries[mask] = _RECORDS[stratum.chi + meets * (fiber - 1), None]
+        elif not mask & (mask - 1):  # a deleted singleton; the input has each
+            dropped |= mask
         if fiber >= 1:
             entries[mask | e_bit] = _RECORDS[meets * fiber, None]
 
-    dropped = sum(1 << j for j in range(l) if (1 << j) not in entries)
     if dropped:
         for mask in entries:
             orphans = mask & dropped
@@ -848,8 +863,9 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
     numbers, a center codimension, a containing set among the positive
     components, and a consistent family of center intersections.  Every
     output validates and admits `blowup_transform`.  Each integer is drawn
-    by `inputs.draw`, which draws the bits `rng.randint` draws, so a seed
-    gives the pairs it gave through `randint`.  `max_components` must lie
+    by `inputs.draw`, which draws the bits `rng.randint` draws, and the
+    containing set as `rng.sample` draws it, so a seed gives the pairs it
+    gave through `randint` and `sample`.  `max_components` must lie
     in 0..MAX_RANDOM_COMPONENTS; otherwise ValueError is raised before
     anything is drawn.
     """
@@ -870,7 +886,12 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
     s = draw(bits, 0, min(r, len(positive)))
     if r == 1 and s == 0:
         r = draw(bits, 2, 4)
-    contains = sum(1 << j for j in rng.sample(positive, s))
+    # rng.sample(positive, s) by the pool method it takes for up to 21 items
+    contains = 0
+    for top in range(len(positive) - 1, len(positive) - 1 - s, -1):
+        j = draw(bits, 0, top)
+        contains |= 1 << positive[j]
+        positive[j] = positive[top]
     contained = list(_submasks(contains))
 
     chi = functools.partial(draw, bits, -9, 9)

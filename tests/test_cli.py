@@ -126,6 +126,35 @@ def test_input_file_size_limit_is_inclusive(capsys, monkeypatch, tmp_path, comma
     assert err == f"error: {path}: file is larger than the limit of {size - 1} bytes\n"
 
 
+def test_reading_a_small_table_allocates_no_limit_sized_buffer(triangle_table_path):
+    # read(MAX_INPUT_BYTES + 1) allocated a 16 MiB buffer for every file
+    tracemalloc.start()
+    try:
+        pair = cli._parse_file(triangle_table_path, sncpair.pair_from_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair == sncpair.pair_from_obj(TRIANGLE_TABLE)
+    assert peak < 2 * 1024 * 1024
+
+
+def test_a_file_of_several_chunks_is_read_whole_and_bounded(monkeypatch, tmp_path):
+    # 2.5 MiB of spaces after the document: three chunks of 1 MiB
+    path = tmp_path / "padded.json"
+    text = json.dumps(TRIANGLE_TABLE) + " " * (5 << 19)
+    path.write_text(text, encoding="utf-8")
+    assert cli._parse_file(str(path), sncpair.pair_from_json) == sncpair.pair_from_obj(
+        TRIANGLE_TABLE)
+    for limit in (len(text), len(text) - 1, 1 << 20, (1 << 20) - 1):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", limit)
+        if limit >= len(text):
+            assert cli._parse_file(str(path), len) == len(text)
+            continue
+        with pytest.raises(cli.CliInputError) as info:
+            cli._parse_file(str(path), len)
+        assert str(info.value) == f"{path}: file is larger than the limit of {limit} bytes"
+
+
 @pytest.mark.parametrize("command, text", FILE_INPUTS)
 def test_non_utf8_input_file_names_the_path(capsys, tmp_path, command, text):
     path = tmp_path / "input.json"

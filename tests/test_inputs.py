@@ -101,14 +101,44 @@ def test_draw_refuses_an_empty_range_before_drawing(low, high):
 
 
 def test_only_draw_turns_a_seed_into_integers():
-    """No cypair module calls `randint` or `randrange`; their integers come
-    from `inputs.draw`."""
+    """No cypair module calls `randint`, `randrange`, or `sample`,
+    `choice`, `choices` and `shuffle`, which draw integer indices; their
+    integers come from `inputs.draw`.  `random()` coins are allowed."""
+    drawing = {"randint", "randrange", "sample", "choice", "choices", "shuffle"}
     callers = set()
     for path in sorted(Path(inputs.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if getattr(node, "attr", None) in {"randint", "randrange"}:
+            if getattr(node, "attr", None) in drawing:
                 callers.add(path.stem)
     assert callers == set()
+
+
+@pytest.mark.parametrize("max_components", [6, sncpair.MAX_RANDOM_COMPONENTS])
+def test_containing_set_takes_the_bits_sample_takes(max_components):
+    """`random_blowup_instance` draws its containing set as `rng.sample`
+    draws it: the integers before it replayed by `randint`, the set is
+    `sample`'s, and the next integer, the ambient space's chi, is the one
+    `randint` draws after `sample`."""
+    sizes = set()
+    for seed in range(300):
+        pair = sncpair.random_blowup_instance(random.Random(seed), max_components)
+        rng = random.Random(seed)
+        l, d = rng.randint(0, max_components), rng.randint(1, 5)
+        mults = []
+        for _ in range(l):
+            m = 0
+            while m in (0, -d):
+                m = rng.randint(-9, 9)
+            mults.append(m)
+        positive = [j for j, m in enumerate(mults) if m > 0]
+        r = rng.randint(1, 4)
+        s = rng.randint(0, min(r, len(positive)))
+        if r == 1 and s == 0:
+            rng.randint(2, 4)
+        assert pair.contains_mask == sum(1 << j for j in rng.sample(positive, s))
+        assert pair.strata[0].chi == rng.randint(-9, 9)
+        sizes.add(s)
+    assert sizes == {0, 1, 2, 3, 4}
 
 
 def _refusal(read, document):

@@ -1039,11 +1039,11 @@ def test_chi_d_folded_and_walked_match_the_oracle(l, k, seed):
     assert chi_d(pair) == oracle_chi_d(pair)
 
 
-# (l, N): 63 and 64 strata over 6 components, and 2^l = 4 N against
-# 2^l = 4 (N + 1), the nearest size past the bound 2^l <= 4 N.  The first
-# N masks by size are downward closed, singletons included.
+# (l, N): tables of at most 8 components, which never fold, and 2^l = 4 N
+# against 2^l = 4 (N + 1), the nearest size past the bound 2^l <= 4 N.  The
+# first N masks by size are downward closed, singletons included.
 @pytest.mark.parametrize("l, n, fold", [
-    (6, 63, False), (6, 64, True), (9, 128, True), (9, 127, False),
+    (6, 63, False), (8, 256, False), (9, 128, True), (9, 127, False),
     (10, 256, True), (10, 255, False)])
 def test_chi_d_path_flips_at_the_fold_thresholds(monkeypatch, l, n, fold):
     lengths = fold_spy(monkeypatch)
@@ -1054,6 +1054,62 @@ def test_chi_d_path_flips_at_the_fold_thresholds(monkeypatch, l, n, fold):
     pair = SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
     assert chi_d(pair) == oracle_chi_d(pair)
     assert lengths == ([1 << l, 1] if fold else [])
+
+
+def sum_spy(monkeypatch) -> list[str]:
+    """The name of each of `chi_d`'s three sums as it runs from now on."""
+    names = []
+    for name in ("_mask_sum", "_fold", "_ordered_sum"):
+        real = getattr(sncpair, name)
+        monkeypatch.setattr(sncpair, name, lambda *args, name=name, real=real:
+                            names.append(name) or real(*args))
+    return names
+
+
+@st.composite
+def small_tables(draw):
+    """A pair on 0-8 components whose table is the subsets of up to four
+    drawn masks, singletons included: as sparse as l + 1 strata and as
+    dense as all 2^l.  d, the multiplicities and chi have up to 40 digits,
+    and some m_j + d are small or negative."""
+    l = draw(st.integers(0, 8))
+    family = {0} | {1 << j for j in range(l)}
+    for top in draw(st.lists(st.integers(0, (1 << l) - 1), max_size=4)):
+        family.update(sncpair._submasks(top))
+    big = st.integers(1 - inputs.INT_LIMIT, inputs.INT_LIMIT - 1)
+    d = draw(big.filter(bool))
+    mults = draw(st.lists(st.one_of(big, st.integers(-99, 99).map(lambda m: m - d))
+                          .filter(lambda m: m not in (0, -d)), min_size=l, max_size=l))
+    chis = draw(st.lists(big, min_size=len(family), max_size=len(family)))
+    components = tuple(Component(f"D{j}", m) for j, m in enumerate(mults))
+    return SncPair(d, components, dict(zip(sorted(family), map(Stratum, chis))))
+
+
+# Both sides of the mask sum's rule, 2^l <= 4 N, on at most 8 components:
+# every table of at most 4 components is dense, 2^l <= 4 (l + 1), and one
+# of 5 to 8 components with few strata is not.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_tables())
+def test_chi_d_on_at_most_8_components_matches_the_oracle(pair):
+    assert chi_d(pair) == oracle_chi_d(pair)
+
+
+# (l, N): 2^l = 4 N against 2^l = 4 (N + 1) at 5 and 8 components, and
+# the smallest tables of 0 and 4 components, which are dense; a wider
+# dense table folds (`test_chi_d_path_flips_at_the_fold_thresholds`).
+@pytest.mark.parametrize("l, n, name", [
+    (0, 1, "_mask_sum"), (4, 5, "_mask_sum"), (5, 8, "_mask_sum"), (5, 7, "_ordered_sum"),
+    (8, 64, "_mask_sum"), (8, 63, "_ordered_sum"), (8, 256, "_mask_sum")])
+def test_chi_d_takes_the_mask_sum_on_dense_tables_of_at_most_8_components(
+        monkeypatch, l, n, name):
+    names = sum_spy(monkeypatch)
+    rng = random.Random(10 * l + n)
+    d = digits(rng)
+    components = tuple(Component(f"D{j}", digits(rng, 2) - d) for j in range(l))
+    masks = sorted(range(1 << l), key=lambda m: (m.bit_count(), m))[:n]
+    pair = SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
+    assert chi_d(pair) == oracle_chi_d(pair)
+    assert set(names) == {name}
 
 
 # Past sncpair._BLOCK_BITS = 10 components, the cube is folded in blocks of
@@ -1161,19 +1217,20 @@ def ring_test_pairs(draw):
     return pair_from_obj(coordinate_table(r, mults))
 
 
-# The fold and the ordered sum use only *, + and exact //, so over Z[d],
-# with shifted[j] = m_j + d, each gives sum_J chi(D_J) num[J] as a
-# polynomial, and chi_d is its value at the pair's d over prod_j (m_j + d).
+# The three sums use only *, + and exact //, so over Z[d], with
+# shifted[j] = m_j + d, each gives sum_J chi(D_J) num[J] as a polynomial,
+# and chi_d is its value at the pair's d over prod_j (m_j + d).
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(ring_test_pairs())
-def test_both_sums_run_over_integer_polynomials_in_d(pair):
+def test_every_sum_runs_over_integer_polynomials_in_d(pair):
     shifted = [IntPoly([m, 1]) for m in pair.mults]
     negated = [-m for m in pair.mults]
     chis = {mask: stratum.chi for mask, stratum in pair.strata.items()}
     cube = [chis.get(mask, 0) for mask in range(1 << len(shifted))]
     folded = IntPoly.lift(sncpair._fold(cube, shifted, negated))
     ordered = IntPoly.lift(sncpair._ordered_sum(sorted(chis.items()), shifted, negated))
-    assert folded == ordered
+    masked = IntPoly.lift(sncpair._mask_sum(pair.strata, shifted, negated))
+    assert folded == ordered == masked
     denominator = IntPoly.lift(math.prod(shifted))
     assert Fraction(ordered.at(pair.d), denominator.at(pair.d)) == chi_d(pair)
 
