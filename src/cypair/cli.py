@@ -7,6 +7,10 @@ document (rationals rendered as strings, checks sorted by name) and
 `--out` redirects the report to a file.  Either form is written one check
 at a time, so no second copy of a report is held.
 
+At module level this imports only what every command uses; each handler
+imports the layer it runs (`symcalc`, `sncpair`, `chow` or `hodge`), so a
+command compiles and loads none of the others.
+
 Exit codes: 0 when every check passes, 1 when a mathematical check
 fails, 2 for invalid input of any kind.
 """
@@ -15,16 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import chow, hodge, sncpair, symcalc
 from .inputs import (MAX_DIAMOND_DIM, MAX_INT_DIGITS, LongDecimal, bounded_dim,
                      bounded_int, decimal, shown)
+
+if TYPE_CHECKING:  # the handlers import what they run
+    import random
+
+    from . import hodge
 
 DEFAULT_SEED = 7
 
@@ -167,6 +173,8 @@ def _parse_file(path: str, parse):
 
 def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
     """A builtin diamond name (point, cpN) or a JSON file path."""
+    from . import hodge
+
     if source == "point":
         return hodge.HodgeDiamond.point()
     match = re.fullmatch(r"cp(\d+)", source)
@@ -182,6 +190,8 @@ def _load_diamond(source: str, flag: str) -> hodge.HodgeDiamond:
 
 
 def cmd_identities(args) -> Report:
+    from . import symcalc
+
     if not 1 <= args.max_m <= symcalc.MAX_VERIFY_ROOTS:
         raise CliInputError(
             f"--max-m must lie in 1..{symcalc.MAX_VERIFY_ROOTS}, got {args.max_m}")
@@ -199,6 +209,8 @@ def cmd_identities(args) -> Report:
 
 def _random_generator(args) -> random.Random:
     """The generator seeded by `--seed`, once `--random COUNT` is in range."""
+    import random
+
     if not 1 <= args.random <= MAX_RANDOM:
         raise CliInputError(
             f"--random must lie in 1..{MAX_RANDOM}, got {args.random}")
@@ -225,6 +237,8 @@ def _parse_mults(raw: str | None) -> tuple[int, ...]:
 
 
 def cmd_chi_d_cp(args) -> Report:
+    from . import sncpair
+
     if not 1 <= args.r <= MAX_CP_R:
         raise CliInputError(f"--r must lie in 1..{MAX_CP_R}, got {args.r}")
     mults = _parse_mults(args.mults)
@@ -235,7 +249,7 @@ def cmd_chi_d_cp(args) -> Report:
         _check("chi-d-enumeration", by_enumeration),
         _check("fprime-at-1", by_derivative),
         _check("enumeration-matches-fprime", by_enumeration, by_derivative),
-        _check("chi-d-vanishes", by_enumeration, Fraction(0)),
+        _check("chi-d-vanishes", by_enumeration, 0),
     ]
     notes = [f"model pair on projective {args.r}-space, "
              f"multiplicities {pair.mults}"]
@@ -243,12 +257,16 @@ def cmd_chi_d_cp(args) -> Report:
 
 
 def cmd_chi_d_table(args) -> Report:
+    from . import sncpair
+
     pair = _parse_file(args.file, sncpair.pair_from_json)
     value = sncpair.chi_d(pair)
     return Report("chi-d table", [_check("chi-d", value)], [])
 
 
 def cmd_blowup_check(args) -> Report:
+    from . import sncpair
+
     if args.file is not None:
         pair = _parse_file(args.file, sncpair.pair_from_json)
         result = sncpair.check_blowup_invariance(pair)
@@ -276,6 +294,8 @@ def cmd_blowup_check(args) -> Report:
 
 
 def cmd_hrr_cp(args) -> Report:
+    from . import chow
+
     if not 0 <= args.n <= MAX_HRR_N:
         raise CliInputError(f"--n must lie in 0..{MAX_HRR_N}, got {args.n}")
     if not 0 <= args.p <= args.n:
@@ -283,9 +303,9 @@ def cmd_hrr_cp(args) -> Report:
     value = chow.chi_twisted_hodge(args.n, args.p, args.twist)
     checks = []
     if 1 <= args.twist <= args.p:
-        checks.append(_check("twisted-forms-vanish", value, Fraction(0)))
+        checks.append(_check("twisted-forms-vanish", value, 0))
     elif args.twist == 0:
-        checks.append(_check("untwisted-forms-sign", value, Fraction((-1) ** args.p)))
+        checks.append(_check("untwisted-forms-sign", value, (-1) ** args.p))
     else:
         checks.append(_check("chi", value))
     notes = [f"chi of projective {args.n}-space with values in "
@@ -294,6 +314,8 @@ def cmd_hrr_cp(args) -> Report:
 
 
 def cmd_hodge_bundle(args) -> Report:
+    from . import hodge
+
     base = _load_diamond(args.base, "--base")
     if args.fiber_dim < 0:
         raise CliInputError(f"--fiber-dim must be non-negative, got {args.fiber_dim}")
@@ -307,6 +329,8 @@ def cmd_hodge_bundle(args) -> Report:
 
 
 def cmd_hodge_blowup(args) -> Report:
+    from . import hodge
+
     ambient = _load_diamond(args.x, "--x")
     center = _load_diamond(args.y, "--y")
     blown = hodge.blowup_diamond(ambient, center, args.codim)
@@ -319,6 +343,8 @@ def cmd_hodge_blowup(args) -> Report:
 
 
 def cmd_hodge_correction(args) -> Report:
+    from . import hodge
+
     diamond = _load_diamond(args.diamond, "--diamond")
     coefficient = hodge.correction_term(diamond)
     checks = [
@@ -330,6 +356,8 @@ def cmd_hodge_correction(args) -> Report:
 
 
 def cmd_hodge_ledger(args) -> Report:
+    from . import hodge
+
     checks = []
     if args.diamond is not None:
         diamond = _load_diamond(args.diamond, "--diamond")
@@ -374,6 +402,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return p if every or name == command else None
 
     if p := add("identities", "verify the Todd / exterior-character identities"):
+        from . import symcalc
+
         p.add_argument("--max-m", type=_integer, default=6,
                        help="verify for every root count up to this bound "
                             f"(at most {symcalc.MAX_VERIFY_ROOTS})")

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import functools
 import json
-import random
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .inputs import bounded_dim, bounded_int, decode_json, draw, expect_object, shown
+
+if TYPE_CHECKING:  # only the annotations name it: drawing calls the generator's methods
+    import random
 
 
 class DiamondError(ValueError):

@@ -90,14 +90,16 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 from fractions import Fraction
 from math import prod
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .inputs import (INT_LIMIT, MAX_COMPONENTS, bounded_int, cut, decode_json, draw,
                      expect_object, shown, shown_names)
+
+if TYPE_CHECKING:  # only the annotations name it: drawing calls the generator's methods
+    import random
 
 
 class PairValidationError(ValueError):

@@ -1518,11 +1518,11 @@ NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _import_in_child(module: str, names):
-    """Import `module` in a new interpreter, which prints the sorted list of
-    the modules in `names` that it then holds."""
+def _import_in_child(module: str, names, then: str = "pass"):
+    """Import `module` in a new interpreter, run the statement `then`, and
+    print the sorted list of the modules in `names` that it then holds."""
     # -S: no site module, whose own imports vary with the installation
-    code = (f"import {module}, sys; "
+    code = (f"import {module}, sys; {then}; "
             "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
     return subprocess.run(
         [sys.executable, "-S", "-c", code, *names],
@@ -1535,20 +1535,59 @@ def test_cli_import_leaves_out_dataclasses():
     assert result.stdout == "[]\n"
 
 
-#: The cypair modules each of these imports: the input rules import no
-#: other, and `hodge` reads them without the pair module.
+CYPAIR_MODULES = [f"cypair.{path.stem}" for path in (SRC / "cypair").glob("*.py")
+                  if path.stem != "__init__"]
+
+#: The standard modules only some layers need: the rationals of `symcalc`,
+#: `chow` and `sncpair`, and the generator of `--random`.
+LAYER_STDLIB = ["fractions", "random"]
+
+#: The modules each of these imports: the input rules import no other
+#: cypair module, `hodge` reads them without the pair module, and the CLI
+#: imports a layer only in the command that runs it.  None needs `random`
+#: until a command draws.
 IMPORT_GRAPH = {
     "cypair.inputs": ["cypair.inputs"],
     "cypair.hodge": ["cypair.hodge", "cypair.inputs"],
+    "cypair.cli": ["cypair.cli", "cypair.inputs"],
 }
 
 
 @pytest.mark.parametrize("module", IMPORT_GRAPH)
 def test_import_graph(module):
-    modules = [f"cypair.{path.stem}" for path in (SRC / "cypair").glob("*.py")
-               if path.stem != "__init__"]
-    result = _import_in_child(module, modules)
+    result = _import_in_child(module, CYPAIR_MODULES + LAYER_STDLIB)
     assert result.stdout == f"{IMPORT_GRAPH[module]}\n"
+
+
+#: What each command holds once it has run: `cli` and `inputs`, the layers
+#: it runs and their rationals, and `random` only where it draws.
+COMMAND_MODULES = [
+    (["identities", "--max-m", "1"], ["cypair.symcalc", "fractions"]),
+    (["chi-d", "cp", "--r", "1", "--s", "1", "--d", "1", "--mults", "2"],
+     ["cypair.sncpair", "fractions"]),
+    (["chi-d", "table", "--file", "triangle.json"], ["cypair.sncpair", "fractions"]),
+    (["blowup-check", "--file", "triangle.json"], ["cypair.sncpair", "fractions"]),
+    (["blowup-check", "--random", "1"], ["cypair.sncpair", "fractions", "random"]),
+    (["hrr", "cp", "--n", "2", "--p", "1"],
+     ["cypair.chow", "cypair.symcalc", "fractions"]),
+    (["hodge", "bundle", "--base", "cp1", "--fiber-dim", "1"], ["cypair.hodge"]),
+    (["hodge", "blowup", "--x", "cp2", "--y", "point", "--codim", "2"],
+     ["cypair.hodge"]),
+    (["hodge", "correction", "--diamond", "cp2"], ["cypair.hodge"]),
+    (["hodge", "ledger", "--diamond", "cp2"], ["cypair.hodge"]),
+    (["hodge", "ledger", "--random", "2"], ["cypair.hodge", "random"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) for argv, _ in COMMAND_MODULES])
+def test_each_command_imports_only_its_layers(argv, loaded, tmp_path):
+    (tmp_path / "triangle.json").write_text(json.dumps(TRIANGLE_TABLE))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    run = f"print(cypair.cli.main({argv + ['--out', os.devnull]!r}), end=' ')"
+    result = _import_in_child("cypair.cli", CYPAIR_MODULES + LAYER_STDLIB, run)
+    expected = sorted(["cypair.cli", "cypair.inputs", *loaded])
+    assert result.stdout == f"0 {expected}\n"
 
 
 # ---------------------------------------------------------------------------
