@@ -22,11 +22,10 @@ presence is downward closed: a superset of an empty stratum must be empty.
 A dense table (at least 64 strata, and at least one per 16 of the 2^l
 subsets) has its closure decided at once on a presence cube; any other
 table, and any table that is not closed, is walked mask by mask, and the
-walk words every fault.  `chi_d` sums a table in one of three ways, by
-its width and density (see there).  All three take the values by mask,
-the factors m_j + d and the factors -m_j, and use only `*`, `+` and
-exact `//` on them, so they run over any exact ring, not just the
-integers.
+walk words every fault.  `chi_d` sums a table in one of two ways, by
+its density (see there).  Both take the values by mask, the factors
+m_j + d and the factors -m_j, and use only `*`, `+` and exact `//` on
+them, so they run over any exact ring, not just the integers.
 A table holds few distinct values, so every record that the reader, the
 transforms, the model pairs and the random tables build comes from one
 process-wide intern table (`_RECORDS`): equal records of int values are
@@ -433,42 +432,52 @@ def weight(d: int, mults: Iterable[int], subset) -> Fraction:
     return value
 
 
-#: A dense table's coefficient cube is folded in blocks of 2^_BLOCK_BITS
-#: entries, so that only one block's partial sums are alive at a time.
-_BLOCK_BITS = 10
+#: The most components whose numerators `_mask_sum` takes from one table.
+_LOW_BITS = 8
 
 
-def _fold(values: list, shifted: list, negated: list):
-    """sum_J values[J] prod_{j in J} negated[j] prod_{j not in J} shifted[j]
-    over the masks J indexing `values`, a list of 2^len(shifted) entries.
-
-    Each fold eliminates the highest remaining bit j: the entry for a
-    mask without j is multiplied by shifted[j], the entry for the mask
-    with j by negated[j], and the two are added (Yates's method).  Only
-    `*` and `+` are used.
-    """
-    for j in reversed(range(len(shifted))):
-        h = 1 << j
-        s, n = shifted[j], negated[j]
-        values = [a * s + b * n for a, b in zip(values[:h], values[h:])]
-    return values[0]
-
-
-def _mask_sum(strata: Mapping[int, Stratum], shifted: list, negated: list):
-    """`_fold`'s sum over a stratum table, from the numerators of all masks:
+def _numerators(shifted: list, negated: list) -> list:
+    """prod_{j in J} negated[j] prod_{j not in J} shifted[j] by mask J:
     component j doubles the list, times shifted[j] or negated[j]."""
     nums = [1]
     for s, n in zip(shifted, negated):
         nums = [x * f for f in (s, n) for x in nums]
-    total = 0
+    return nums
+
+
+def _mask_sum(strata: Mapping[int, Stratum], shifted: list, negated: list):
+    """sum_J chi(D_J) prod_{j in J} negated[j] prod_{j not in J} shifted[j]
+    over a stratum table, from the numerators of all masks.
+
+    Past _LOW_BITS components, the numerators of the low
+    min(_LOW_BITS, l // 2) bits come from one table and those of the
+    others from a second: each stratum adds chi times its low numerator
+    into the sum of its high part, and each of those sums is multiplied
+    once by its high numerator.  Only `*` and `+` are used.
+    """
+    l = len(shifted)
+    if l <= _LOW_BITS:
+        nums = _numerators(shifted, negated)
+        total = 0
+        for mask, stratum in strata.items():
+            total += nums[mask] * stratum.chi
+        return total
+    bits = min(_LOW_BITS, l // 2)
+    low = _numerators(shifted[:bits], negated[:bits])
+    sums = [0] * (1 << l - bits)
+    low_mask = len(low) - 1
     for mask, stratum in strata.items():
-        total += nums[mask] * stratum.chi
+        sums[mask >> bits] += low[mask & low_mask] * stratum.chi
+    del low  # freed before the high table is built, which lowers the peak
+    total = 0
+    for num, part in zip(_numerators(shifted[bits:], negated[bits:]), sums):
+        total += num * part
     return total
 
 
 def _ordered_sum(items: Iterable[tuple[int, object]], shifted: list, negated: list):
-    """`_fold`'s sum over (mask, value) items, given in increasing mask
-    order, whose masks form a downward closed set.
+    """`_mask_sum`'s sum over (mask, value) items, given in increasing
+    mask order, whose masks form a downward closed set.
 
     With j the lowest bit of J, num[J] = num[J - {j}] // shifted[j] *
     negated[j] from num[empty] = prod shifted: exact, as shifted[j] divides
@@ -500,33 +509,22 @@ def chi_d(pair: SncPair) -> Fraction:
     num[J] = prod_{j in J} (-m_j) prod_{j not in J} (m_j + d), the sum
     of chi(D_J) * num[J] is an integer, and one Fraction divides it by D.
 
-    A dense table (at least one stratum per 4 of the 2^l subsets) of up
-    to 8 components takes `_mask_sum`, which with 1-digit values beats the
-    fold there and loses from 9 on.  A wider one fills a cube of 2^l
-    integers with chi by mask, 0 where a stratum is empty, and folds it
-    with `_fold`, the low `_BLOCK_BITS` components block by block.  Both
-    work on every slot, so they pay only at 4 times the density of
-    `_closed_on_cube`, which sets one byte a slot.  Any other table takes
-    `_ordered_sum`: one step per stratum, and no lookup of an absent mask.
+    A dense table (at least one stratum per 4 of the 2^l subsets) takes
+    `_mask_sum`.  Up to _LOW_BITS components it builds a numerator per
+    subset, so it pays only at 4 times the density of `_closed_on_cube`,
+    which sets one byte a subset; past them its two tables hold at most
+    2^max(_LOW_BITS, l - _LOW_BITS) numerators each, 4 N / 256 or fewer
+    from 17 components on.  Any other table takes `_ordered_sum`: one
+    step per stratum, and no lookup of an absent mask.
     """
     negated = [-comp.mult for comp in pair.components]
     shifted = [pair.d - n for n in negated]
     strata = pair.strata
-    l = len(shifted)
-    if 1 << l > 4 * len(strata):
+    if 1 << len(shifted) > 4 * len(strata):
         order = sorted(strata)
         total = _ordered_sum(zip(order, [strata[m].chi for m in order]), shifted, negated)
-    elif l <= 8:
-        total = _mask_sum(strata, shifted, negated)
     else:
-        cube = [0] * (1 << l)
-        for mask, stratum in strata.items():
-            cube[mask] = stratum.chi
-        low = min(l, _BLOCK_BITS)
-        block = 1 << low
-        sums = [_fold(cube[start:start + block], shifted[:low], negated[:low])
-                for start in range(0, len(cube), block)]
-        total = _fold(sums, shifted[low:], negated[low:])
+        total = _mask_sum(strata, shifted, negated)
     return Fraction(total, prod(shifted))
 
 

@@ -379,27 +379,34 @@ def test_hrr_reports_match_recorded_digests(capsys, form):
 # inputs built here: `chi-d table --file` and `blowup-check --file` on the
 # centered coordinate table of P^10 (2,047 strata), and `chi-d cp --r 12
 # --s 12` (8,191 strata).  Dense tables have their closure decided on a
-# presence cube, and these pin that their reports keep every byte.
+# presence cube, and these pin that their reports keep every byte.  The
+# 40-digit case is `blowup-check --file` on that table with multiplicities
+# of 39 and 40 digits: its tables of 9, 11 and 12 components take the mask
+# sum's second level on numerators of hundreds of digits.
 STRATA_MULTS = [1 + j % 5 for j in range(12)]
+STRATA_BIG_MULTS = [(j + 1) * 10 ** 38 + 7 * j + 1 for j in range(10)]
 STRATA_WIDE_DIGESTS = {
     "chi-d table": "60c89481ea930ddff65ec2419afc65acbc2020134275183a5b474d242ad01a4d",
     "blowup-check": "4dacb829262cb1b897f1549bff12a8ecb440f74d915d730a653399b9fc480c6c",
+    "blowup-check 40-digit": "1780db2b011fc8c85c7a4dd06cb08984323daef0b2a348f13e2ad3da3b8b513d",
     "chi-d cp": "0171eddf7f185711addae635c5feeefc749c0db208cbf93c17e825f40ce00547",
 }
 
 
-@pytest.mark.parametrize("command", sorted(STRATA_WIDE_DIGESTS))
-def test_strata_wide_reports_match_recorded_digests(capsys, tmp_path, command):
+@pytest.mark.parametrize("case", sorted(STRATA_WIDE_DIGESTS))
+def test_strata_wide_reports_match_recorded_digests(capsys, tmp_path, case):
+    command = case.removesuffix(" 40-digit")
     if command == "chi-d cp":
         args = ["--r", "12", "--s", "12", "--d", "1",
                 "--mults", ",".join(map(str, STRATA_MULTS))]
     else:
+        mults = STRATA_BIG_MULTS if case != command else STRATA_MULTS[:10]
         path = tmp_path / "coordinate.json"
-        path.write_text(json.dumps(coordinate_table(10, STRATA_MULTS[:10])))
+        path.write_text(json.dumps(coordinate_table(10, mults)))
         args = ["--file", str(path)]
     code, out, err = run_cli(command.split() + args + ["--json"], capsys)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == STRATA_WIDE_DIGESTS[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == STRATA_WIDE_DIGESTS[case]
 
 
 def test_blowup_check_requires_one_mode(capsys, triangle_table_path):

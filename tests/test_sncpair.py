@@ -1018,17 +1018,9 @@ def closed_table_pair(l: int, k: int, seed: int) -> SncPair:
     return SncPair(d, components, {m: Stratum(digits(rng)) for m in family})
 
 
-def fold_spy(monkeypatch) -> list[int]:
-    """The length of the values list of every `_fold` call from now on."""
-    lengths = []
-    real = sncpair._fold
-    monkeypatch.setattr(sncpair, "_fold",
-                        lambda values, *rest: lengths.append(len(values)) or real(values, *rest))
-    return lengths
-
-
-# l = 15 with k = 6 is dense (9,949 strata, 2^15 <= 4 N) and folds 32
-# blocks; k = 5 (4,944 strata) takes the ordered sum.
+# l = 15 with k = 6 is dense (9,949 strata, 2^15 <= 4 N) and takes the
+# two-level mask sum over 256 high parts; k = 5 (4,944 strata) takes the
+# ordered sum.
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 2 ** 32))
 @example(15, 6, 1)
@@ -1039,30 +1031,18 @@ def test_chi_d_folded_and_walked_match_the_oracle(l, k, seed):
     assert chi_d(pair) == oracle_chi_d(pair)
 
 
-# (l, N): tables of at most 8 components, which never fold, and 2^l = 4 N
-# against 2^l = 4 (N + 1), the nearest size past the bound 2^l <= 4 N.  The
-# first N masks by size are downward closed, singletons included.
-@pytest.mark.parametrize("l, n, fold", [
-    (6, 63, False), (8, 256, False), (9, 128, True), (9, 127, False),
-    (10, 256, True), (10, 255, False)])
-def test_chi_d_path_flips_at_the_fold_thresholds(monkeypatch, l, n, fold):
-    lengths = fold_spy(monkeypatch)
-    rng = random.Random(100 * l + n)
-    d = digits(rng)
-    components = tuple(Component(f"D{j}", digits(rng, 2) - d) for j in range(l))
-    masks = sorted(range(1 << l), key=lambda m: (m.bit_count(), m))[:n]
-    pair = SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
-    assert chi_d(pair) == oracle_chi_d(pair)
-    assert lengths == ([1 << l, 1] if fold else [])
-
-
-def sum_spy(monkeypatch) -> list[str]:
-    """The name of each of `chi_d`'s three sums as it runs from now on."""
+def sum_spy(monkeypatch) -> list:
+    """The name of each of `chi_d`'s two sums as it runs from now on, each
+    followed by the number of components of every numerator table it
+    builds."""
     names = []
-    for name in ("_mask_sum", "_fold", "_ordered_sum"):
+    for name in ("_mask_sum", "_ordered_sum"):
         real = getattr(sncpair, name)
         monkeypatch.setattr(sncpair, name, lambda *args, name=name, real=real:
                             names.append(name) or real(*args))
+    real_numerators = sncpair._numerators
+    monkeypatch.setattr(sncpair, "_numerators", lambda shifted, negated:
+                        names.append(len(shifted)) or real_numerators(shifted, negated))
     return names
 
 
@@ -1094,32 +1074,64 @@ def test_chi_d_on_at_most_8_components_matches_the_oracle(pair):
     assert chi_d(pair) == oracle_chi_d(pair)
 
 
-# (l, N): 2^l = 4 N against 2^l = 4 (N + 1) at 5 and 8 components, and
-# the smallest tables of 0 and 4 components, which are dense; a wider
-# dense table folds (`test_chi_d_path_flips_at_the_fold_thresholds`).
-@pytest.mark.parametrize("l, n, name", [
-    (0, 1, "_mask_sum"), (4, 5, "_mask_sum"), (5, 8, "_mask_sum"), (5, 7, "_ordered_sum"),
-    (8, 64, "_mask_sum"), (8, 63, "_ordered_sum"), (8, 256, "_mask_sum")])
-def test_chi_d_takes_the_mask_sum_on_dense_tables_of_at_most_8_components(
-        monkeypatch, l, n, name):
-    names = sum_spy(monkeypatch)
+def first_masks_pair(l: int, n: int) -> SncPair:
+    """A pair on l components whose table is the first n masks by size:
+    downward closed, and every singleton is in it once n > l.  d, the
+    multiplicities and chi have 1 to 40 digits."""
     rng = random.Random(10 * l + n)
     d = digits(rng)
     components = tuple(Component(f"D{j}", digits(rng, 2) - d) for j in range(l))
     masks = sorted(range(1 << l), key=lambda m: (m.bit_count(), m))[:n]
-    pair = SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
-    assert chi_d(pair) == oracle_chi_d(pair)
-    assert set(names) == {name}
+    return SncPair(d, components, {m: Stratum(digits(rng)) for m in masks})
 
 
-# Past sncpair._BLOCK_BITS = 10 components, the cube is folded in blocks of
-# 1,024 entries and the per-block sums over the remaining components.
-@pytest.mark.parametrize("l, k", [(11, 4), (12, 5), (13, 5), (14, 6)])
-def test_chi_d_folds_block_by_block(monkeypatch, l, k):
-    lengths = fold_spy(monkeypatch)
-    pair = closed_table_pair(l, k, seed=l)
+# (l, N): the sums switch at 2^l = 4 N.  From 5 components on, 2^l = 4 N
+# is dense and 2^l = 4 (N + 1), the nearest size past the bound, is not;
+# every table of at most 4 components is dense, 2^l <= 4 (l + 1), so the
+# smallest one, N = l + 1, is.  The full table of 8 components is dense.
+# The mask sum builds one table of the numerators of all l components.
+@pytest.mark.parametrize("l, n, name", [
+    (0, 1, "_mask_sum"), (1, 2, "_mask_sum"), (2, 3, "_mask_sum"), (3, 4, "_mask_sum"),
+    (4, 5, "_mask_sum"), (5, 8, "_mask_sum"), (5, 7, "_ordered_sum"),
+    (6, 16, "_mask_sum"), (6, 15, "_ordered_sum"), (7, 32, "_mask_sum"),
+    (7, 31, "_ordered_sum"), (8, 64, "_mask_sum"), (8, 63, "_ordered_sum"),
+    (8, 256, "_mask_sum")])
+def test_chi_d_takes_the_mask_sum_on_dense_tables_of_at_most_8_components(
+        monkeypatch, l, n, name):
+    names = sum_spy(monkeypatch)
+    pair = first_masks_pair(l, n)
     assert chi_d(pair) == oracle_chi_d(pair)
-    assert lengths == [1024] * (1 << (l - 10)) + [1 << (l - 10)]
+    assert names == ([name, l] if name == "_mask_sum" else [name])
+
+
+# Past sncpair._LOW_BITS = 8 components the mask sum takes its second
+# level, with the same rule: 2^l = 4 N against 2^l = 4 (N + 1).  It
+# builds one table for the low l // 2 components and one for the others.
+@pytest.mark.parametrize("l, n, name", [
+    (9, 128, "_mask_sum"), (9, 127, "_ordered_sum"),
+    (10, 256, "_mask_sum"), (10, 255, "_ordered_sum")])
+def test_chi_d_takes_the_two_level_mask_sum_past_8_components(
+        monkeypatch, l, n, name):
+    names = sum_spy(monkeypatch)
+    pair = first_masks_pair(l, n)
+    assert chi_d(pair) == oracle_chi_d(pair)
+    assert names == ([name, l // 2, l - l // 2] if name == "_mask_sum" else [name])
+
+
+def test_the_dense_sum_allocates_far_less_than_a_cube_of_its_subsets():
+    """On the coordinate table of P^15 (16 components, 65,535 strata),
+    `chi_d` keeps fewer bytes alive than one pointer per 8 of the 2^16
+    subsets: a list of 2^l values, one per subset, took 8 times that."""
+    pair = pair_from_obj(coordinate_table(15, [1 + j % 5 for j in range(15)]))
+    assert 1 << 16 <= 4 * len(pair.strata)  # dense: the mask sum
+    tracemalloc.start()
+    try:
+        value = chi_d(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ((1 << 16) // 8)  # an 8-byte pointer per 8 subsets
+    assert value == 0  # the divisor is pluricanonical
 
 
 class CountingTable(dict):
@@ -1138,8 +1150,8 @@ class CountingTable(dict):
 
 def test_chi_d_reads_each_stratum_once_and_probes_no_absent_mask():
     # every subset of at most 2 of 20 components: 211 strata, too sparse
-    # to fold.  A walk that tried each lower bit of each stratum made
-    # 1,350 membership probes here.
+    # for the mask sum.  A walk that tried each lower bit of each stratum
+    # made 1,350 membership probes here.
     l = 20
     rng = random.Random(20)
     components = tuple(Component(f"D{j}", digits(rng)) for j in range(l))
@@ -1209,28 +1221,28 @@ class IntPoly:
 @st.composite
 def ring_test_pairs(draw):
     """A `random_blowup_instance` pair, or a dense coordinate-hyperplane
-    pair on P^2..P^7 with multiplicities of up to 38 digits."""
+    pair on P^2..P^9 (3 to 10 components) with multiplicities of up to 38
+    digits."""
     if draw(st.booleans()):
         return random_blowup_instance(random.Random(draw(st.integers(0, 2 ** 32))))
-    r = draw(st.integers(2, 7))
+    r = draw(st.integers(2, 9))
     mults = draw(st.lists(st.integers(1, 10 ** 38), min_size=r, max_size=r))
     return pair_from_obj(coordinate_table(r, mults))
 
 
-# The three sums use only *, + and exact //, so over Z[d], with
+# The two sums use only *, + and exact //, so over Z[d], with
 # shifted[j] = m_j + d, each gives sum_J chi(D_J) num[J] as a polynomial,
-# and chi_d is its value at the pair's d over prod_j (m_j + d).
+# and chi_d is its value at the pair's d over prod_j (m_j + d).  Tables of
+# 9 and 10 components take the mask sum's second level.
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(ring_test_pairs())
 def test_every_sum_runs_over_integer_polynomials_in_d(pair):
     shifted = [IntPoly([m, 1]) for m in pair.mults]
     negated = [-m for m in pair.mults]
     chis = {mask: stratum.chi for mask, stratum in pair.strata.items()}
-    cube = [chis.get(mask, 0) for mask in range(1 << len(shifted))]
-    folded = IntPoly.lift(sncpair._fold(cube, shifted, negated))
     ordered = IntPoly.lift(sncpair._ordered_sum(sorted(chis.items()), shifted, negated))
     masked = IntPoly.lift(sncpair._mask_sum(pair.strata, shifted, negated))
-    assert folded == ordered == masked
+    assert ordered == masked
     denominator = IntPoly.lift(math.prod(shifted))
     assert Fraction(ordered.at(pair.d), denominator.at(pair.d)) == chi_d(pair)
 
@@ -1243,7 +1255,7 @@ def test_the_sparse_sum_reads_the_table_without_a_copy():
     strata = {sum(1 << j for j in subset): Stratum(10 ** 39 + sum(subset))
               for k in range(5) for subset in itertools.combinations(range(l), k)}
     pair = SncPair(3, tuple(Component(f"D{j}", 10 ** 39 + j) for j in range(l)), strata)
-    assert len(strata) >= 64 and 1 << l > 4 * len(strata)  # not dense: no fold
+    assert len(strata) >= 64 and 1 << l > 4 * len(strata)  # not dense
     tracemalloc.start()
     try:
         chi_d(pair)
