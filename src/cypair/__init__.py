@@ -1,6 +1,6 @@
 """Exact combinatorics of simple normal crossing Calabi-Yau pairs.
 
-Subpackages:
+Modules:
 
 * `symcalc` -- truncated series calculus in Chern roots / Chern classes,
   with verification of the Todd and shifted-Todd identities;

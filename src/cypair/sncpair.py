@@ -44,9 +44,9 @@ validated by their own construction.
 
 Blow-up centers
 ---------------
-A pair may carry center metadata: the codimension r of a connected
-submanifold Y meeting all strata transversally, a flag on each component
-recording whether it contains Y, and, per stratum, chi(Y intersect D_J)
+A pair may carry a `Center`: the codimension r of a connected
+submanifold Y meeting all strata transversally and the mask `contains`
+of the components that contain Y.  Per stratum, chi(Y intersect D_J) is
 in the `chi_meet_center` slot (None when Y misses the stratum).  With C
 the containing components, the validator requires the value for J to
 equal the value for J minus C, and checks two rules once, on the
@@ -116,11 +116,12 @@ class TableFormatError(ValueError):
 class Component(NamedTuple):
     id: str
     mult: int
-    contains_center: bool = False
 
 
 class Center(NamedTuple):
     codim: int
+    #: the mask of the components that contain the center
+    contains: int = 0
 
 
 class Stratum(NamedTuple):
@@ -227,14 +228,6 @@ class SncPair:
     def mults(self) -> tuple[int, ...]:
         return tuple(c.mult for c in self.components)
 
-    @property
-    def contains_mask(self) -> int:
-        mask = 0
-        for j, c in enumerate(self.components):
-            if c.contains_center:
-                mask |= 1 << j
-        return mask
-
     def subset_label(self, mask: int) -> str:
         names = [cut(c.id)
                  for j, c in enumerate(self.components) if (mask >> j) & 1]
@@ -272,10 +265,7 @@ def validate(pair: SncPair) -> None:
         raise PairValidationError(
             f"{l} components exceed the supported maximum of {MAX_COMPONENTS}")
     seen = set()
-    contains = 0
     for i, comp in enumerate(pair.components):
-        if comp.contains_center:
-            contains |= 1 << i
         if not comp.id or not isinstance(comp.id, str):
             raise PairValidationError(f"component {i} must have a non-empty string id")
         if comp.id in seen:
@@ -313,9 +303,6 @@ def validate(pair: SncPair) -> None:
                 "divisor components must be nonempty")
 
     if pair.center is None:
-        if contains:
-            raise PairValidationError(
-                "components are flagged contains_center but no center is declared")
         for mask, stratum in strata.items():
             if stratum.chi_meet_center is not None:
                 raise PairValidationError(
@@ -323,9 +310,12 @@ def validate(pair: SncPair) -> None:
                     "but no center is declared")
         return
 
-    r = pair.center.codim
+    r, contains = pair.center
     if r < 1:
         raise PairValidationError(f"center codimension must be >= 1, got {r}")
+    if contains & ~full:
+        raise PairValidationError(
+            f"center containing mask {contains} references unknown components")
     s = contains.bit_count()
     if s > r:
         raise PairValidationError(
@@ -534,21 +524,20 @@ def _restrict(d: int, components: tuple[Component, ...],
     the bits of `components`.
 
     The components kept, in order, are those whose singleton stratum is
-    in `entries`, and a kept component without the center flag is reused
-    as it is.  Every caller passes a table whose masks hold only kept
-    bits.  Each dropped bit below a kept one is squeezed out of every
-    mask, highest first, so the bits above it move down by one.  When no
-    dropped bit lies below a kept one, no mask moves and `entries` itself
-    becomes the new pair's table, so callers pass a dict that nothing else
-    holds.  The result carries no center metadata.
+    in `entries`, each reused as it is.  Every caller passes a table whose
+    masks hold only kept bits.  Each dropped bit below a kept one is
+    squeezed out of every mask, highest first, so the bits above it move
+    down by one.  When no dropped bit lies below a kept one, no mask moves
+    and `entries` itself becomes the new pair's table, so callers pass a
+    dict that nothing else holds.  The result carries no center, so no
+    component of it contains one.
     """
     kept = []
     dropped = []
     below = 0  # the number of dropped bits below some kept bit
     for j, comp in enumerate(components):
         if 1 << j in entries:
-            kept.append(_new_record(Component, (comp.id, comp.mult, False))
-                        if comp.contains_center else comp)
+            kept.append(comp)
             below = len(dropped)
         else:
             dropped.append(j)
@@ -669,8 +658,9 @@ def _require_center(pair: SncPair) -> Center:
     if pair.d <= 0:
         raise PairValidationError(
             f"blow-up operations require d > 0, got d = {pair.d}")
-    for comp in pair.components:
-        if comp.contains_center and comp.mult < 0:
+    contains = pair.center.contains
+    for j, comp in enumerate(pair.components):
+        if contains >> j & 1 and comp.mult < 0:
             raise PairValidationError(
                 f"center lies inside component {shown(comp.id)} of negative "
                 f"multiplicity {comp.mult}; blow-up requires positive "
@@ -680,10 +670,9 @@ def _require_center(pair: SncPair) -> Center:
 
 def exceptional_multiplicity(pair: SncPair) -> int:
     """m_0 = m_1 + ... + m_s + r d - d over the containing components."""
-    center = _require_center(pair)
-    m0 = sum(c.mult for c in pair.components if c.contains_center)
-    m0 += (center.codim - 1) * pair.d
-    return m0
+    r, contains = _require_center(pair)
+    m0 = sum(c.mult for j, c in enumerate(pair.components) if contains >> j & 1)
+    return m0 + (r - 1) * pair.d
 
 
 def _unique_id(taken: Iterable[str], base: str) -> str:
@@ -717,8 +706,7 @@ def blowup_transform(pair: SncPair) -> SncPair:
         raise PairValidationError(
             "exceptional multiplicity would be 0 (codimension-1 center "
             "contained in no component); the result is not a valid pair")
-    r = pair.center.codim
-    contains = pair.contains_mask
+    r, contains = pair.center
 
     e_bit = 1 << l
     entries: StratumTable = {}
@@ -746,14 +734,13 @@ def blowup_transform(pair: SncPair) -> SncPair:
                     f"ambiguous center containment: stratum "
                     f"{pair.subset_label(mask & ~e_bit)} survives the blow-up "
                     f"although component {shown(pair.components[orphan].id)} does not")
-    return _restrict(pair.d, pair.components + (_new_record(Component, (e_id, m0, False)),),
+    return _restrict(pair.d, pair.components + (_new_record(Component, (e_id, m0)),),
                      entries)
 
 
 def center_pair(pair: SncPair) -> SncPair:
     """The induced pair on the center: components not containing it, restricted."""
-    _require_center(pair)
-    table = _center_table(pair.strata, pair.contains_mask)
+    table = _center_table(pair.strata, _require_center(pair).contains)
     return _restrict(pair.d, pair.components,
                      {mask: _RECORDS[chi, None] for mask, chi in table.items()})
 
@@ -795,9 +782,9 @@ def fibration_check(pair: SncPair) -> bool:
     taken through the elementary symmetric functions e_k of those weights;
     validation keeps |C| <= r, and the k = r term is 0.
     """
-    r = _require_center(pair).codim
+    r, contains = _require_center(pair)
     elementary = _elementary(Fraction(-c.mult, c.mult + pair.d)
-                             for c in pair.components if c.contains_center)
+                             for j, c in enumerate(pair.components) if contains >> j & 1)
     factor = sum((r - k) * e for k, e in enumerate(elementary))
     center_value, exceptional_value = induced_center_pairs(pair)
     return exceptional_value == factor * center_value
@@ -969,12 +956,10 @@ def random_blowup_instance(rng: random.Random, max_components: int = 6) -> SncPa
 
     strata: StratumTable = {mask: _RECORDS[value, meets.get(mask & ~contains)]
                             for mask, value in present.items()}
-    components = tuple([
-        _new_record(Component, (_RANDOM_IDS[j], mults[j], contains >> j & 1 == 1))
-        for j in range(l)
-    ])
+    components = tuple([_new_record(Component, (_RANDOM_IDS[j], mults[j]))
+                        for j in range(l)])
     return SncPair(d=d, components=components, strata=strata,
-                   center=_new_record(Center, (r,)))
+                   center=_new_record(Center, (r, contains)))
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1002,7 @@ def pair_from_obj(obj) -> SncPair:
     if not isinstance(raw_components, list):
         raise TableFormatError("components: expected a list")
     components = []
+    contains = 0
     for i, entry in enumerate(raw_components):
         where = f"components[{i}]"
         expect_object(entry, where, {"id", "mult"}, {"contains_center"},
@@ -1027,7 +1013,8 @@ def pair_from_obj(obj) -> SncPair:
         flag = entry.get("contains_center", False)
         if not isinstance(flag, bool):
             raise TableFormatError(f"{where}.contains_center: expected a boolean")
-        components.append(Component(entry["id"], mult, flag))
+        contains |= flag << i
+        components.append(Component(entry["id"], mult))
     bits = {c.id: 1 << j for j, c in enumerate(components)}
     if len(bits) != len(components):
         raise TableFormatError("components: duplicate ids")
@@ -1037,8 +1024,8 @@ def pair_from_obj(obj) -> SncPair:
         center = None
     elif isinstance(raw_center, dict):
         expect_object(raw_center, "center", {"codim"}, set(), TableFormatError)
-        center = Center(codim=bounded_int(
-            raw_center["codim"], "center.codim", TableFormatError))
+        center = Center(bounded_int(raw_center["codim"], "center.codim", TableFormatError),
+                        contains)
     else:
         raise TableFormatError("center: expected an object or null")
 
@@ -1094,6 +1081,13 @@ def pair_from_obj(obj) -> SncPair:
             continue
         strata[mask] = _RECORDS[chi_value, meet]
 
+    if center is None and contains:
+        # the flags are refused after the rules on d, the components and the
+        # table, and before the rule on chi_meet_center without a center
+        SncPair(d, tuple(components), {mask: _RECORDS[stratum.chi, None]
+                                       for mask, stratum in strata.items()})
+        raise PairValidationError(
+            "components are flagged contains_center but no center is declared")
     return SncPair(d=d, components=tuple(components), strata=strata, center=center)
 
 
@@ -1108,6 +1102,7 @@ def pair_from_json(text: str) -> SncPair:
 
 
 def pair_to_obj(pair: SncPair) -> dict:
+    contains = 0 if pair.center is None else pair.center.contains
     strata = []
     for mask in sorted(pair.strata, key=lambda m: (m.bit_count(), m)):
         stratum = pair.strata[mask]
@@ -1120,8 +1115,8 @@ def pair_to_obj(pair: SncPair) -> dict:
     return {
         "d": pair.d,
         "components": [
-            {"id": c.id, "mult": c.mult, "contains_center": c.contains_center}
-            for c in pair.components
+            {"id": c.id, "mult": c.mult, "contains_center": contains >> j & 1 == 1}
+            for j, c in enumerate(pair.components)
         ],
         "center": None if pair.center is None else {"codim": pair.center.codim},
         "strata": strata,

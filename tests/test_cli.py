@@ -527,6 +527,10 @@ TABLE_FAULTS = {
     "flags-without-center": (
         lambda t: t.update(center=None),
         "components are flagged contains_center but no center is declared"),
+    # the flags are refused after the rules on the components and the table
+    "flags-without-center-and-zero-multiplicity": (
+        lambda t: (t.update(center=None), t["components"][2].update(mult=0)),
+        "component 'Hinf' has multiplicity 0"),
     "meet-without-center": (
         lambda t: t.update(EMPTY_DIVISOR_TABLE, strata=[
             {"subset": [], "chi": 7, "chi_meet_center": 1}]),

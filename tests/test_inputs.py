@@ -135,7 +135,7 @@ def test_containing_set_takes_the_bits_sample_takes(max_components):
         s = rng.randint(0, min(r, len(positive)))
         if r == 1 and s == 0:
             rng.randint(2, 4)
-        assert pair.contains_mask == sum(1 << j for j in rng.sample(positive, s))
+        assert pair.center.contains == sum(1 << j for j in rng.sample(positive, s))
         assert pair.strata[0].chi == rng.randint(-9, 9)
         sizes.add(s)
     assert sizes == {0, 1, 2, 3, 4}

@@ -59,9 +59,9 @@ def triangle_pair(with_center: bool) -> SncPair:
         return value if with_center else None
 
     components = (
-        Component("H1", 1, with_center),
-        Component("H2", 1, with_center),
-        Component("Hinf", -5, False),
+        Component("H1", 1),
+        Component("H2", 1),
+        Component("Hinf", -5),
     )
     strata = {
         0b000: Stratum(3, meet(1)),
@@ -76,7 +76,7 @@ def triangle_pair(with_center: bool) -> SncPair:
         d=1,
         components=components,
         strata=strata,
-        center=Center(codim=2) if with_center else None,
+        center=Center(codim=2, contains=0b011) if with_center else None,
     )
 
 
@@ -357,9 +357,9 @@ def test_blowup_requires_center():
 def test_blowup_rejects_negative_containing_multiplicity():
     pair = SncPair(
         d=1,
-        components=(Component("A", -2, True),),
+        components=(Component("A", -2),),
         strata={0: Stratum(3, 1), 0b1: Stratum(2, 1)},
-        center=Center(codim=1),
+        center=Center(codim=1, contains=0b1),
     )
     with pytest.raises(PairValidationError) as err:
         blowup_transform(pair)
@@ -381,10 +381,10 @@ def ambiguous_containment_pair() -> SncPair:
     {A,B} does not, which would break downward closure."""
     return SncPair(
         d=1,
-        components=(Component("A", 2, True), Component("B", 1)),
+        components=(Component("A", 2), Component("B", 1)),
         strata={0: Stratum(4, 2), 0b01: Stratum(2, 2), 0b10: Stratum(2, 1),
                 0b11: Stratum(2, 1)},
-        center=Center(codim=1),
+        center=Center(codim=1, contains=0b01),
     )
 
 
@@ -401,9 +401,9 @@ def test_blowup_codimension_one_relabels_component():
     # multiplicity.
     pair = SncPair(
         d=1,
-        components=(Component("A", 2, True),),
+        components=(Component("A", 2),),
         strata={0: Stratum(4, 2), 0b1: Stratum(2, 2)},
-        center=Center(codim=1),
+        center=Center(codim=1, contains=0b1),
     )
     blown = blowup_transform(pair)
     assert [c.id for c in blown.components] == ["E"]
@@ -568,12 +568,12 @@ def test_random_component_bound_leaves_room_for_the_exceptional_component():
 def test_record_reprs_are_pinned():
     pair = random_blowup_instance(random.Random(5), max_components=2)
     assert repr(pair) == (
-        "SncPair(d=3, components=(Component(id='D1', mult=2, contains_center=True), "
-        "Component(id='D2', mult=7, contains_center=False)), "
+        "SncPair(d=3, components=(Component(id='D1', mult=2), "
+        "Component(id='D2', mult=7)), "
         "strata={0: Stratum(chi=-8, chi_meet_center=-4), "
         "1: Stratum(chi=-4, chi_meet_center=-4), "
         "2: Stratum(chi=-6, chi_meet_center=-2), "
-        "3: Stratum(chi=-2, chi_meet_center=-2)}, center=Center(codim=1))")
+        "3: Stratum(chi=-2, chi_meet_center=-2)}, center=Center(codim=1, contains=1))")
     assert repr(check_blowup_invariance(pair)) == (
         "BlowupCheck(exceptional_multiplicity=2, before=Fraction(-69, 25), "
         "after=Fraction(-69, 25), equal=True, center_chi_d=Fraction(-13, 5), "
@@ -643,14 +643,16 @@ def test_pair_table_is_read_only():
 
 
 def test_component_and_center_are_hashable_records():
-    assert Component("A", 1) == Component("A", 1, False)
+    assert Component("A", 1) == Component(id="A", mult=1)
     assert Component("A", 1) != Component("A", 2)
-    assert hash(Component("A", 1, True)) == hash(Component("A", 1, True))
+    assert hash(Component("A", 1)) == hash(Component("A", 1))
     assert len({Component("A", 1), Component("A", 1), Component("B", 1)}) == 2
-    assert Center(2) == Center(codim=2) != Center(3)
-    assert hash(Center(2)) == hash(Center(codim=2))
+    assert Center(2) == Center(codim=2, contains=0) != Center(3)
+    assert Center(2, 0b101) != Center(2, 0b001)
+    assert hash(Center(2)) == hash(Center(codim=2, contains=0))
     # NamedTuple records equal the plain tuple of their fields
-    assert Component("A", 1) == ("A", 1, False)
+    assert Component("A", 1) == ("A", 1)
+    assert Center(2) == (2, 0)
 
 
 def test_shown_names_cuts_lists_over_the_component_limit():
@@ -744,7 +746,7 @@ def expected_on_stratum(pair: SncPair, subset: int):
 
 def expected_on_center(pair: SncPair):
     # Y carries Y n D_J for J among the components not containing Y.
-    contains = {c.id for c in pair.components if c.contains_center}
+    contains = _ids(pair, pair.center.contains)
     return _expected(pair, {
         _ids(pair, mask): s.chi_meet_center
         for mask, s in pair.strata.items()
@@ -754,7 +756,7 @@ def expected_on_center(pair: SncPair):
 def expected_on_exceptional(pair: SncPair):
     # {E} u K is a bundle of P^(r - 1 - |K n contains|) over
     # Y n D_(K minus contains); empty if the fiber or the base is.
-    contains = {c.id for c in pair.components if c.contains_center}
+    contains = _ids(pair, pair.center.contains)
     meets = {_ids(pair, mask): s.chi_meet_center for mask, s in pair.strata.items()
              if s.chi_meet_center is not None}
     ids = [c.id for c in pair.components]
@@ -803,7 +805,7 @@ def _remapped(pair: SncPair, entries: dict, extra=None) -> SncPair:
 def _remapped_blowup(pair: SncPair) -> SncPair:
     """The blow-up by the module-docstring rules, through `_remapped`."""
     r = pair.center.codim
-    contains = pair.contains_mask
+    contains = pair.center.contains
     e_bit = 1 << len(pair.components)
     entries = {}
     for mask, stratum in pair.strata.items():
@@ -838,7 +840,7 @@ def test_identity_restriction_and_reused_records_change_no_table():
         on_center = {mask: Stratum(s.chi_meet_center)
                      for mask, s in pair.strata.items()
                      if s.chi_meet_center is not None
-                     and not mask & pair.contains_mask}
+                     and not mask & pair.center.contains}
         e_mask = 1 << (len(expected_blown.components) - 1)
         blown_ids = [c.id for c in blown.components]
         # (derived pair, its expected value, the ids it was restricted from)
@@ -1375,13 +1377,13 @@ def test_validate_center_consistency():
     with pytest.raises(PairValidationError):
         SncPair(
             d=1,
-            components=tuple(Component(f"C{j}", 1, True) for j in range(3)),
+            components=tuple(Component(f"C{j}", 1) for j in range(3)),
             strata={
                 sum(1 << j for j in chosen): Stratum(1, 1)
                 for size in range(4)
                 for chosen in itertools.combinations(range(3), size)
             },
-            center=Center(codim=2),
+            center=Center(codim=2, contains=0b111),
         )
 
 
@@ -1402,14 +1404,24 @@ def test_validate_rules_the_parser_catches_first(components, strata, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("contains", [1 << 3, -1])
+def test_validate_refuses_a_containing_mask_beyond_the_components(contains):
+    # A table document cannot reach this rule either: its reader sets a bit
+    # of the mask for each flagged component and for nothing else.
+    base = triangle_pair(with_center=True)
+    with pytest.raises(PairValidationError) as err:
+        SncPair(base.d, base.components, dict(base.strata), Center(2, contains))
+    assert str(err.value) == (
+        f"center containing mask {contains} references unknown components")
+
+
 def per_stratum_center_rules(d, components, strata, center):
     """The center rules stated for every stratum J the center meets, each
     one walked on its own: J minus any element is met too, and J plus any
     containing component is a stratum.  Raises PairValidationError."""
     # the rules that do not involve the center
-    SncPair(d, tuple(Component(c.id, c.mult) for c in components),
-            {mask: Stratum(s.chi) for mask, s in strata.items()})
-    contains = sum(1 << j for j, c in enumerate(components) if c.contains_center)
+    SncPair(d, components, {mask: Stratum(s.chi) for mask, s in strata.items()})
+    contains = center.contains
     if contains.bit_count() > center.codim or strata[0].chi_meet_center is None:
         raise PairValidationError("center header")
     for mask, stratum in strata.items():
@@ -1427,12 +1439,13 @@ def per_stratum_center_rules(d, components, strata, center):
 
 
 def mutated_tables(rng, pair):
-    """Four tables one change away from a valid centered pair: a cleared
-    or changed chi_meet_center (on one stratum, or on every stratum with
-    the same part off the center's components), a deleted stratum, a
-    flipped contains_center flag, and an added stratum."""
+    """Four (table, center) pairs one change away from a valid
+    centered pair: a cleared or changed chi_meet_center (on one stratum, or
+    on every stratum with the same part off the center's components), a
+    deleted stratum, a flipped bit of the center's containing mask, and an
+    added stratum."""
     l = len(pair.components)
-    contains = pair.contains_mask
+    contains = pair.center.contains
     masks = sorted(pair.strata)
 
     strata = dict(pair.strata)
@@ -1441,18 +1454,16 @@ def mutated_tables(rng, pair):
     same_class = [m for m in masks if m & ~contains == target & ~contains]
     for mask in same_class if rng.random() < 0.5 else [target]:
         strata[mask] = Stratum(strata[mask].chi, value)
-    yield pair.components, strata
+    yield strata, pair.center
 
     strata = dict(pair.strata)
     del strata[rng.choice(masks[1:] or masks)]
-    yield pair.components, strata
+    yield strata, pair.center
 
-    components = list(pair.components)
-    if components:
-        j = rng.randrange(l)
-        components[j] = components[j]._replace(
-            contains_center=not components[j].contains_center)
-    yield tuple(components), pair.strata
+    center = pair.center
+    if l:
+        center = center._replace(contains=contains ^ 1 << rng.randrange(l))
+    yield pair.strata, center
 
     strata = dict(pair.strata)
     absent = [m for m in range(1 << l) if m not in strata]
@@ -1461,7 +1472,7 @@ def mutated_tables(rng, pair):
         reduced = strata.get(mask & ~contains)
         meet = reduced.chi_meet_center if reduced and rng.random() < 0.8 else None
         strata[mask] = Stratum(rng.randint(-9, 9), meet)
-    yield pair.components, strata
+    yield strata, pair.center
 
 
 def test_center_rules_on_the_center_table_match_the_per_stratum_rules():
@@ -1469,17 +1480,17 @@ def test_center_rules_on_the_center_table_match_the_per_stratum_rules():
     outcomes = {"accepted": 0, "rejected": 0, "misses": 0, "cannot be empty": 0}
     for _ in range(5000):
         pair = random_blowup_instance(rng)
-        for components, strata in mutated_tables(rng, pair):
+        for strata, center in mutated_tables(rng, pair):
             try:
-                SncPair(pair.d, components, strata, pair.center)
+                SncPair(pair.d, pair.components, strata, center)
                 accepted, message = True, ""
             except PairValidationError as exc:
                 accepted, message = False, str(exc)
             try:
-                per_stratum_center_rules(pair.d, components, strata, pair.center)
-                assert accepted, (message, components, strata)
+                per_stratum_center_rules(pair.d, pair.components, strata, center)
+                assert accepted, (message, center, strata)
             except PairValidationError:
-                assert not accepted, (components, strata)
+                assert not accepted, (center, strata)
             outcomes["accepted" if accepted else "rejected"] += 1
             for key in ("misses", "cannot be empty"):
                 outcomes[key] += key in message
